@@ -75,7 +75,9 @@ def _parse_x0(args, dimension: int):
     return x0
 
 
-def _write_report(out_dir, name, report: dict) -> str:
+def _write_report(out_dir, name, report: dict, started: float) -> str:
+    """Stamp the run's wall time since ``started`` into the report, then write it."""
+    report["timings"] = {"wall_seconds": round(time.monotonic() - started, 6)}
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, name)
     with open(path, "w") as fh:
@@ -84,12 +86,11 @@ def _write_report(out_dir, name, report: dict) -> str:
     return path
 
 
-def _base_report(args, started: float) -> dict:
+def _base_report(args) -> dict:
     report = {
         "tool": "reachcert",
         "version": _tool_version(),
         "seed": getattr(args, "seed", None),
-        "timings": {"wall_seconds": round(time.monotonic() - started, 6)},
     }
     system_path = getattr(args, "system", None)
     if system_path:
@@ -106,9 +107,9 @@ def _cmd_classify(args) -> int:
     system, file_target = load_system(args.system)
     target = _resolve_target(args, file_target, system.dimension)
     verdict = classify(system, target, unit_tol=args.unit_tol, rank_tol=args.rank_tol)
-    report = _base_report(args, started)
+    report = _base_report(args)
     report["classify"] = verdict.to_dict()
-    path = _write_report(args.out, "classify.json", report)
+    path = _write_report(args.out, "classify.json", report, started)
     print(f"{verdict.outcome} (advice: {verdict.certificate_advice}) -> {path}")
     return 0
 
@@ -136,14 +137,14 @@ def _cmd_certify(args) -> int:
         if not cert.verified:
             exit_code = 1
 
-    report = _base_report(args, started)
+    report = _base_report(args)
     report["classify"] = verdict.to_dict()
     report["certificate"] = certs.certificate_to_dict(cert)
     cert_path = os.path.join(args.out, "certificate.json")
     os.makedirs(args.out, exist_ok=True)
     certs.save_certificate(cert, cert_path)
     report["certificate_file"] = cert_path
-    path = _write_report(args.out, "certify.json", report)
+    path = _write_report(args.out, "certify.json", report, started)
     status = "flagged-unverified" if exit_code else "ok"
     print(f"{cert.kind} certificate [{status}] -> {cert_path} ({path})")
     return exit_code
@@ -164,13 +165,13 @@ def _cmd_verify(args) -> int:
         )
     drift = verify_drift(system, cert, plan=plan, seed=args.seed)
     variant = verify_variant(system, cert, target, samples=args.samples or 20_000, seed=args.seed)
-    report = _base_report(args, started)
+    report = _base_report(args)
     report["certificate_input"] = {"path": args.certificate, "sha256": _sha256(args.certificate)}
     report["drift"] = drift.to_dict()
     report["variant"] = variant.to_dict()
     passed = drift.passed and variant.passed
     report["passed"] = passed
-    path = _write_report(args.out, "verify.json", report)
+    path = _write_report(args.out, "verify.json", report, started)
     print(f"drift {'pass' if drift.passed else 'FAIL'}, variant "
           f"{'pass' if variant.passed else 'FAIL'} -> {path}")
     return 0 if passed else 1
@@ -184,7 +185,7 @@ def _cmd_simulate(args) -> int:
     stats = hitting_stats(
         system, target, x0, n_traj=args.trajectories, horizon=args.horizon, base_seed=args.seed
     )
-    report = _base_report(args, started)
+    report = _base_report(args)
     report["x0"] = x0.tolist()
     report["ensemble"] = stats.to_dict()
 
@@ -217,7 +218,7 @@ def _cmd_simulate(args) -> int:
                     writer.writerow([k, repr(p)])
             report["occupancy_csv"] = occ_path
 
-    path = _write_report(args.out, "simulate.json", report)
+    path = _write_report(args.out, "simulate.json", report, started)
     print(f"hit_fraction {stats.hit_fraction:.4f}, divergence_fraction "
           f"{stats.divergence_fraction:.4f} -> {path}")
     return 0
@@ -225,7 +226,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_repro(args) -> int:
     started = time.monotonic()
-    report = _base_report(args, started)
+    report = _base_report(args)
     passed = True
 
     if args.case == "example1-bounds":
@@ -284,7 +285,7 @@ def _cmd_repro(args) -> int:
         )
 
     report["passed"] = passed
-    path = _write_report(args.out, f"repro-{args.case}.json", report)
+    path = _write_report(args.out, f"repro-{args.case}.json", report, started)
     print(f"{args.case}: {'pass' if passed else 'FAIL'} -> {path}")
     return 0 if passed else 1
 

@@ -3,21 +3,24 @@ occupancy-decay exponent estimate for critical systems.
 
 Every trajectory owns an independent RNG stream derived from
 (base_seed, trajectory_index), so results are reproducible and
-independent of batching or thread scheduling.  Stepping is vectorized
-across trajectories; noise is drawn in fixed-size chunks per trajectory
-so that a chunked ensemble replays exactly the same stream as a
-single-trajectory simulation.
+independent of batching or thread scheduling.  `simulate`,
+`hitting_stats` and `ensemble_states` observe one block kernel, `_run`:
+noise is drawn NOISE_CHUNK steps at a time per trajectory and stepped in
+sub-blocks of about SUBBLOCK_BYTES of state, after each of which the
+observer finds first hits and overflows with array operations.  Neither
+length changes any trajectory: a chunked ensemble replays exactly the
+stream of a single-trajectory simulation.
 """
 
 from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .systems import TargetBall, TrajectorySeed, step_batch
+from .systems import LinearSystem, TargetBall, TrajectorySeed, step_batch
 
 __all__ = [
     "Trajectory",
@@ -32,6 +35,10 @@ __all__ = [
 
 OVERFLOW_GUARD = 1e300
 NOISE_CHUNK = 1024
+# State bytes stepped between two observer passes: small enough to stay in
+# cache and off the peak RSS, large enough that the per-pass array calls
+# are paid once per ~65 steps of a 1000-trajectory, 2D ensemble.
+SUBBLOCK_BYTES = 1 << 20
 
 
 def _max_workers() -> int:
@@ -103,19 +110,94 @@ def _member_rows(target, X: np.ndarray) -> np.ndarray:
     return sq < target.radius**2
 
 
-def _draw_chunk(noise, rngs, indices, length):
-    """(len(indices), length, m) noise block, one stream per trajectory."""
+def _draw_chunk(noise, rngs, length):
+    """Time-major (length, len(rngs), m) noise block, one stream per trajectory."""
     m = noise.dimension
-    out = np.empty((len(indices), length, m))
+    out = np.empty((length, len(rngs), m))
     if noise.kind == "gaussian":
         L = np.linalg.cholesky(noise.cov)
-        for row, idx in enumerate(indices):
-            out[row] = rngs[idx].standard_normal(size=(length, m)) @ L.T
+        for row, rng in enumerate(rngs):
+            out[:, row] = rng.standard_normal(size=(length, m)) @ L.T
     else:
-        h = noise.half_widths
-        for row, idx in enumerate(indices):
-            out[row] = rngs[idx].uniform(-1.0, 1.0, size=(length, m)) * h
+        for row, rng in enumerate(rngs):
+            out[:, row] = rng.uniform(-1.0, 1.0, size=(length, m))
+        out *= noise.half_widths
     return out
+
+
+def _advance(system, X, W):
+    """(s, rows, n) states after each step of the (s, rows, m) noise block W from X."""
+    out = np.empty((W.shape[0],) + X.shape)
+    if isinstance(system, LinearSystem):
+        # The products of step_batch (X A' + W B') with the same shapes, so
+        # the same BLAS paths; the sum runs in the other order, which IEEE
+        # addition makes exact.
+        np.matmul(W, system.B.T, out=out)
+        AT = system.A.T
+        AX = np.empty_like(X)
+        for t in range(W.shape[0]):
+            np.matmul(X, AT, out=AX)
+            X = np.add(out[t], AX, out=out[t])
+    else:
+        for t in range(W.shape[0]):
+            X = out[t] = step_batch(system, X, W[t])
+    return out
+
+
+def _run(system, X, rngs, horizon, observe):
+    """The stepping kernel behind simulate, hitting_stats and ensemble_states.
+
+    Row i of X is a trajectory driven by the stream ``rngs[i]``.  Noise is
+    drawn NOISE_CHUNK steps at a time per trajectory, and each chunk is
+    stepped in sub-blocks of about SUBBLOCK_BYTES of state.  After each
+    sub-block, ``observe(k, live, S)`` sees the (s, len(live), n) states of
+    the trajectories ``live`` (row positions in X) at steps k+1 .. k+s.  It
+    returns a bool mask over ``live`` of the trajectories that stop there,
+    or None; a stopped trajectory is neither stepped nor drawn for again.
+    Returns the positions of the trajectories that never stopped and their
+    states at ``horizon``.
+    """
+    live = np.arange(X.shape[0])
+    k = 0
+    # Overflow is a per-trajectory event that observers detect; stepping
+    # on past it within a sub-block is harmless.
+    with np.errstate(over="ignore", invalid="ignore"):
+        while k < horizon and live.size:
+            length = min(NOISE_CHUNK, horizon - k)
+            W = _draw_chunk(system.noise, [rngs[i] for i in live], length)
+            steps = max(1, SUBBLOCK_BYTES // X.nbytes)
+            cols = np.arange(live.size)  # columns of W still stepping
+            t = 0
+            while t < length and live.size:
+                s = min(steps, length - t)
+                S = _advance(system, X, W[t : t + s] if cols.size == W.shape[1] else W[t : t + s, cols])
+                X = S[-1]
+                stop = observe(k + t, live, S)
+                if stop is not None and stop.any():
+                    keep = ~stop
+                    live, cols, X = live[keep], cols[keep], X[keep]
+                t += s
+            k += length
+            del W  # free this chunk's noise before the next one is drawn
+    return live, X
+
+
+def _first(mask):
+    """Per column of an (s, rows) bool mask: the row of its first True, else s."""
+    first = np.full(mask.shape[1], mask.shape[0])
+    cols = np.flatnonzero(mask.any(axis=0))  # argmax down columns is slow; do few
+    first[cols] = mask[:, cols].argmax(axis=0)
+    return first
+
+
+def _first_overflow(S):
+    """Per trajectory in the (s, rows, n) block S: the first step whose state
+    is non-finite or beyond OVERFLOW_GUARD, else s."""
+    # NaN fails both comparisons, so only a block with an overflow pays
+    # for the row-wise check.
+    if S.min() >= -OVERFLOW_GUARD and S.max() <= OVERFLOW_GUARD:
+        return np.full(S.shape[1], S.shape[0])
+    return _first(~(np.abs(S) <= OVERFLOW_GUARD).all(axis=2))
 
 
 def simulate(system, x0, horizon: int, seed) -> Trajectory:
@@ -125,70 +207,51 @@ def simulate(system, x0, horizon: int, seed) -> Trajectory:
     if isinstance(seed, int):
         seed = TrajectorySeed(seed, 0)
     x0 = np.asarray(x0, dtype=float).reshape(-1)
-    n = x0.size
-    states = np.empty((horizon + 1, n))
+    states = np.empty((horizon + 1, x0.size))
     states[0] = x0
-    rng = seed.rng()
-    noise = system.noise
-    x = x0.reshape(1, -1)
-    k = 0
-    while k < horizon:
-        length = min(NOISE_CHUNK, horizon - k)
-        W = _draw_chunk(noise, [rng], [0], length)[0]
-        for t in range(length):
-            x = step_batch(system, x, W[t].reshape(1, -1))
-            if not np.all(np.isfinite(x)) or np.any(np.abs(x) > OVERFLOW_GUARD):
-                return Trajectory(states=states[: k + 1].copy(), overflowed=True)
-            k += 1
-            states[k] = x[0]
+    end = horizon + 1  # length of the path before its first overflow
+
+    def record(k, live, S):
+        nonlocal end
+        states[k + 1 : k + 1 + len(S)] = S[:, 0]
+        t = _first_overflow(S)
+        if t[0] < len(S):
+            end = k + 1 + int(t[0])
+        return t < len(S)
+
+    _run(system, x0.reshape(1, -1), [seed.rng()], horizon, record)
+    if end <= horizon:
+        return Trajectory(states=states[:end].copy(), overflowed=True)
     return Trajectory(states=states, overflowed=False)
 
 
 def _hitting_batch(system, target, x0, indices, horizon, base_seed, threshold):
-    noise = system.noise
-    rngs = {i: TrajectorySeed(base_seed, i).rng() for i in indices}
     nb = len(indices)
-    X = np.tile(np.asarray(x0, dtype=float), (nb, 1))
+    X0 = np.tile(np.asarray(x0, dtype=float), (nb, 1))
     hit_time = np.full(nb, -1, dtype=np.int64)
     overflowed = np.zeros(nb, dtype=bool)
-    alive = np.ones(nb, dtype=bool)
-
-    initial = _member_rows(target, X)
+    initial = _member_rows(target, X0)
     hit_time[initial] = 0
-    alive[initial] = False
+    start = np.flatnonzero(~initial)
 
-    k = 0
-    while k < horizon and alive.any():
-        length = min(NOISE_CHUNK, horizon - k)
-        rows = np.flatnonzero(alive)
-        W = _draw_chunk(noise, rngs, [indices[r] for r in rows], length)
-        Xa = X[rows]
-        live = np.ones(len(rows), dtype=bool)
-        for t in range(length):
-            cur = np.flatnonzero(live)
-            if cur.size == 0:
-                break
-            Xa[cur] = step_batch(system, Xa[cur], W[cur, t])
-            bad = ~np.all(np.isfinite(Xa[cur]), axis=1) | (
-                np.max(np.abs(Xa[cur]), axis=1) > OVERFLOW_GUARD
-            )
-            if bad.any():
-                overflowed[rows[cur[bad]]] = True
-                live[cur[bad]] = False
-                cur = cur[~bad]
-            if cur.size:
-                hits = _member_rows(target, Xa[cur])
-                if hits.any():
-                    hit_time[rows[cur[hits]]] = k + t + 1
-                    live[cur[hits]] = False
-        X[rows] = Xa
-        alive[rows] = live & ~overflowed[rows] & (hit_time[rows] < 0)
-        k += length
+    def record(k, live, S):
+        s, r, n = S.shape
+        rows = start[live]
+        t_over = _first_overflow(S)
+        t_hit = _first(_member_rows(target, S.reshape(-1, n)).reshape(s, r))
+        # A row's first event decides; an overflow wins a tie with a hit.
+        hits = t_hit < t_over
+        hit_time[rows[hits]] = k + 1 + t_hit[hits]
+        overflowed[rows[(t_over < s) & ~hits]] = True
+        return np.minimum(t_over, t_hit) < s
+
+    rngs = [TrajectorySeed(base_seed, indices[i]).rng() for i in start]
+    live, X = _run(system, X0[start], rngs, horizon, record)
 
     hit = hit_time >= 0
-    # Overflowed rows may hold values whose squares overflow; they are
-    # divergent by definition, so compute norms only for the rest.
-    final_norm = np.linalg.norm(np.where(overflowed[:, None], 0.0, X), axis=1)
+    # Only trajectories that ran the whole horizon can diverge by norm.
+    final_norm = np.zeros(nb)
+    final_norm[start[live]] = np.linalg.norm(X, axis=1)
     divergent = overflowed | (~hit & (final_norm > threshold))
     return hit_time, divergent, overflowed
 
@@ -256,25 +319,16 @@ def hitting_stats(
 
 def _snapshot_batch(system, x0, indices, ks, base_seed):
     """States of the given trajectories at each step in ks (sorted)."""
-    noise = system.noise
-    rngs = {i: TrajectorySeed(base_seed, i).rng() for i in indices}
-    nb = len(indices)
-    X = np.tile(np.asarray(x0, dtype=float), (nb, 1))
-    out = {}
-    if ks and ks[0] == 0:
-        out[0] = X.copy()
-    max_k = max(ks) if ks else 0
-    next_idx = 1 if (ks and ks[0] == 0) else 0
-    k = 0
-    while k < max_k:
-        length = min(NOISE_CHUNK, max_k - k)
-        W = _draw_chunk(noise, rngs, indices, length)
-        for t in range(length):
-            X = step_batch(system, X, W[:, t])
-            k += 1
-            if next_idx < len(ks) and ks[next_idx] == k:
-                out[k] = X.copy()
-                next_idx += 1
+    X0 = np.tile(np.asarray(x0, dtype=float), (len(indices), 1))
+    out = {0: X0} if ks and ks[0] == 0 else {}
+
+    def record(k, live, S):
+        for kk in ks:
+            if k < kk <= k + len(S):
+                out[kk] = S[kk - k - 1].copy()
+
+    rngs = [TrajectorySeed(base_seed, i).rng() for i in indices]
+    _run(system, X0, rngs, max(ks, default=0), record)
     return out
 
 

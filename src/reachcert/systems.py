@@ -29,7 +29,6 @@ __all__ = [
     "step_batch",
     "contains",
     "load_system",
-    "load_target",
     "system_to_dict",
     "OverflowInStep",
 ]
@@ -380,9 +379,3 @@ def load_system(path):
     target = TargetBall.from_dict(d["target"]) if "target" in d else None
     return system, target
 
-
-def load_target(d_or_path) -> TargetBall:
-    if isinstance(d_or_path, dict):
-        return TargetBall.from_dict(d_or_path)
-    with open(d_or_path) as fh:
-        return TargetBall.from_dict(json.load(fh))

@@ -1,8 +1,10 @@
 import json
+import time
 
 import numpy as np
 import pytest
 
+from reachcert import counterexamples
 from reachcert.cli import run
 
 
@@ -246,6 +248,18 @@ class TestReproCommand:
         report = json.loads((tmp_path / "repro-example2.json").read_text())
         assert report["passed"] is True
         assert report["example2"]["quadratics"][0]["delta_v"] == pytest.approx(1.0 / 6.0)
+
+    def test_wall_seconds_covers_the_work(self, tmp_path, monkeypatch):
+        real = counterexamples.example2_quadratic_failure
+
+        def slow(*args, **kwargs):
+            time.sleep(0.3)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(counterexamples, "example2_quadratic_failure", slow)
+        assert run(["repro", "example2", "--samples", "2000", "--out", str(tmp_path)]) == 0
+        report = json.loads((tmp_path / "repro-example2.json").read_text())
+        assert report["timings"]["wall_seconds"] >= 0.3
 
     def test_example1_refute(self, tmp_path):
         assert run(["repro", "example1-refute", "--out", str(tmp_path)]) == 0

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from conftest import rotation_matrix
+from reachcert import ensembles
 from reachcert import (
     LinearSystem,
     NoiseModel,
@@ -11,8 +13,97 @@ from reachcert import (
     hitting_stats,
     simulate,
 )
-from reachcert.ensembles import NOISE_CHUNK
-from reachcert.systems import sample_noise, step_batch
+from reachcert.counterexamples import example1_system
+from reachcert.ensembles import NOISE_CHUNK, OVERFLOW_GUARD, _hitting_batch, _member_rows
+from reachcert.systems import _draw, sample_noise, step_batch
+
+
+def _reference_hitting_batch(system, target, x0, indices, horizon, base_seed, threshold):
+    """The per-step hitting loop the block kernel replaced, kept as its oracle.
+
+    Every step it advances the live rows, drops the overflowed ones, and
+    then records the first hits among the rest.
+    """
+    rngs = {i: TrajectorySeed(base_seed, i).rng() for i in indices}
+    nb = len(indices)
+    X = np.tile(np.asarray(x0, dtype=float), (nb, 1))
+    hit_time = np.full(nb, -1, dtype=np.int64)
+    overflowed = np.zeros(nb, dtype=bool)
+    alive = np.ones(nb, dtype=bool)
+    initial = _member_rows(target, X)
+    hit_time[initial] = 0
+    alive[initial] = False
+    k = 0
+    while k < horizon and alive.any():
+        length = min(NOISE_CHUNK, horizon - k)
+        rows = np.flatnonzero(alive)
+        W = np.stack([_draw(system.noise, rngs[indices[r]], length) for r in rows])
+        Xa = X[rows]
+        live = np.ones(len(rows), dtype=bool)
+        for t in range(length):
+            cur = np.flatnonzero(live)
+            if cur.size == 0:
+                break
+            Xa[cur] = step_batch(system, Xa[cur], W[cur, t])
+            bad = ~np.all(np.isfinite(Xa[cur]), axis=1) | (
+                np.max(np.abs(Xa[cur]), axis=1) > OVERFLOW_GUARD
+            )
+            if bad.any():
+                overflowed[rows[cur[bad]]] = True
+                live[cur[bad]] = False
+                cur = cur[~bad]
+            if cur.size:
+                hits = _member_rows(target, Xa[cur])
+                if hits.any():
+                    hit_time[rows[cur[hits]]] = k + t + 1
+                    live[cur[hits]] = False
+        X[rows] = Xa
+        alive[rows] = live & ~overflowed[rows] & (hit_time[rows] < 0)
+        k += length
+    hit = hit_time >= 0
+    final_norm = np.linalg.norm(np.where(overflowed[:, None], 0.0, X), axis=1)
+    divergent = overflowed | (~hit & (final_norm > threshold))
+    return hit_time, divergent, overflowed
+
+
+def _unit_box(X):
+    return np.all((X > 0.0) & (X < 1.0), axis=1)
+
+
+WALK = LinearSystem(A=[[1.0]], B=[[1.0]], noise=NoiseModel.uniform([1.0]))
+ORACLE_CASES = {
+    # name: (system, target, x0, trajectories, horizon, divergence threshold)
+    "walk-1d": (WALK, TargetBall(center=[0.0], radius=2.0), [10.0], 200, 3 * NOISE_CHUNK + 17, 1e6),
+    "gaussian-rotation": (
+        LinearSystem(
+            A=rotation_matrix(np.pi / 4), B=np.eye(2), noise=NoiseModel.gaussian([[1.0, 0.3], [0.3, 0.5]])
+        ),
+        TargetBall(center=[0.0, 0.0], radius=3.0),
+        [4.0, 4.0],
+        200,
+        2 * NOISE_CHUNK + 5,
+        1e6,
+    ),
+    # 2^k * 3 passes OVERFLOW_GUARD near k = 995, inside the first chunk.
+    "overflow-mid-chunk": (
+        LinearSystem(A=[[2.0]], B=[[1.0]], noise=NoiseModel.uniform([1.0])),
+        TargetBall(center=[0.0], radius=1.0),
+        [3.0],
+        100,
+        2000,
+        1e6,
+    ),
+    "example1-unit-box": (example1_system(), _unit_box, [2.0**5, 2.0**5], 200, 1500, 1e6),
+    "start-in-target": (WALK, TargetBall(center=[0.0], radius=2.0), [0.5], 50, 100, 1e6),
+    "shear-norm-divergence": (
+        LinearSystem(A=[[1.0, 1.0], [0.0, 1.0]], B=np.eye(2), noise=NoiseModel.uniform([1.0, 1.0])),
+        TargetBall(center=[0.0, 0.0], radius=1.0),
+        [10.0, 10.0],
+        100,
+        200,
+        500.0,
+    ),
+}
 
 
 class TestSimulate:
@@ -78,14 +169,44 @@ class TestHittingStats:
         assert stats.hit_fraction >= 0.9
 
 
+class TestBlockKernel:
+    @pytest.mark.parametrize("subblock_bytes", [ensembles.SUBBLOCK_BYTES, 4096])
+    @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+    def test_matches_per_step_reference(self, case, subblock_bytes, monkeypatch):
+        monkeypatch.setattr(ensembles, "SUBBLOCK_BYTES", subblock_bytes)
+        system, target, x0, n_traj, horizon, threshold = ORACLE_CASES[case]
+        indices = list(range(3, 3 + n_traj))
+        got = _hitting_batch(system, target, x0, indices, horizon, 17, threshold)
+        want = _reference_hitting_batch(system, target, x0, indices, horizon, 17, threshold)
+        for name, g, w in zip(("hit_time", "divergent", "overflowed"), got, want):
+            assert np.array_equal(g, w), name
+
+    def test_oracle_cases_cover_every_outcome(self):
+        # Guards the case list: each event the kernel must get right occurs.
+        outcome = {
+            case: _reference_hitting_batch(system, target, x0, list(range(n)), horizon, 17, thr)
+            for case, (system, target, x0, n, horizon, thr) in ORACLE_CASES.items()
+        }
+        hit_time, _, overflowed = outcome["overflow-mid-chunk"]
+        assert overflowed.all() and hit_time.max() < 0
+        assert np.all(outcome["start-in-target"][0] == 0)
+        assert np.any(outcome["walk-1d"][0] > 2 * NOISE_CHUNK)
+        assert outcome["shear-norm-divergence"][1].any()
+        assert (outcome["example1-unit-box"][0] > 0).all()
+
+
 class TestEnsembleStates:
-    def test_snapshot_consistency(self, random_walk):
-        # Snapshot at step k equals the simulated trajectory state at k.
-        states = ensemble_states(random_walk, [0.0], [10, 100], 5, base_seed=9)
-        for tid in range(5):
-            traj = simulate(random_walk, [0.0], 100, TrajectorySeed(9, tid))
-            assert states[10][tid, 0] == traj.states[10, 0]
-            assert states[100][tid, 0] == traj.states[100, 0]
+    def test_snapshot_consistency(self, random_walk, monkeypatch):
+        # Snapshot at step k equals the simulated trajectory state at k,
+        # across chunk and sub-block boundaries.
+        ks = [10, 100, NOISE_CHUNK, NOISE_CHUNK + 1, 2 * NOISE_CHUNK + 3]
+        for subblock_bytes in (ensembles.SUBBLOCK_BYTES, 4096):
+            monkeypatch.setattr(ensembles, "SUBBLOCK_BYTES", subblock_bytes)
+            states = ensemble_states(random_walk, [0.0], ks, 300, base_seed=9)
+            for tid in (0, 1, 150, 299):
+                traj = simulate(random_walk, [0.0], max(ks), TrajectorySeed(9, tid))
+                for k in ks:
+                    assert states[k][tid, 0] == traj.states[k, 0]
 
     def test_step_zero(self, random_walk):
         states = ensemble_states(random_walk, [3.0], [0], 4, base_seed=0)
