@@ -25,9 +25,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 import scipy.linalg
 
-from .linalg import LinalgError, solve_discrete_lyapunov
+from .linalg import LinalgError, quadratic_form, solve_discrete_lyapunov
 from .spectral import analyze, unit_plane_basis
-from .systems import LinearSystem, TargetBall
+from .systems import LinearSystem, TargetBall, _draw, step_batch
 from .verify import mc_drift
 
 __all__ = [
@@ -96,7 +96,7 @@ class QuadraticCertificate:
 
     def drift_values(self, X) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        return np.einsum("ij,jk,ik->i", X, self.Q, X)
+        return quadratic_form(X, self.Q)
 
     def variant_values(self, X) -> np.ndarray:
         return self.drift_values(X) - self.variant_b
@@ -157,7 +157,7 @@ def synthesize_quadratic(system: LinearSystem, target: TargetBall) -> QuadraticC
 
 def _log_drift_values(X, Q_star) -> np.ndarray:
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    sq = np.einsum("ij,jk,ik->i", X, Q_star, X)
+    sq = quadratic_form(X, Q_star)
     return np.sqrt(np.maximum(0.5 * np.log(np.maximum(sq, 1e-300)), 1.0))
 
 
@@ -189,7 +189,7 @@ class LogCertificate:
 
     def star_norms(self, X) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        return np.sqrt(np.maximum(np.einsum("ij,jk,ik->i", X, self.Q_star, X), 0.0))
+        return np.sqrt(np.maximum(quadratic_form(X, self.Q_star), 0.0))
 
     def drift_values(self, X) -> np.ndarray:
         return _log_drift_values(X, self.Q_star)
@@ -220,8 +220,8 @@ def _second_order_log_drift(system: LinearSystem, Q_star, X) -> np.ndarray:
     T1 = float(np.trace(Q @ S))
     Z = X @ A.T
     QZ = Z @ Q
-    T2 = np.einsum("ij,jk,ik->i", QZ, S, QZ)
-    r_sq = np.einsum("ij,jk,ik->i", X, Q, X)
+    T2 = quadratic_form(QZ, S)
+    r_sq = quadratic_form(X, Q)
     ln_r = 0.5 * np.log(r_sq)
     first = (0.5 * T1 - T2 / r_sq) / (r_sq * np.sqrt(ln_r))
     second = -T2 / (4.0 * r_sq**2 * ln_r**1.5)
@@ -241,7 +241,7 @@ def _scan_compact_radius(system: LinearSystem, Q_star, seed: int, radius_cap: fl
     while rho <= radius_cap:
         # Points with ||x||_* = rho.
         z = rng.standard_normal(size=(max(16 * n, 16), n))
-        norms = np.sqrt(np.einsum("ij,jk,ik->i", z, Q_star, z))
+        norms = np.sqrt(quadratic_form(z, Q_star))
         pts = rho * z / norms[:, None]
         margin = SCAN_MARGIN_SCALE * math.sqrt(math.log(rho))
         d2 = _second_order_log_drift(system, Q_star, pts)
@@ -275,10 +275,7 @@ def _estimate_delta_epsilon(system: LinearSystem, certificate, b: float, seed: i
     # Scale points onto the shell where U = b (i.e. just outside {U <= 0}).
     scale = np.sqrt(2.0 * b / np.maximum(u_vals + b, 1e-300))
     pts = z * scale[:, None]
-    from .verify import _noise_matrix  # shared seeded noise sampling
-    from .systems import step_batch
-
-    W = _noise_matrix(system, rng, samples)
+    W = _draw(system.noise, rng, samples)
     succ = step_batch(system, pts, W)
     dU = np.asarray(certificate.variant_values(succ)) - np.asarray(certificate.variant_values(pts))
     neg = -dU[dU < 0.0]
@@ -366,7 +363,7 @@ class CompositeCertificate:
 
     def variant_values(self, X) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        return np.einsum("ij,jk,ik->i", X, self.M, X) - self.variant_b
+        return quadratic_form(X, self.M) - self.variant_b
 
     def h_bound(self, r: float) -> float:
         return math.exp(2.0 * r * r) + r - self.variant_b

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .linalg import quadratic_form
 from .systems import LinearSystem, TargetBall, TrajectorySeed, step_batch
 
 __all__ = [
@@ -102,11 +103,12 @@ def _member_rows(target, X: np.ndarray) -> np.ndarray:
     """Row-wise membership; target is a TargetBall or an (N, n) -> bool mask."""
     if callable(target):
         return np.asarray(target(X), dtype=bool)
-    D = X - target.center
+    # Subtracting a zero centre is exact, so skipping it changes no bit.
+    D = X - target.center if target.center.any() else X
     if target.weight is None:
         sq = np.einsum("ij,ij->i", D, D)
-        return sq < target.radius**2
-    sq = np.einsum("ij,jk,ik->i", D, target.weight, D)
+    else:
+        sq = quadratic_form(D, target.weight)
     return sq < target.radius**2
 
 

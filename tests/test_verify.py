@@ -1,7 +1,9 @@
 import json
+import math
 
 import numpy as np
 import pytest
+import scipy.stats
 
 from reachcert import (
     LinearSystem,
@@ -16,7 +18,20 @@ from reachcert import (
     verify_drift,
     verify_variant,
 )
+from reachcert import counterexamples as cx
 from reachcert.certificates import CustomCertificate
+from reachcert.cli import run
+from reachcert.linalg import quadratic_form
+from reachcert.systems import contains
+from reachcert.verify import (
+    CUBATURE_ORDERS,
+    _check_inclusion,
+    _sample_level_region,
+    _sphere_points,
+    _zero_crossings,
+    cubature_drift,
+)
+from conftest import random_stable_matrix, rotation_matrix
 
 
 class TestExactDrift:
@@ -167,3 +182,256 @@ class TestVerifyVariant:
             verify_variant(
                 stable_2d, cert, unit_ball_2d, levels=[cert.variant_b * 0.5], samples=500, seed=0
             )
+
+
+# ---------------------------------------------------------------------------
+# Batched zero-crossing bisection against the scalar loop it replaced
+# ---------------------------------------------------------------------------
+
+def _zero_crossing_scalar(certificate, direction, t_max=1e9):
+    """Reference: bisection for U(t * direction) = 0, one ray, one point per call."""
+    u0 = float(np.asarray(certificate.variant_values(np.zeros((1, len(direction)))))[0])
+    if u0 >= 0.0:
+        return None
+    lo, hi = 0.0, 1.0
+    while hi < t_max:
+        u = float(np.asarray(certificate.variant_values((hi * direction).reshape(1, -1)))[0])
+        if u > 0.0:
+            break
+        lo, hi = hi, hi * 2.0
+    else:
+        return None
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        u = float(np.asarray(certificate.variant_values((mid * direction).reshape(1, -1)))[0])
+        if u > 0.0:
+            hi = mid
+        else:
+            lo = mid
+    return lo * direction
+
+
+def _check_inclusion_scalar(certificate, target, n, count, rng, positive_quadrant):
+    """Reference: the per-ray inclusion count."""
+    bad = 0
+    dirs = _sphere_points(n, count, 1.0, rng)
+    if positive_quadrant:
+        dirs = np.abs(dirs)
+        dirs /= np.maximum(np.linalg.norm(dirs, axis=1, keepdims=True), 1e-300)
+    member = target if callable(target) else (lambda x: contains(target, x))
+    for d in dirs:
+        x = _zero_crossing_scalar(certificate, d)
+        if x is not None and not member(x):
+            bad += 1
+    return bad
+
+
+def _unit_box(x):
+    return 0.0 < x[0] < 1.0 and 0.0 < x[1] < 1.0
+
+
+def _custom_variant(variant):
+    return CustomCertificate(
+        drift=lambda X: np.abs(np.atleast_2d(X)[:, 0]),
+        variant=variant,
+        h=lambda r: r,
+        delta=0.5,
+        compact_radius=1.0,
+        level_radius=lambda r: r,
+    )
+
+
+class TestBatchedBisection:
+    def _assert_same(self, cert, target, n, positive_quadrant=False, seed=3):
+        dirs = _sphere_points(n, 64, 1.0, np.random.default_rng(seed))
+        if positive_quadrant:
+            dirs = np.abs(dirs)
+            dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        scalar = [_zero_crossing_scalar(cert, d) for d in dirs]
+        expected = np.array([x for x in scalar if x is not None]).reshape(-1, n)
+        assert np.array_equal(_zero_crossings(cert, dirs), expected)
+        want = _check_inclusion_scalar(cert, target, n, 256, np.random.default_rng(seed), positive_quadrant)
+        got = _check_inclusion(cert, target, n, 256, np.random.default_rng(seed), positive_quadrant)
+        assert got == want
+        return expected, got
+
+    def test_quadratic(self, stable_2d, unit_ball_2d):
+        cert = synthesize_quadratic(stable_2d, unit_ball_2d)
+        points, bad = self._assert_same(cert, unit_ball_2d, 2)
+        assert len(points) == 64 and bad == 0
+        # A target smaller than {U <= 0} is violated on every ray.
+        small = TargetBall(center=[0.0, 0.0], radius=0.5)
+        assert self._assert_same(cert, small, 2)[1] == 256
+
+    def test_logarithmic(self, rotation_system, unit_ball_2d):
+        cert = synthesize_logarithmic(rotation_system, unit_ball_2d, seed=0)
+        points, bad = self._assert_same(cert, unit_ball_2d, 2)
+        assert len(points) == 64 and bad == 0
+
+    @pytest.mark.parametrize("offset, violated", [(0.5, False), (2.0, True)])
+    def test_example1_custom_on_callable_box(self, offset, violated):
+        cert = cx.example1_log_certificate(variant_offset=offset)
+        _, bad = self._assert_same(cert, _unit_box, 2, positive_quadrant=True)
+        assert (bad > 0) == violated
+
+    def test_rays_that_never_cross(self, unit_ball_2d):
+        # U = x1^2 - 1 stays at -1 along the x2 axis, so that ray never
+        # crosses before t_max; the others do.
+        cert = _custom_variant(lambda X: np.atleast_2d(X)[:, 0] ** 2 - 1.0)
+        dirs = np.array([[0.0, 1.0], [1.0, 0.0], [0.6, 0.8], [0.0, -1.0]])
+        expected = np.array([_zero_crossing_scalar(cert, d) for d in dirs[1:3]])
+        assert np.array_equal(_zero_crossings(cert, dirs), expected)
+        self._assert_same(cert, unit_ball_2d, 2)
+
+    def test_nonnegative_at_origin_gives_no_points(self, unit_ball_2d):
+        cert = _custom_variant(lambda X: np.einsum("ij,ij->i", X, X) + 1.0)
+        dirs = _sphere_points(2, 16, 1.0, np.random.default_rng(0))
+        assert _zero_crossings(cert, dirs).shape == (0, 2)
+        assert self._assert_same(cert, unit_ball_2d, 2)[1] == 0
+
+
+# ---------------------------------------------------------------------------
+# Cubature against Monte Carlo
+# ---------------------------------------------------------------------------
+
+def _walk_log_case():
+    walk = LinearSystem(A=[[1.0]], B=[[1.0]], noise=NoiseModel.uniform([1.0]))
+    cert = synthesize_logarithmic(walk, TargetBall(center=[0.0], radius=1.0), seed=0)
+    return walk, cert, False
+
+
+def _rotation_log_case(noise):
+    system = LinearSystem(A=rotation_matrix(np.pi / 3), B=np.eye(2), noise=noise)
+    cert = synthesize_logarithmic(system, TargetBall(center=[0.0, 0.0], radius=1.0), seed=0)
+    return system, cert, False
+
+
+def _example1_case():
+    return cx.example1_system(), cx.example1_log_certificate(), True
+
+
+class TestCubatureDrift:
+    def test_same_verdicts_and_inside_mc_intervals(self):
+        cases = [
+            _walk_log_case(),
+            _rotation_log_case(NoiseModel.uniform([1.0, 1.0])),
+            _rotation_log_case(NoiseModel.gaussian(0.8 * np.eye(2))),
+            _example1_case(),
+        ]
+        total = inside = 0
+        for k, (system, cert, quadrant) in enumerate(cases):
+            rng = np.random.default_rng(11)
+            for j, radius in enumerate(cert.compact_radius * 2.0 ** np.arange(5)):
+                pts = _sphere_points(system.dimension, 16, radius, rng)
+                if quadrant:
+                    pts = np.abs(pts)
+                est, err = cubature_drift(
+                    system, cert.drift_values, pts, CUBATURE_ORDERS[system.noise_dimension]
+                )
+                tols = 1e-9 * (1.0 + np.abs(cert.drift_values(pts)))
+                for i, x in enumerate(pts):
+                    # One stream per point, as in verify_drift: a shared
+                    # seed would make the Monte Carlo misses correlated.
+                    seed = 7919 * (5 * k + j) + i
+                    mean, hw = mc_drift(system, cert.drift_values, x, samples=10_000, seed=seed)
+                    assert (est[i] - err[i] > tols[i]) == (mean - hw > tols[i])
+                    total += 1
+                    inside += abs(est[i] - mean) <= hw
+        assert total == 320
+        assert inside >= 0.99 * total
+
+    def test_exact_on_polynomial_integrands(self, stable_2d):
+        # V quadratic on a linear system: the rule reproduces the exact
+        # expectation to rounding, and both orders agree.
+        Q = np.array([[2.0, 0.3], [0.3, 1.0]])
+        X = np.array([[3.0, -1.0], [0.5, 2.0]])
+        est, err = cubature_drift(stable_2d, lambda Y: quadratic_form(np.atleast_2d(Y), Q), X, (8, 4))
+        exact = [exact_quadratic_drift(stable_2d, Q, x) for x in X]
+        assert est == pytest.approx(exact, rel=1e-12)
+        assert np.all(err < 1e-12)
+
+    def test_gaussian_second_moment(self):
+        cov = np.array([[1.0, 0.4, 0.0], [0.4, 2.0, 0.3], [0.0, 0.3, 0.5]])
+        system = LinearSystem(A=np.eye(3), B=np.eye(3), noise=NoiseModel.gaussian(cov))
+        est, _ = cubature_drift(system, lambda Y: np.einsum("ij,ij->i", Y, Y), np.zeros((1, 3)), (8, 4))
+        assert est[0] == pytest.approx(np.trace(cov), rel=1e-12)
+
+    def test_row_slices_do_not_change_results(self, rotation_system, unit_ball_2d, monkeypatch):
+        cert = synthesize_logarithmic(rotation_system, unit_ball_2d, seed=0)
+        pts = _sphere_points(2, 40, 3.0 * cert.compact_radius, np.random.default_rng(5))
+        whole = cubature_drift(rotation_system, cert.drift_values, pts, (16, 8))
+        monkeypatch.setattr("reachcert.verify.CUBATURE_ROWS", 1000)  # 3 points per slice
+        sliced = cubature_drift(rotation_system, cert.drift_values, pts, (16, 8))
+        # BLAS may sum a different number of rows in another order, so the
+        # results agree to rounding of the V values, not bit for bit.
+        atol = 16 * np.finfo(float).eps * float(np.abs(cert.drift_values(pts)).max())
+        np.testing.assert_allclose(sliced[0], whole[0], rtol=0, atol=atol)
+        np.testing.assert_allclose(sliced[1], whole[1], rtol=0, atol=atol)
+
+    def test_report_names_its_method(self, stable_2d, rotation_system, unit_ball_2d):
+        quad = verify_drift(stable_2d, synthesize_quadratic(stable_2d, unit_ball_2d)).to_dict()
+        assert (quad["method"], quad["rule_orders"]) == ("exact", None)
+        log = verify_drift(rotation_system, synthesize_logarithmic(rotation_system, unit_ball_2d, seed=0))
+        assert (log.to_dict()["method"], log.to_dict()["rule_orders"]) == ("cubature", [16, 8])
+        assert log.passed
+        wide = LinearSystem(A=0.5 * np.eye(4), B=np.eye(4), noise=NoiseModel.uniform([1.0] * 4))
+        cert = CustomCertificate(
+            drift=lambda X: np.einsum("ij,ij->i", X, X),
+            variant=lambda X: np.einsum("ij,ij->i", X, X) - 0.5,
+            h=lambda r: r,
+            delta=0.1,
+            compact_radius=2.0,
+            level_radius=math.sqrt,
+        )
+        plan = ShellPlan(radii=(2.0, 4.0), points_per_shell=4, noise_samples=1000)
+        mc = verify_drift(wide, cert, plan=plan).to_dict()
+        assert (mc["method"], mc["rule_orders"]) == ("monte-carlo", None)
+
+
+# ---------------------------------------------------------------------------
+# Exact sampling of quadratic level sets
+# ---------------------------------------------------------------------------
+
+class TestExactLevelSampler:
+    @pytest.mark.parametrize("n", [2, 5, 20])
+    def test_uniform_on_the_ellipsoidal_shell(self, n):
+        rng = np.random.default_rng(n)
+        system = LinearSystem(A=random_stable_matrix(n, rng, rho=0.7), B=np.eye(n), noise=NoiseModel.uniform([1.0] * n))
+        cert = synthesize_quadratic(system, TargetBall(center=np.zeros(n), radius=1.0))
+        b, r = cert.variant_b, 4.0 * cert.variant_b
+        pts = _sample_level_region(cert, n, r, 4000, rng)
+        q = quadratic_form(pts, cert.Q)
+        assert pts.shape == (4000, n)
+        assert np.all((q > b) & (q <= r))
+        # rho^n is uniform on (b^(n/2), r^(n/2)] under the uniform law.
+        lo, hi = b ** (n / 2), r ** (n / 2)
+        assert scipy.stats.kstest(q ** (n / 2), "uniform", args=(lo, hi - lo)).pvalue > 1e-3
+
+    def test_empty_shell_rejected(self, stable_2d, unit_ball_2d):
+        cert = synthesize_quadratic(stable_2d, unit_ball_2d)
+        with pytest.raises(ValueError, match="empty"):
+            _sample_level_region(cert, 2, cert.variant_b, 10, np.random.default_rng(0))
+
+    def test_verify_stable_20_completes(self, tmp_path):
+        # Rejection from the bounding box accepted almost nothing at n = 20,
+        # so verify used to exit 2 (usage error) on this stable system.
+        n = 20
+        A = random_stable_matrix(n, np.random.default_rng(20), rho=0.7)
+        spec = {
+            "A": A.tolist(),
+            "B": np.eye(n).tolist(),
+            "noise": {"kind": "uniform-box", "half_widths": [1.0] * n},
+            "target": {"center": [0.0] * n, "radius": 1.0, "norm": "euclidean"},
+        }
+        path = tmp_path / "stable20.json"
+        path.write_text(json.dumps(spec))
+        out = tmp_path / "out"
+        assert run(["certify", "--system", str(path), "--out", str(out)]) == 0
+        code = run(
+            ["verify", "--system", str(path), "--certificate", str(out / "certificate.json"), "--out", str(out)]
+        )
+        assert code in (0, 1)
+        report = json.loads((out / "verify.json").read_text())
+        assert report["passed"] == (code == 0)
+        assert report["drift"]["method"] == "exact"
+        assert all(lv["samples"] == 20_000 for lv in report["variant"]["levels"])
