@@ -25,9 +25,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 import scipy.linalg
 
-from .linalg import LinalgError, quadratic_form, solve_discrete_lyapunov
+from .linalg import LinalgError, is_symmetric_positive_definite, quadratic_form, solve_discrete_lyapunov
 from .spectral import analyze, unit_plane_basis
-from .systems import LinearSystem, TargetBall, _draw, step_batch
+from .systems import LinearSystem, TargetBall, step_batch
 from .verify import mc_drift
 
 __all__ = [
@@ -275,7 +275,7 @@ def _estimate_delta_epsilon(system: LinearSystem, certificate, b: float, seed: i
     # Scale points onto the shell where U = b (i.e. just outside {U <= 0}).
     scale = np.sqrt(2.0 * b / np.maximum(u_vals + b, 1e-300))
     pts = z * scale[:, None]
-    W = _draw(system.noise, rng, samples)
+    W = system.noise.draw([rng], samples)[:, 0]
     succ = step_batch(system, pts, W)
     dU = np.asarray(certificate.variant_values(succ)) - np.asarray(certificate.variant_values(pts))
     neg = -dU[dU < 0.0]
@@ -545,8 +545,6 @@ def certificate_from_dict(d: dict):
     kind = d.get("kind")
     if kind == "quadratic":
         Q = np.asarray(d["Q"], dtype=float)
-        from .linalg import is_symmetric_positive_definite
-
         if not is_symmetric_positive_definite(Q):
             raise ValueError("certificate Q is not symmetric positive definite")
         return QuadraticCertificate(
@@ -559,8 +557,6 @@ def certificate_from_dict(d: dict):
             noise_set_bound=float(d.get("noise_set_bound", 0.0)),
         )
     if kind == "logarithmic":
-        from .linalg import is_symmetric_positive_definite
-
         Q_star = np.asarray(d["Q_star"], dtype=float)
         if not is_symmetric_positive_definite(Q_star):
             raise ValueError("certificate Q_star is not symmetric positive definite")

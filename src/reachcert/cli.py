@@ -15,6 +15,7 @@ import json
 import os
 import sys
 import time
+from dataclasses import replace
 from importlib.metadata import PackageNotFoundError, version as pkg_version
 
 import numpy as np
@@ -25,8 +26,8 @@ from .classify import Outcome, classify
 from .ensembles import decay_exponent, hitting_stats, simulate
 from .linalg import DEFAULT_RANK_TOL
 from .spectral import DEFAULT_UNIT_TOL
-from .systems import TargetBall, load_system
-from .verify import ShellPlan, verify_drift, verify_variant
+from .systems import TargetBall, TrajectorySeed, load_system
+from .verify import default_shell_plan, verify_drift, verify_variant
 
 __all__ = ["main", "run"]
 
@@ -131,8 +132,6 @@ def _cmd_certify(args) -> int:
         cert = certs.synthesize_composite(system, target, seed=args.seed)
         drift = verify_drift(system, cert, seed=args.seed)
         variant = verify_variant(system, cert, target, samples=args.samples, seed=args.seed)
-        from dataclasses import replace
-
         cert = replace(cert, verified=drift.passed and variant.passed)
         if not cert.verified:
             exit_code = 1
@@ -155,14 +154,9 @@ def _cmd_verify(args) -> int:
     system, file_target = load_system(args.system)
     target = _resolve_target(args, file_target, system.dimension)
     cert = certs.load_certificate(args.certificate)
-    plan = None
+    plan = default_shell_plan(cert, system.dimension, seed=args.seed)
     if args.samples:
-        plan = ShellPlan(
-            radii=tuple(float(cert.compact_radius) * 2.0**j for j in range(7)),
-            points_per_shell=64 if system.dimension <= 3 else 256,
-            noise_samples=args.samples,
-            seed=args.seed,
-        )
+        plan = replace(plan, noise_samples=args.samples)
     drift = verify_drift(system, cert, plan=plan, seed=args.seed)
     variant = verify_variant(system, cert, target, samples=args.samples or 20_000, seed=args.seed)
     report = _base_report(args)
@@ -197,8 +191,6 @@ def _cmd_simulate(args) -> int:
             writer = csv.writer(fh)
             writer.writerow(["trajectory_id", "k"] + [f"x{i+1}" for i in range(system.dimension)])
             for tid in range(n_dump):
-                from .systems import TrajectorySeed
-
                 traj = simulate(system, x0, args.horizon, TrajectorySeed(args.seed, tid))
                 for k, state in enumerate(traj.states):
                     writer.writerow([tid, k] + [repr(float(v)) for v in state])

@@ -44,11 +44,15 @@ __all__ = [
 # Example 1: the polynomial system without a polynomial drift
 # ---------------------------------------------------------------------------
 
+# w ~ U[-1, 1]: drawn by the system and by the closed-form bound check alike.
+EXAMPLE1_NOISE = NoiseModel.uniform([1.0])
+
+
 def example1_system() -> PolynomialSystem:
     """The 2D map (xi, eta) -> (xi (1 + eta + w) / 2, eta / 2), w ~ U[-1, 1]."""
     return PolynomialSystem(
         transition_exprs=("0.5*x1*(1 + x2 + w1)", "0.5*x2"),
-        noise=NoiseModel.uniform([1.0]),
+        noise=EXAMPLE1_NOISE,
     )
 
 
@@ -132,7 +136,7 @@ def example1_bounds_hold(instance: Example1Instance, n_sequences: int, seed: int
     """
     i, u = instance.i, instance.u
     rng = TrajectorySeed(seed, instance.i).rng()
-    W = rng.uniform(-1.0, 1.0, size=(n_sequences, i))
+    W = EXAMPLE1_NOISE.draw([rng], n_sequences * i).reshape(n_sequences, i)
     ns = np.arange(i)
     args = 0.5 * (1.0 + u * 2.0 ** (i - ns)[None, :] + W)
     log2_xi = i + np.sum(np.log2(args), axis=1)

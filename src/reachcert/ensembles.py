@@ -49,6 +49,17 @@ def _max_workers() -> int:
         return 1
 
 
+def _map_batches(run, n_traj: int, batch_size: int) -> list:
+    """``run`` on consecutive trajectory-index batches, in order, on up to
+    ``_max_workers()`` threads."""
+    batches = [list(range(s, min(s + batch_size, n_traj))) for s in range(0, n_traj, batch_size)]
+    workers = _max_workers()
+    if workers > 1 and len(batches) > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(run, batches))
+    return [run(b) for b in batches]
+
+
 @dataclass(frozen=True)
 class Trajectory:
     states: np.ndarray  # (k+1, n); shorter than horizon+1 if overflowed
@@ -112,21 +123,6 @@ def _member_rows(target, X: np.ndarray) -> np.ndarray:
     return sq < target.radius**2
 
 
-def _draw_chunk(noise, rngs, length):
-    """Time-major (length, len(rngs), m) noise block, one stream per trajectory."""
-    m = noise.dimension
-    out = np.empty((length, len(rngs), m))
-    if noise.kind == "gaussian":
-        L = np.linalg.cholesky(noise.cov)
-        for row, rng in enumerate(rngs):
-            out[:, row] = rng.standard_normal(size=(length, m)) @ L.T
-    else:
-        for row, rng in enumerate(rngs):
-            out[:, row] = rng.uniform(-1.0, 1.0, size=(length, m))
-        out *= noise.half_widths
-    return out
-
-
 def _advance(system, X, W):
     """(s, rows, n) states after each step of the (s, rows, m) noise block W from X."""
     out = np.empty((W.shape[0],) + X.shape)
@@ -166,7 +162,7 @@ def _run(system, X, rngs, horizon, observe):
     with np.errstate(over="ignore", invalid="ignore"):
         while k < horizon and live.size:
             length = min(NOISE_CHUNK, horizon - k)
-            W = _draw_chunk(system.noise, [rngs[i] for i in live], length)
+            W = system.noise.draw([rngs[i] for i in live], length)
             steps = max(1, SUBBLOCK_BYTES // X.nbytes)
             cols = np.arange(live.size)  # columns of W still stepping
             t = 0
@@ -282,18 +278,10 @@ def hitting_stats(
     if divergence_threshold is None:
         divergence_threshold = 1e6 * (1.0 + float(np.linalg.norm(x0)))
 
-    batches = [list(range(s, min(s + batch_size, n_traj))) for s in range(0, n_traj, batch_size)]
-
     def run(indices):
         return _hitting_batch(system, target, x0, indices, horizon, base_seed, divergence_threshold)
 
-    workers = _max_workers()
-    if workers > 1 and len(batches) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run, batches))
-    else:
-        results = [run(b) for b in batches]
-
+    results = _map_batches(run, n_traj, batch_size)
     hit_times = np.concatenate([r[0] for r in results])
     divergent = np.concatenate([r[1] for r in results])
     overflowed = np.concatenate([r[2] for r in results])
@@ -339,17 +327,11 @@ def ensemble_states(system, x0, ks, n_traj: int, base_seed: int, batch_size: int
     ks = sorted(set(int(k) for k in ks))
     if any(k < 0 for k in ks):
         raise ValueError("snapshot steps must be non-negative")
-    batches = [list(range(s, min(s + batch_size, n_traj))) for s in range(0, n_traj, batch_size)]
 
     def run(indices):
         return _snapshot_batch(system, x0, indices, ks, base_seed)
 
-    workers = _max_workers()
-    if workers > 1 and len(batches) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run, batches))
-    else:
-        results = [run(b) for b in batches]
+    results = _map_batches(run, n_traj, batch_size)
     return {k: np.concatenate([r[k] for r in results], axis=0) for k in ks}
 
 

@@ -1,6 +1,6 @@
 """Dense real-matrix primitives used throughout the toolkit.
 
-Eigenvalue clustering, spectral radius, a direct discrete Lyapunov solver,
+Eigenvalue clustering, spectral radius, a checked discrete Lyapunov solve,
 SVD-based numerical rank, and weighted norms.  Everything targets small
 dense matrices (desk scale, n up to a few dozen).
 """
@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg
 
 __all__ = [
     "LinalgError",
@@ -144,11 +145,13 @@ def spectral_radius(M) -> float:
 def solve_discrete_lyapunov(A, residual_tol: float = LYAPUNOV_RESIDUAL_TOL):
     """Solve ``A' Q A = Q - I`` for symmetric positive definite Q.
 
-    Requires ``spectral_radius(A) < 1``.  The equation is vectorized into
-    an n^2-dimensional linear system and solved directly; the result is
-    symmetrized.  Raises LinalgError if the spectral radius precondition
-    fails, if Q is not positive definite, or if the residual
-    ``||A'QA - Q + I||_F`` exceeds ``residual_tol * (1 + ||Q||_F)``.
+    Requires ``spectral_radius(A) < 1``.  The equation is solved by
+    `scipy.linalg.solve_discrete_lyapunov`, which picks its method by size
+    (the direct Kronecker system below n = 10, a bilinear transformation
+    to a Sylvester equation above); the result is symmetrized.  Raises
+    LinalgError if the spectral radius precondition fails, if Q is not
+    positive definite, or if the residual ``||A'QA - Q + I||_F`` exceeds
+    ``residual_tol * (1 + ||Q||_F)``.
     """
     A = _as_square(A, "A")
     n = A.shape[0]
@@ -156,13 +159,10 @@ def solve_discrete_lyapunov(A, residual_tol: float = LYAPUNOV_RESIDUAL_TOL):
     if rho >= 1.0 - 1e-12:
         raise LinalgError(f"spectral radius {rho:.6g} >= 1; Lyapunov equation has no PD solution")
 
-    # vec(Q - A'QA) = (I - A' (x) A') vec(Q) = vec(I)
-    lhs = np.eye(n * n) - np.kron(A.T, A.T)
     try:
-        q = np.linalg.solve(lhs, np.eye(n).reshape(-1))
+        Q = scipy.linalg.solve_discrete_lyapunov(A.T, np.eye(n))
     except np.linalg.LinAlgError as exc:
         raise LinalgError(f"Lyapunov system singular (rho={rho:.6g}): {exc}") from exc
-    Q = q.reshape(n, n)
     Q = 0.5 * (Q + Q.T)
 
     residual = np.linalg.norm(A.T @ Q @ A - Q + np.eye(n), "fro")

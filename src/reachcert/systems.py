@@ -3,9 +3,10 @@ target balls, and seeded reproducible sampling.
 
 The dynamics are ``x_{k+1} = f(x_k, w_k)`` with i.i.d. zero-mean noise
 ``w_k``.  The linear special case is ``f(x, w) = A x + B w``.  Target
-sets are open balls (Euclidean or weighted by a PD matrix).  All noise
-sampling is driven by explicit per-trajectory seeds so ensembles are
-reproducible regardless of execution order.
+sets are open balls (Euclidean or weighted by a PD matrix).  The noise
+law lives in `NoiseModel`, which alone draws noise and builds its Gauss
+rules; all noise sampling is driven by explicit per-trajectory seeds so
+ensembles are reproducible regardless of execution order.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-import sympy
 
 from .linalg import LinalgError, is_symmetric_positive_definite, weighted_norm
 
@@ -46,13 +46,16 @@ class NoiseModel:
 
     kind is "gaussian" (with covariance matrix ``cov``) or one of the
     uniform kinds (independent per-coordinate uniforms on
-    ``[-h_i, h_i]`` given by ``half_widths``).  All supported kinds have
-    finite third absolute moments and full support near the origin.
+    ``[-h_i, h_i]`` given by ``half_widths``).  All supported kinds are
+    symmetric about the origin, have finite third absolute moments and
+    full support near the origin.  The law is read only through `draw`,
+    `gauss_rule` and the `covariance` moment.
     """
 
     kind: str
     cov: np.ndarray | None = None
     half_widths: np.ndarray | None = None
+    _chol: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind == "gaussian":
@@ -62,6 +65,7 @@ class NoiseModel:
             if not is_symmetric_positive_definite(cov):
                 raise ValueError("noise covariance must be symmetric positive definite")
             object.__setattr__(self, "cov", cov)
+            object.__setattr__(self, "_chol", np.linalg.cholesky(cov))
             object.__setattr__(self, "half_widths", None)
         elif self.kind in UNIFORM_KINDS:
             if self.half_widths is None:
@@ -87,11 +91,43 @@ class NoiseModel:
             return self.cov
         return np.diag(self.half_widths**2 / 3.0)
 
-    @property
-    def symmetric(self) -> bool:
-        # All supported laws are symmetric about the origin; used by the
-        # antithetic drift estimator.
-        return True
+    def draw(self, rngs, length: int) -> np.ndarray:
+        """Time-major (length, len(rngs), m) block of i.i.d. noise vectors.
+
+        ``out[:, j]`` is drawn from the stream ``rngs[j]`` alone, so a
+        stream yields the same values whether drawn by itself or in a block.
+        """
+        m = self.dimension
+        out = np.empty((length, len(rngs), m))
+        if self.kind == "gaussian":
+            LT = self._chol.T
+            for row, rng in enumerate(rngs):
+                out[:, row] = rng.standard_normal(size=(length, m)) @ LT
+        else:
+            for row, rng in enumerate(rngs):
+                out[:, row] = rng.uniform(-1.0, 1.0, size=(length, m))
+            out *= self.half_widths
+        return out
+
+    def gauss_rule(self, order: int):
+        """Tensor Gauss rule for the law: (K, m) nodes and K weights summing to 1.
+
+        Gauss-Legendre scaled by the half-widths for the uniform kinds;
+        probabilists' Gauss-Hermite mapped through the Cholesky factor of
+        the covariance for Gaussian noise.  Exact for polynomials of degree
+        below 2 * order in each noise coordinate.
+        """
+        m = self.dimension
+        if self.kind == "gaussian":
+            x, w = np.polynomial.hermite_e.hermegauss(order)
+        else:
+            x, w = np.polynomial.legendre.leggauss(order)
+        w = w / w.sum()
+        nodes = np.stack([g.reshape(-1) for g in np.meshgrid(*([x] * m), indexing="ij")], axis=1)
+        weights = np.prod(np.meshgrid(*([w] * m), indexing="ij"), axis=0).reshape(-1)
+        if self.kind == "gaussian":
+            return nodes @ self._chol.T, weights
+        return nodes * self.half_widths, weights
 
     def to_dict(self) -> dict:
         if self.kind == "gaussian":
@@ -150,6 +186,8 @@ class LinearSystem:
 
 
 def _compile_transition(exprs, n, m):
+    import sympy  # only polynomial systems need it, and it is slow to import
+
     xs = sympy.symbols(f"x1:{n + 1}")
     ws = sympy.symbols(f"w1:{m + 1}")
     allowed = set(xs) | set(ws)
@@ -277,16 +315,6 @@ class TrajectorySeed:
         return np.random.Generator(np.random.Philox(ss))
 
 
-def _draw(noise: NoiseModel, rng: np.random.Generator, count: int) -> np.ndarray:
-    m = noise.dimension
-    if noise.kind == "gaussian":
-        L = np.linalg.cholesky(noise.cov)
-        z = rng.standard_normal(size=(count, m))
-        return z @ L.T
-    h = noise.half_widths
-    return rng.uniform(-1.0, 1.0, size=(count, m)) * h
-
-
 def sample_noise(noise: NoiseModel, seed: TrajectorySeed, count: int) -> np.ndarray:
     """Draw ``count`` i.i.d. noise vectors; shape (count, m).
 
@@ -294,7 +322,7 @@ def sample_noise(noise: NoiseModel, seed: TrajectorySeed, count: int) -> np.ndar
     """
     if count < 0:
         raise ValueError("count must be non-negative")
-    return _draw(noise, seed.rng(), count)
+    return noise.draw([seed.rng()], count)[:, 0]
 
 
 def step(system, x, w):

@@ -20,7 +20,7 @@ import numpy as np
 import scipy.linalg
 
 from .linalg import is_symmetric_positive_definite, quadratic_form
-from .systems import LinearSystem, TargetBall, TrajectorySeed, _draw, contains, sample_noise, step_batch
+from .systems import LinearSystem, TargetBall, TrajectorySeed, contains, sample_noise, step_batch
 
 __all__ = [
     "ShellPlan",
@@ -167,20 +167,19 @@ def _exact_quadratic_drift_batch(system: LinearSystem, Q, X) -> np.ndarray:
     return quadratic_form(X, M) + noise_term
 
 
-def mc_drift(system, V, x, samples: int = 10_000, seed: int = 0, antithetic: bool | None = None):
+def mc_drift(system, V, x, samples: int = 10_000, seed: int = 0):
     """Monte Carlo estimate of E[V(f(x,w))] - V(x) with a 3-sigma half-width.
 
-    ``V`` must accept an (N, n) array of states and return N values.  For
-    symmetric noise laws the estimator defaults to antithetic pairing
-    (w, -w), which cancels the first-order term of V and shrinks the
-    variance by orders of magnitude for slowly varying drifts.
+    ``V`` must accept an (N, n) array of states and return N values.  Every
+    supported noise law is symmetric, so the estimator pairs each draw w
+    with -w (antithetic pairing), which cancels the first-order term of V
+    and shrinks the variance by orders of magnitude for slowly varying
+    drifts.
     """
     if samples < 100:
         raise ValueError("need at least 100 samples")
     x = np.asarray(x, dtype=float).reshape(-1)
-    if antithetic is None:
-        antithetic = system.noise.symmetric
-    n_draws = samples // 2 if antithetic else samples
+    n_draws = samples // 2
     W = sample_noise(system.noise, TrajectorySeed(seed, 0), n_draws)
     X = np.broadcast_to(x, (n_draws, x.size))
 
@@ -189,10 +188,8 @@ def mc_drift(system, V, x, samples: int = 10_000, seed: int = 0, antithetic: boo
         raise ValueError(f"drift function not finite at x={x}")
 
     succ = step_batch(system, X, W)
-    vals = np.asarray(V(succ), dtype=float)
-    if antithetic:
-        succ2 = step_batch(system, X, -W)
-        vals = 0.5 * (vals + np.asarray(V(succ2), dtype=float))
+    mirrored = step_batch(system, X, -W)
+    vals = 0.5 * (np.asarray(V(succ), dtype=float) + np.asarray(V(mirrored), dtype=float))
     if not np.all(np.isfinite(vals)):
         bad = succ[~np.isfinite(vals)][0]
         raise ValueError(f"drift function not finite at successor {bad}")
@@ -210,27 +207,6 @@ def _sphere_points(n: int, count: int, radius: float, rng) -> np.ndarray:
     return radius * z / norms
 
 
-def _gauss_rule(noise, order: int):
-    """Tensor Gauss rule for the noise law: (K, m) nodes and K weights summing to 1.
-
-    Gauss-Legendre scaled by the half-widths for the uniform kinds;
-    probabilists' Gauss-Hermite mapped through the Cholesky factor of the
-    covariance for Gaussian noise.  Exact for polynomials of degree below
-    2 * order in each noise coordinate.
-    """
-    m = noise.dimension
-    if noise.kind == "gaussian":
-        x, w = np.polynomial.hermite_e.hermegauss(order)
-    else:
-        x, w = np.polynomial.legendre.leggauss(order)
-    w = w / w.sum()
-    nodes = np.stack([g.reshape(-1) for g in np.meshgrid(*([x] * m), indexing="ij")], axis=1)
-    weights = np.prod(np.meshgrid(*([w] * m), indexing="ij"), axis=0).reshape(-1)
-    if noise.kind == "gaussian":
-        return nodes @ np.linalg.cholesky(noise.cov).T, weights
-    return nodes * noise.half_widths, weights
-
-
 def cubature_drift(system, V, X, orders):
     """E[V(f(x,w))] - V(x) at every row x of X by tensor Gauss rules.
 
@@ -239,7 +215,7 @@ def cubature_drift(system, V, X, orders):
     Deterministic: no seed, no sampling.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    (nodes_hi, w_hi), (nodes_lo, w_lo) = (_gauss_rule(system.noise, order) for order in orders)
+    (nodes_hi, w_hi), (nodes_lo, w_lo) = (system.noise.gauss_rule(order) for order in orders)
     nodes = np.concatenate([nodes_hi, nodes_lo])
     weights = scipy.linalg.block_diag(w_hi[:, None], w_lo[:, None])  # (K, 2)
     K = len(nodes)
@@ -423,7 +399,7 @@ def verify_variant(
     level_rows = []
     for r in levels:
         pts = _sample_level_region(certificate, n, r, samples, rng, positive_quadrant)
-        W = _draw(system.noise, rng, len(pts))
+        W = system.noise.draw([rng], len(pts))[:, 0]
         succ = step_batch(system, pts, W)
         u_pts = np.asarray(certificate.variant_values(pts))
         dU = np.asarray(certificate.variant_values(succ)) - u_pts

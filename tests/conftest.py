@@ -9,6 +9,16 @@ def rotation_matrix(theta: float) -> np.ndarray:
     return np.array([[c, -s], [s, c]])
 
 
+def reference_noise_draw(noise, rng, count):
+    """The noise law written out by hand, independent of NoiseModel.draw:
+    standard normals mapped by the Cholesky factor of the covariance, or
+    uniforms on [-1, 1] scaled by the half-widths; shape (count, m)."""
+    m = noise.dimension
+    if noise.kind == "gaussian":
+        return rng.standard_normal(size=(count, m)) @ np.linalg.cholesky(noise.cov).T
+    return rng.uniform(-1.0, 1.0, size=(count, m)) * noise.half_widths
+
+
 def random_stable_matrix(n: int, rng, rho: float = 0.9) -> np.ndarray:
     A = rng.standard_normal((n, n))
     radius = max(abs(np.linalg.eigvals(A)))

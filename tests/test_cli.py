@@ -4,6 +4,7 @@ import time
 import numpy as np
 import pytest
 
+from conftest import rotation_matrix
 from reachcert import counterexamples
 from reachcert.cli import run
 
@@ -278,3 +279,41 @@ class TestReproCommand:
         report = json.loads((tmp_path / "repro-example1-certificate.json").read_text())
         assert report["drift"]["passed"] is True
         assert report["variant"]["passed"] is True
+
+
+def _law(kind, m):
+    if kind == "uniform":
+        return {"kind": "uniform-box", "half_widths": [1.0] * m}
+    return {"kind": "gaussian", "cov": np.eye(m).tolist()}
+
+
+VERDICT_SYSTEMS = {
+    # name: (A, target radius)
+    "stable-2d": ([[0.5, 0.1], [0.0, 0.3]], 1.0),
+    "walk-1d": ([[1.0]], 2.0),
+    "rotation-2d": (rotation_matrix(np.pi / 4).tolist(), 1.0),
+}
+
+
+@pytest.mark.parametrize("kind", ["uniform", "gaussian"])
+@pytest.mark.parametrize("name", VERDICT_SYSTEMS)
+def test_certify_then_verify_passes(name, kind, tmp_path):
+    """A certificate that certify issues must pass verify: a pass-to-fail
+    flip of either verdict shows here as exit 1."""
+    A, radius = VERDICT_SYSTEMS[name]
+    n = len(A)
+    system = _write_system(
+        tmp_path,
+        "system.json",
+        {
+            "A": A,
+            "B": np.eye(n).tolist(),
+            "noise": _law(kind, n),
+            "target": {"center": [0.0] * n, "radius": radius, "norm": "euclidean"},
+        },
+    )
+    out = str(tmp_path / "out")
+    assert run(["certify", "--system", system, "--out", out]) == 0
+    cert = str(tmp_path / "out" / "certificate.json")
+    assert run(["verify", "--system", system, "--certificate", cert, "--out", out]) == 0
+    assert json.loads((tmp_path / "out" / "verify.json").read_text())["passed"] is True

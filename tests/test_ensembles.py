@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import rotation_matrix
+from conftest import reference_noise_draw, rotation_matrix
 from reachcert import ensembles
 from reachcert import (
     LinearSystem,
@@ -15,7 +15,7 @@ from reachcert import (
 )
 from reachcert.counterexamples import example1_system
 from reachcert.ensembles import NOISE_CHUNK, OVERFLOW_GUARD, _hitting_batch, _member_rows
-from reachcert.systems import _draw, sample_noise, step_batch
+from reachcert.systems import sample_noise, step_batch
 
 
 def _reference_hitting_batch(system, target, x0, indices, horizon, base_seed, threshold):
@@ -37,7 +37,7 @@ def _reference_hitting_batch(system, target, x0, indices, horizon, base_seed, th
     while k < horizon and alive.any():
         length = min(NOISE_CHUNK, horizon - k)
         rows = np.flatnonzero(alive)
-        W = np.stack([_draw(system.noise, rngs[indices[r]], length) for r in rows])
+        W = np.stack([reference_noise_draw(system.noise, rngs[indices[r]], length) for r in rows])
         Xa = X[rows]
         live = np.ones(len(rows), dtype=bool)
         for t in range(length):

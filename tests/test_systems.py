@@ -1,8 +1,14 @@
+import itertools
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import reachcert
+from conftest import reference_noise_draw
 from reachcert.systems import (
     LinearSystem,
     NoiseModel,
@@ -54,6 +60,80 @@ class TestNoiseModel:
             again = NoiseModel.from_dict(noise.to_dict())
             assert np.allclose(again.covariance, noise.covariance)
             assert again.kind == noise.kind
+
+
+LAWS = {
+    "uniform-1": NoiseModel.uniform([0.7]),
+    "uniform-2": NoiseModel.uniform([1.0, 2.5]),
+    "uniform-3": NoiseModel.uniform([0.3, 1.0, 4.0]),
+    "gaussian-1": NoiseModel.gaussian([[2.0]]),
+    "gaussian-2": NoiseModel.gaussian([[1.0, 0.3], [0.3, 0.5]]),
+    "gaussian-3": NoiseModel.gaussian([[2.0, 0.4, -0.2], [0.4, 1.0, 0.1], [-0.2, 0.1, 0.5]]),
+}
+
+
+@pytest.mark.parametrize("law", LAWS)
+class TestNoiseStreams:
+    @pytest.mark.parametrize("count", [1, 2, 1024 + 17])
+    def test_single_stream_matches_law(self, law, count):
+        noise = LAWS[law]
+        want = reference_noise_draw(noise, TrajectorySeed(5, 2).rng(), count)
+        block = noise.draw([TrajectorySeed(5, 2).rng()], count)
+        assert block.shape == (count, 1, noise.dimension)
+        assert np.array_equal(block[:, 0], want)
+        assert np.array_equal(sample_noise(noise, TrajectorySeed(5, 2), count), want)
+
+    def test_block_rows_are_the_streams_drawn_alone(self, law):
+        noise = LAWS[law]
+        count = 1024 + 17
+        seeds = [TrajectorySeed(11, i) for i in (0, 1, 2, 7, 40)]
+        block = noise.draw([s.rng() for s in seeds], count)
+        assert block.shape == (count, len(seeds), noise.dimension)
+        for j, s in enumerate(seeds):
+            assert np.array_equal(block[:, j], reference_noise_draw(noise, s.rng(), count))
+
+    def test_shared_generator_continues_where_the_law_leaves_it(self, law):
+        # verify_variant draws its points and its noise from one generator.
+        noise = LAWS[law]
+        a, b = TrajectorySeed(3).rng(), TrajectorySeed(3).rng()
+        assert np.array_equal(noise.draw([a], 17)[:, 0], reference_noise_draw(noise, b, 17))
+        assert np.array_equal(a.standard_normal(4), b.standard_normal(4))
+
+    @pytest.mark.parametrize("order", [1, 3, 8])
+    def test_gauss_rule_is_the_tensor_rule(self, law, order):
+        noise = LAWS[law]
+        m = noise.dimension
+        if noise.kind == "gaussian":
+            x, w = np.polynomial.hermite_e.hermegauss(order)
+        else:
+            x, w = np.polynomial.legendre.leggauss(order)
+        w = w / w.sum()
+        grid = np.array(list(itertools.product(x, repeat=m)))
+        want_weights = np.array([np.prod(c) for c in itertools.product(w, repeat=m)])
+        if noise.kind == "gaussian":
+            want_nodes = grid @ np.linalg.cholesky(noise.cov).T
+        else:
+            want_nodes = grid * noise.half_widths
+        nodes, weights = noise.gauss_rule(order)
+        assert np.array_equal(nodes, want_nodes)
+        assert np.array_equal(weights, want_weights)
+        if order >= 2:  # exact for the first two moments
+            assert np.allclose(weights @ nodes, 0.0, atol=1e-12)
+            assert np.allclose(nodes.T @ (weights[:, None] * nodes), noise.covariance)
+
+
+def test_sympy_is_imported_only_for_polynomial_systems():
+    src = os.path.dirname(os.path.dirname(reachcert.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = (
+        "import sys, reachcert, reachcert.cli\n"
+        "assert 'sympy' not in sys.modules, 'sympy imported with reachcert'\n"
+        "from reachcert.counterexamples import example1_system\n"
+        "s = example1_system()\n"
+        "assert s._transition([2.0, 1.0], [0.0]).tolist() == [2.0, 0.5]\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 class TestStep:
