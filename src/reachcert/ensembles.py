@@ -3,9 +3,11 @@ occupancy-decay exponent estimate for critical systems.
 
 Every trajectory owns an independent RNG stream derived from
 (base_seed, trajectory_index), so results are reproducible and
-independent of batching or thread scheduling.  `simulate`,
-`hitting_stats` and `ensemble_states` observe one block kernel, `_run`:
-noise is drawn NOISE_CHUNK steps at a time per trajectory and stepped in
+independent of batching or thread scheduling (up to the last bit where a
+batch steps a single row: numpy sends a one-row product to gemv).
+`simulate`, `hitting_stats` and `ensemble_states` observe one block
+kernel, `_run`: noise is drawn NOISE_CHUNK steps at a time per trajectory
+into one buffer per batch of BATCH_SIZE trajectories, and stepped in
 sub-blocks of about SUBBLOCK_BYTES of state, after each of which the
 observer finds first hits and overflows with array operations.  Neither
 length changes any trajectory: a chunked ensemble replays exactly the
@@ -40,6 +42,10 @@ NOISE_CHUNK = 1024
 # cache and off the peak RSS, large enough that the per-pass array calls
 # are paid once per ~65 steps of a 1000-trajectory, 2D ensemble.
 SUBBLOCK_BYTES = 1 << 20
+# Trajectories per batch of hitting_stats and ensemble_states: a batch's
+# noise buffer is BATCH_SIZE x NOISE_CHUNK x m doubles (about 100 MB at
+# m = 3), one per worker thread.
+BATCH_SIZE = 4096
 
 
 def _max_workers() -> int:
@@ -146,10 +152,11 @@ def _run(system, X, rngs, horizon, observe):
     """The stepping kernel behind simulate, hitting_stats and ensemble_states.
 
     Row i of X is a trajectory driven by the stream ``rngs[i]``.  Noise is
-    drawn NOISE_CHUNK steps at a time per trajectory, and each chunk is
-    stepped in sub-blocks of about SUBBLOCK_BYTES of state.  After each
-    sub-block, ``observe(k, live, S)`` sees the (s, len(live), n) states of
-    the trajectories ``live`` (row positions in X) at steps k+1 .. k+s.  It
+    drawn NOISE_CHUNK steps at a time per live trajectory into the leading
+    rows of one buffer, and each chunk is stepped in sub-blocks of about
+    SUBBLOCK_BYTES of state.  After each sub-block, ``observe(k, live, S)``
+    sees the (s, len(live), n) states of the trajectories ``live`` (row
+    positions in X) at steps k+1 .. k+s.  It
     returns a bool mask over ``live`` of the trajectories that stop there,
     or None; a stopped trajectory is neither stepped nor drawn for again.
     Returns the positions of the trajectories that never stopped and their
@@ -157,12 +164,16 @@ def _run(system, X, rngs, horizon, observe):
     """
     live = np.arange(X.shape[0])
     k = 0
+    # One noise buffer for every chunk, so no chunk pays for a fresh
+    # allocation and its page faults; a chunk's noise lives until the next
+    # chunk overwrites it.
+    buf = np.empty((min(NOISE_CHUNK, horizon), X.shape[0], system.noise.dimension))
     # Overflow is a per-trajectory event that observers detect; stepping
     # on past it within a sub-block is harmless.
     with np.errstate(over="ignore", invalid="ignore"):
         while k < horizon and live.size:
             length = min(NOISE_CHUNK, horizon - k)
-            W = system.noise.draw([rngs[i] for i in live], length)
+            W = system.noise.draw([rngs[i] for i in live], length, out=buf[:length, : live.size])
             steps = max(1, SUBBLOCK_BYTES // X.nbytes)
             cols = np.arange(live.size)  # columns of W still stepping
             t = 0
@@ -176,7 +187,6 @@ def _run(system, X, rngs, horizon, observe):
                     live, cols, X = live[keep], cols[keep], X[keep]
                 t += s
             k += length
-            del W  # free this chunk's noise before the next one is drawn
     return live, X
 
 
@@ -262,7 +272,7 @@ def hitting_stats(
     horizon: int,
     base_seed: int,
     divergence_threshold: float | None = None,
-    batch_size: int = 4096,
+    batch_size: int = BATCH_SIZE,
 ) -> EnsembleStats:
     """First-hit and divergence statistics over a seeded ensemble.
 
@@ -322,7 +332,7 @@ def _snapshot_batch(system, x0, indices, ks, base_seed):
     return out
 
 
-def ensemble_states(system, x0, ks, n_traj: int, base_seed: int, batch_size: int = 20_000):
+def ensemble_states(system, x0, ks, n_traj: int, base_seed: int, batch_size: int = BATCH_SIZE):
     """Snapshot ensemble states at the requested steps: {k: (n_traj, n) array}."""
     ks = sorted(set(int(k) for k in ks))
     if any(k < 0 for k in ks):

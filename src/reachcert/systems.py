@@ -34,6 +34,10 @@ __all__ = [
 ]
 
 UNIFORM_KINDS = ("uniform-box", "uniform-interval-product")
+# Bytes of the row-major stage that NoiseModel.draw fills one stream per
+# row before copying it into the time-major block: small enough to stay in
+# cache, large enough that each step's copy writes a run of many streams.
+STAGE_BYTES = 1 << 20
 
 
 class OverflowInStep(ArithmeticError):
@@ -91,22 +95,40 @@ class NoiseModel:
             return self.cov
         return np.diag(self.half_widths**2 / 3.0)
 
-    def draw(self, rngs, length: int) -> np.ndarray:
+    def draw(self, rngs, length: int, out=None) -> np.ndarray:
         """Time-major (length, len(rngs), m) block of i.i.d. noise vectors.
 
         ``out[:, j]`` is drawn from the stream ``rngs[j]`` alone, so a
         stream yields the same values whether drawn by itself or in a block.
+        ``out``, if given, is filled and returned; it may be a strided view.
+        Each stream fills one row of a row-major stage of about STAGE_BYTES,
+        which is copied transposed into ``out`` while it is still in cache.
         """
         m = self.dimension
-        out = np.empty((length, len(rngs), m))
-        if self.kind == "gaussian":
+        if out is None:
+            out = np.empty((length, len(rngs), m))
+        rows = max(1, STAGE_BYTES // max(1, length * m * 8))
+        stage = np.empty((min(rows, len(rngs)), length, m))
+        gaussian = self.kind == "gaussian"
+        if gaussian:
             LT = self._chol.T
-            for row, rng in enumerate(rngs):
-                out[:, row] = rng.standard_normal(size=(length, m)) @ LT
-        else:
-            for row, rng in enumerate(rngs):
-                out[:, row] = rng.uniform(-1.0, 1.0, size=(length, m))
-            out *= self.half_widths
+            z = np.empty((length, m))
+        for r0 in range(0, len(rngs), rows):
+            block = stage[: len(rngs) - r0]
+            for row, rng in zip(block, rngs[r0 : r0 + rows]):
+                if gaussian:
+                    # The product of rng.standard_normal(size=(length, m)) @ LT.
+                    rng.standard_normal(out=z)
+                    np.matmul(z, LT, out=row)
+                else:
+                    rng.random(out=row)
+            if not gaussian:
+                # uniform(-1, 1) is -1 + 2u from the same double u, and 2u
+                # is exact, so this is uniform(-1, 1) * h bit for bit.
+                block *= 2.0
+                block -= 1.0
+                block *= self.half_widths
+            out[:, r0 : r0 + len(block)] = block.transpose(1, 0, 2)
         return out
 
     def gauss_rule(self, order: int):

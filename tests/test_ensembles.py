@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,7 @@ from reachcert import (
     simulate,
 )
 from reachcert.counterexamples import example1_system
-from reachcert.ensembles import NOISE_CHUNK, OVERFLOW_GUARD, _hitting_batch, _member_rows
+from reachcert.ensembles import BATCH_SIZE, NOISE_CHUNK, OVERFLOW_GUARD, _hitting_batch, _member_rows
 from reachcert.systems import sample_noise, step_batch
 
 
@@ -132,6 +134,18 @@ class TestSimulate:
         assert len(traj.states) < 1001
 
 
+IDENTITY_3D = LinearSystem(A=np.eye(3), B=np.eye(3), noise=NoiseModel.uniform([1.0] * 3))
+INVARIANCE_SYSTEMS = {
+    "identity-3d-uniform": (IDENTITY_3D, [0.0, 0.0, 0.0]),
+    "rotation-gaussian": (
+        LinearSystem(
+            A=rotation_matrix(np.pi / 4), B=np.eye(2), noise=NoiseModel.gaussian([[1.0, 0.3], [0.3, 0.5]])
+        ),
+        [1.0, -2.0],
+    ),
+}
+
+
 class TestHittingStats:
     def test_initial_state_in_target(self, random_walk, unit_ball_1d):
         stats = hitting_stats(random_walk, unit_ball_1d, [0.0], 50, 10, base_seed=0)
@@ -207,6 +221,38 @@ class TestEnsembleStates:
                 traj = simulate(random_walk, [0.0], max(ks), TrajectorySeed(9, tid))
                 for k in ks:
                     assert states[k][tid, 0] == traj.states[k, 0]
+
+    @pytest.mark.parametrize("case", sorted(INVARIANCE_SYSTEMS))
+    def test_batch_and_thread_invariant(self, case, monkeypatch):
+        system, x0 = INVARIANCE_SYSTEMS[case]
+        # 4099 = 585 * 7 + 4 = 4096 + 3: no setting leaves a batch of one
+        # row, which numpy steps by gemv and may round differently.
+        n_traj = BATCH_SIZE + 3
+        # Short chunks keep the test quick and still reuse the noise buffer
+        # across chunk boundaries, the last chunk a partial one.
+        monkeypatch.setattr(ensembles, "NOISE_CHUNK", 128)
+        ks = [0, 1, 37, 300]
+        want = None
+        for threads in ("1", "2"):
+            monkeypatch.setenv("REACHCERT_THREADS", threads)
+            for batch_size in (7, BATCH_SIZE, 20_000):
+                got = ensemble_states(system, x0, ks, n_traj, base_seed=21, batch_size=batch_size)
+                if want is None:
+                    want = got
+                for k in ks:
+                    assert np.array_equal(got[k], want[k]), (threads, batch_size, k)
+
+    def test_noise_memory_is_bounded_by_the_batch(self, monkeypatch):
+        # Noise is drawn into one (NOISE_CHUNK, batch, m) buffer per batch,
+        # so the peak stays near one batch's buffer, whatever n_traj is.
+        monkeypatch.setenv("REACHCERT_THREADS", "1")
+        tracemalloc.start()
+        try:
+            ensemble_states(IDENTITY_3D, [0.0, 0.0, 0.0], [NOISE_CHUNK], 8192, base_seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * BATCH_SIZE * NOISE_CHUNK * 3 * 8
 
     def test_step_zero(self, random_walk):
         states = ensemble_states(random_walk, [3.0], [0], 4, base_seed=0)

@@ -9,6 +9,7 @@ import pytest
 
 import reachcert
 from conftest import reference_noise_draw
+from reachcert import systems
 from reachcert.systems import (
     LinearSystem,
     NoiseModel,
@@ -120,6 +121,46 @@ class TestNoiseStreams:
         if order >= 2:  # exact for the first two moments
             assert np.allclose(weights @ nodes, 0.0, atol=1e-12)
             assert np.allclose(nodes.T @ (weights[:, None] * nodes), noise.covariance)
+
+
+@pytest.mark.parametrize("law", LAWS)
+class TestStagedDraw:
+    """`draw` fills a row-major stage of STAGE_BYTES, one stream per row, and
+    copies it into the time-major block; no stage edge may show in the bits."""
+
+    @staticmethod
+    def _check(noise, seeds, length, out=None):
+        block = noise.draw([s.rng() for s in seeds], length, out=out)
+        assert block.shape == (length, len(seeds), noise.dimension)
+        for j, s in enumerate(seeds):
+            assert np.array_equal(block[:, j], reference_noise_draw(noise, s.rng(), length))
+        return block
+
+    def test_row_counts_around_one_stage(self, law):
+        noise = LAWS[law]
+        length = 1024
+        rows = systems.STAGE_BYTES // (length * noise.dimension * 8)
+        for count in (1, rows - 1, rows, rows + 1):
+            self._check(noise, [TrajectorySeed(8, i) for i in range(count)], length)
+
+    @pytest.mark.parametrize("stage_rows", [1, 7])
+    def test_many_stage_boundaries(self, law, stage_rows, monkeypatch):
+        noise = LAWS[law]
+        length = 3
+        monkeypatch.setattr(systems, "STAGE_BYTES", stage_rows * length * noise.dimension * 8)
+        self._check(noise, [TrajectorySeed(9, i) for i in range(1041)], length)
+
+    def test_strided_out_gets_the_bits_of_a_fresh_block(self, law):
+        noise = LAWS[law]
+        length, count = 1024 + 17, 45
+        seeds = [TrajectorySeed(10, i) for i in range(count)]
+        fresh = noise.draw([s.rng() for s in seeds], length)
+        buf = np.full((length + 5, count + 9, noise.dimension), np.nan)
+        view = buf[:length, :count]
+        assert self._check(noise, seeds, length, out=view) is view
+        assert np.array_equal(view, fresh)
+        # Nothing outside the view is written.
+        assert np.isnan(buf[length:]).all() and np.isnan(buf[:, count:]).all()
 
 
 def test_sympy_is_imported_only_for_polynomial_systems():
