@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import json
 import os
@@ -294,7 +295,10 @@ def _add_common(p, system_required=True):
     p.add_argument("--out", default=".", help="output directory for reports")
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process: parse_args returns a fresh
+    namespace on every call, so one parser serves every command."""
     parser = argparse.ArgumentParser(
         prog="reachcert",
         description="Almost-sure reachability: classification, certificates, verification, simulation.",

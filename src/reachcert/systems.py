@@ -44,6 +44,18 @@ class OverflowInStep(ArithmeticError):
     """A transition produced a non-finite state."""
 
 
+def _scale_uniform(u, h):
+    """Map raw doubles u in [0, 1) to uniform(-1, 1) * h in place.
+
+    numpy's uniform(-1, 1) is -1 + 2u from the same double u, and 2u is
+    exact, so this is uniform(-1, 1) * h bit for bit.  ``h`` is the
+    half-widths tiled along u's last axis, so each pass is one long loop.
+    """
+    u *= 2.0
+    u -= 1.0
+    u *= h
+
+
 @dataclass(frozen=True)
 class NoiseModel:
     """Zero-mean i.i.d. noise law.
@@ -101,34 +113,60 @@ class NoiseModel:
         ``out[:, j]`` is drawn from the stream ``rngs[j]`` alone, so a
         stream yields the same values whether drawn by itself or in a block.
         ``out``, if given, is filled and returned; it may be a strided view.
-        Each stream fills one row of a row-major stage of about STAGE_BYTES,
-        which is copied transposed into ``out`` while it is still in cache.
+
+        A lone stream whose ``out[:, 0]`` is contiguous is drawn straight
+        into it, with no second block.  Otherwise each stream fills one row
+        of a row-major stage of about STAGE_BYTES in one C call; the stage
+        is mapped to the law in whole-stage passes (one Cholesky product, or
+        a scale whose inner loop is a row long, never m) and copied
+        transposed into ``out``, a whole noise vector at a time, while it is
+        still in cache.
         """
         m = self.dimension
         if out is None:
             out = np.empty((length, len(rngs), m))
+        gaussian = self.kind == "gaussian"
+        if len(rngs) == 1 and out[:, 0].flags.c_contiguous:
+            lone = out[:, 0]
+            if gaussian:
+                np.matmul(rngs[0].standard_normal((length, m)), self._chol.T, out=lone)
+                return out
+            # A stage of values at a time, each scaled while in cache; the
+            # uniform fill is sequential, so the pieces join bit for bit.
+            flat = lone.reshape(-1)
+            tile = np.tile(self.half_widths, max(1, min(length, STAGE_BYTES // (8 * m))))
+            for p in range(0, flat.size, tile.size):
+                piece = flat[p : p + tile.size]
+                rngs[0].random(out=piece)
+                _scale_uniform(piece, tile[: piece.size])
+            return out
         rows = max(1, STAGE_BYTES // max(1, length * m * 8))
         stage = np.empty((min(rows, len(rngs)), length, m))
-        gaussian = self.kind == "gaussian"
         if gaussian:
-            LT = self._chol.T
-            z = np.empty((length, m))
+            z = np.empty_like(stage)
+        else:
+            tile = np.tile(self.half_widths, length)
+        # Vectors contiguous in ``out`` move as single m-double items, which
+        # copies far faster than a loop of length m; at m = 1 the float copy
+        # is faster.
+        vector = np.dtype((np.void, 8 * m))
+        whole_vectors = m > 1 and out.dtype == np.float64 and out.strides[-1] == 8
         for r0 in range(0, len(rngs), rows):
             block = stage[: len(rngs) - r0]
-            for row, rng in zip(block, rngs[r0 : r0 + rows]):
-                if gaussian:
-                    # The product of rng.standard_normal(size=(length, m)) @ LT.
-                    rng.standard_normal(out=z)
-                    np.matmul(z, LT, out=row)
-                else:
+            if gaussian:
+                # One gemm per stream, as rng.standard_normal(size=(length, m)) @ L.T.
+                for row, rng in zip(z, rngs[r0 : r0 + rows]):
+                    rng.standard_normal(out=row)
+                np.matmul(z[: len(block)], self._chol.T, out=block)
+            else:
+                for row, rng in zip(block, rngs[r0 : r0 + rows]):
                     rng.random(out=row)
-            if not gaussian:
-                # uniform(-1, 1) is -1 + 2u from the same double u, and 2u
-                # is exact, so this is uniform(-1, 1) * h bit for bit.
-                block *= 2.0
-                block -= 1.0
-                block *= self.half_widths
-            out[:, r0 : r0 + len(block)] = block.transpose(1, 0, 2)
+                _scale_uniform(block.reshape(len(block), -1), tile)
+            dst = out[:, r0 : r0 + len(block)]
+            if whole_vectors:
+                dst.view(vector)[..., 0] = block.view(vector)[..., 0].T
+            else:
+                dst[...] = block.transpose(1, 0, 2)
         return out
 
     def gauss_rule(self, order: int):

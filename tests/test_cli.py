@@ -6,7 +6,7 @@ import pytest
 
 from conftest import rotation_matrix
 from reachcert import counterexamples
-from reachcert.cli import run
+from reachcert.cli import build_parser, run
 
 
 def _write_system(tmp_path, name, payload):
@@ -317,3 +317,26 @@ def test_certify_then_verify_passes(name, kind, tmp_path):
     cert = str(tmp_path / "out" / "certificate.json")
     assert run(["verify", "--system", system, "--certificate", cert, "--out", out]) == 0
     assert json.loads((tmp_path / "out" / "verify.json").read_text())["passed"] is True
+
+
+def test_consecutive_commands_see_their_own_defaults(stable_file, tmp_path):
+    """The parser is built once per process; no flag of one command may
+    leak into the next one's defaults."""
+    assert build_parser() is build_parser()
+    out = {name: str(tmp_path / name) for name in ("certify", "verify-flags", "verify", "classify")}
+    assert run(["certify", "--system", stable_file, "--seed", "7", "--out", out["certify"]]) == 0
+    cert = str(tmp_path / "certify" / "certificate.json")
+    argv = ["verify", "--system", stable_file, "--certificate", cert]
+    assert run([*argv, "--samples", "3000", "--seed", "3", "--out", out["verify-flags"]]) == 0
+    assert run([*argv, "--out", out["verify"]]) == 0
+    assert run(["classify", "--system", stable_file, "--out", out["classify"]]) == 0
+
+    def report(name, file):
+        return json.loads((tmp_path / name / file).read_text())
+
+    assert report("certify", "certify.json")["seed"] == 7
+    flagged, default = report("verify-flags", "verify.json"), report("verify", "verify.json")
+    assert (flagged["seed"], default["seed"]) == (3, 0)
+    assert {lv["samples"] for lv in flagged["variant"]["levels"]} == {3000}
+    assert {lv["samples"] for lv in default["variant"]["levels"]} == {20_000}
+    assert report("classify", "classify.json")["seed"] == 0

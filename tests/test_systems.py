@@ -1,8 +1,10 @@
+import hashlib
 import itertools
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ import pytest
 import reachcert
 from conftest import reference_noise_draw
 from reachcert import systems
+from reachcert.ensembles import ensemble_states
 from reachcert.systems import (
     LinearSystem,
     NoiseModel,
@@ -161,6 +164,60 @@ class TestStagedDraw:
         assert np.array_equal(view, fresh)
         # Nothing outside the view is written.
         assert np.isnan(buf[length:]).all() and np.isnan(buf[:, count:]).all()
+
+    def test_strided_last_axis_gets_the_bits_of_a_fresh_block(self, law):
+        # Vectors that are not contiguous in out cannot move as whole items.
+        noise = LAWS[law]
+        length, count = 1024 + 17, 45
+        seeds = [TrajectorySeed(10, i) for i in range(count)]
+        buf = np.full((length, count, 2 * noise.dimension), np.nan)
+        view = buf[..., ::2]
+        assert self._check(noise, seeds, length, out=view) is view
+        assert np.isnan(buf[..., 1::2]).all()
+
+    @pytest.mark.parametrize("length", [0, 1, 1041, 200_000])
+    def test_lone_stream_into_contiguous_and_strided_out(self, law, length):
+        # 200,000 steps is longer than one stage at every m.
+        noise = LAWS[law]
+        seed = TrajectorySeed(12, 3)
+        fresh = self._check(noise, [seed], length)
+        buf = np.full((length, 3, noise.dimension), np.nan)
+        self._check(noise, [seed], length, out=buf[:, 1:2])
+        assert np.array_equal(buf[:, 1], fresh[:, 0])
+        assert np.isnan(buf[:, [0, 2]]).all()
+
+
+def test_lone_stream_needs_no_second_block():
+    """A lone stream is drawn straight into out: the draw's peak is out plus
+    stage-sized buffers, not a second full-length block."""
+    noise = NoiseModel.uniform([1.0, 2.0])
+    count = 2_000_000
+    tracemalloc.start()
+    try:
+        out = sample_noise(noise, TrajectorySeed(4), count)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (count, 2)
+    assert peak < out.nbytes + 4 * systems.STAGE_BYTES
+
+
+def _sha256(a):
+    return hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
+
+
+def test_seeded_streams_are_pinned():
+    """The bits of the seeded streams, recorded before the draw was last
+    rewritten.  Only exact or IEEE-deterministic arithmetic (no BLAS
+    rounding) goes into them, so they hold on every machine; a change here
+    is a change of every seeded output and must be deliberate."""
+    noise = NoiseModel.uniform([0.7, 2.5, 4.0])
+    block = noise.draw([TrajectorySeed(11, i).rng() for i in range(50)], 1041)
+    assert _sha256(block) == "838c0fce7b2f659f2a87740b80b658788c94264a5b9f958710e4423a60b474ee"
+    walk = LinearSystem(A=[[1.0]], B=[[1.0]], noise=NoiseModel.uniform([1.0]))
+    states = ensemble_states(walk, [0.0], [0, 1, 1023, 1024, 1025, 2500], 600, base_seed=5)
+    snapshots = np.concatenate([states[k] for k in sorted(states)])
+    assert _sha256(snapshots) == "88a7d8c1ac2f2dc321ecc2be1e6026219919aeac0d570134e77316dd04f88ee4"
 
 
 def test_sympy_is_imported_only_for_polynomial_systems():
