@@ -4,14 +4,17 @@ occupancy-decay exponent estimate for critical systems.
 Every trajectory owns an independent RNG stream derived from
 (base_seed, trajectory_index), so results are reproducible and
 independent of batching or thread scheduling (up to the last bit where a
-batch steps a single row: numpy sends a one-row product to gemv).
+batch steps a single row through a factor that is not the identity: numpy
+sends a one-row product to gemv).
 `simulate`, `hitting_stats` and `ensemble_states` observe one block
 kernel, `_run`: noise is drawn NOISE_CHUNK steps at a time per trajectory
 into one buffer per batch of BATCH_SIZE trajectories, and stepped in
 sub-blocks of about SUBBLOCK_BYTES of state, after each of which the
 observer finds first hits and overflows with array operations.  Neither
 length changes any trajectory: a chunked ensemble replays exactly the
-stream of a single-trajectory simulation.
+stream of a single-trajectory simulation.  A factor A or B that is exactly
+the identity is not multiplied, so the random walk x + Bw pays for its
+additions only; the states keep the bits of step_batch.
 """
 
 from __future__ import annotations
@@ -129,22 +132,37 @@ def _member_rows(target, X: np.ndarray) -> np.ndarray:
     return sq < target.radius**2
 
 
-def _advance(system, X, W):
-    """(s, rows, n) states after each step of the (s, rows, m) noise block W from X."""
+def _factors(system):
+    """(A', B') of a linear system, each None where the factor is exactly
+    the identity, or None for a system that step_batch steps."""
+    if not isinstance(system, LinearSystem):
+        return None
+    return tuple(None if np.array_equal(M, np.eye(M.shape[0])) else M.T for M in (system.A, system.B))
+
+
+def _advance(system, factors, X, W):
+    """(s, rows, n) states after each step of the (s, rows, m) noise block W
+    from X; ``factors`` is ``_factors(system)``."""
     out = np.empty((W.shape[0],) + X.shape)
-    if isinstance(system, LinearSystem):
-        # The products of step_batch (X A' + W B') with the same shapes, so
-        # the same BLAS paths; the sum runs in the other order, which IEEE
-        # addition makes exact.
-        np.matmul(W, system.B.T, out=out)
-        AT = system.A.T
-        AX = np.empty_like(X)
-        for t in range(W.shape[0]):
-            np.matmul(X, AT, out=AX)
-            X = np.add(out[t], AX, out=out[t])
-    else:
+    if factors is None:
         for t in range(W.shape[0]):
             X = out[t] = step_batch(system, X, W[t])
+        return out
+    # The products of step_batch (X A' + W B') with the same shapes, so
+    # the same BLAS paths; the sum runs in the other order, which IEEE
+    # addition makes exact.  A product by an identity factor is skipped,
+    # which keeps every bit: x*1 = x and x*0 = +-0, so for finite states
+    # the product equals its input up to the sign of a zero.  (Where a
+    # coordinate is infinite the product fills its row with NaN; either
+    # way the state is past OVERFLOW_GUARD, which ends a simulated or
+    # hitting trajectory.)
+    AT, BT = factors
+    WB = W if BT is None else np.matmul(W, BT, out=out)
+    AX = np.empty_like(X)
+    for t in range(W.shape[0]):
+        if AT is not None:
+            X = np.matmul(X, AT, out=AX)
+        X = np.add(WB[t], X, out=out[t])
     return out
 
 
@@ -164,6 +182,7 @@ def _run(system, X, rngs, horizon, observe):
     """
     live = np.arange(X.shape[0])
     k = 0
+    factors = _factors(system)
     # One noise buffer for every chunk, so no chunk pays for a fresh
     # allocation and its page faults; a chunk's noise lives until the next
     # chunk overwrites it.
@@ -179,7 +198,7 @@ def _run(system, X, rngs, horizon, observe):
             t = 0
             while t < length and live.size:
                 s = min(steps, length - t)
-                S = _advance(system, X, W[t : t + s] if cols.size == W.shape[1] else W[t : t + s, cols])
+                S = _advance(system, factors, X, W[t : t + s] if cols.size == W.shape[1] else W[t : t + s, cols])
                 X = S[-1]
                 stop = observe(k + t, live, S)
                 if stop is not None and stop.any():

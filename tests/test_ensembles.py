@@ -105,6 +105,16 @@ ORACLE_CASES = {
         200,
         500.0,
     ),
+    # Criterion 9's A = I with B = (1, 1)': x2 - x1 = 0.5 forever, so the
+    # walk along that line enters the ball near x1 = -0.25, or never.
+    "degenerate-b-walk": (
+        LinearSystem(A=np.eye(2), B=[[1.0], [1.0]], noise=NoiseModel.uniform([1.0])),
+        TargetBall(center=[0.0, 0.0], radius=1.0),
+        [5.0, 5.5],
+        200,
+        NOISE_CHUNK + 300,
+        1e6,
+    ),
 }
 
 
@@ -207,9 +217,69 @@ class TestBlockKernel:
         assert np.any(outcome["walk-1d"][0] > 2 * NOISE_CHUNK)
         assert outcome["shear-norm-divergence"][1].any()
         assert (outcome["example1-unit-box"][0] > 0).all()
+        walk_hits = outcome["degenerate-b-walk"][0]
+        assert (walk_hits > 0).any() and (walk_hits < 0).any()
+
+
+def _is_identity(M):
+    return np.array_equal(M, np.eye(M.shape[0]))
+
+
+SNAPSHOT_CASES = {
+    # name: (system, x0); every combination of (A is I, B is I) occurs.
+    "identity-3d": (IDENTITY_3D, [-0.0, 0.0, 2.5]),
+    "degenerate-b-walk": (ORACLE_CASES["degenerate-b-walk"][0], [0.0, 10.0]),
+    "rotation-gaussian": (INVARIANCE_SYSTEMS["rotation-gaussian"][0], [-0.0, 3.0]),
+    "mixing-2x1": (
+        LinearSystem(A=[[0.9, 0.2], [-0.3, 0.8]], B=[[1.0], [0.5]], noise=NoiseModel.uniform([1.0])),
+        [1.0, -2.0],
+    ),
+    # Near the identity, these must keep their products; the second is
+    # within np.allclose's default tolerance of I.
+    "near-identity": (
+        LinearSystem(A=[[1.0, 2.0**-20], [0.0, 1.0]], B=np.eye(2), noise=NoiseModel.uniform([1.0, 1.0])),
+        [1.0, 1.0],
+    ),
+    "near-identity-diagonal": (
+        LinearSystem(A=[[1.0 + 2.0**-20, 0.0], [0.0, 1.0]], B=np.eye(2), noise=NoiseModel.uniform([1.0, 1.0])),
+        [1.0, 1.0],
+    ),
+}
+
+
+def _replay_snapshots(system, x0, ks, n_traj, base_seed):
+    """The snapshots of a per-step step_batch replay of every trajectory's
+    stream, drawn by reference_noise_draw: the oracle of the block kernel."""
+    horizon = max(ks)
+    W = np.stack(
+        [reference_noise_draw(system.noise, TrajectorySeed(base_seed, i).rng(), horizon) for i in range(n_traj)],
+        axis=1,
+    )
+    X = np.tile(np.asarray(x0, dtype=float), (n_traj, 1))
+    out = {0: X}
+    for k in range(1, horizon + 1):
+        X = out[k] = step_batch(system, X, W[k - 1])
+    return {k: out[k] for k in ks}
 
 
 class TestEnsembleStates:
+    def test_snapshot_cases_cover_every_identity_factor(self):
+        kinds = {(_is_identity(s.A), _is_identity(s.B)) for s, _ in SNAPSHOT_CASES.values()}
+        assert kinds == {(True, True), (True, False), (False, True), (False, False)}
+
+    @pytest.mark.parametrize("case", sorted(SNAPSHOT_CASES))
+    def test_matches_step_batch_replay(self, case, monkeypatch):
+        # Short chunks and sub-blocks put the ks on both sides of each
+        # boundary in a few steps.
+        monkeypatch.setattr(ensembles, "NOISE_CHUNK", 64)
+        monkeypatch.setattr(ensembles, "SUBBLOCK_BYTES", 4096)
+        system, x0 = SNAPSHOT_CASES[case]
+        ks = [0, 1, 2, 63, 64, 65, 128, 129, 300]
+        got = ensemble_states(system, x0, ks, 40, base_seed=8)
+        want = _replay_snapshots(system, x0, ks, 40, base_seed=8)
+        for k in ks:
+            assert np.array_equal(got[k], want[k]), k
+
     def test_snapshot_consistency(self, random_walk, monkeypatch):
         # Snapshot at step k equals the simulated trajectory state at k,
         # across chunk and sub-block boundaries.

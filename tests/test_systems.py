@@ -218,6 +218,12 @@ def test_seeded_streams_are_pinned():
     states = ensemble_states(walk, [0.0], [0, 1, 1023, 1024, 1025, 2500], 600, base_seed=5)
     snapshots = np.concatenate([states[k] for k in sorted(states)])
     assert _sha256(snapshots) == "88a7d8c1ac2f2dc321ecc2be1e6026219919aeac0d570134e77316dd04f88ee4"
+    # Criterion 5's 3D identity, recorded while its steps still multiplied
+    # by A = B = I.
+    identity = LinearSystem(A=np.eye(3), B=np.eye(3), noise=NoiseModel.uniform([1.0] * 3))
+    states = ensemble_states(identity, [0.0, 0.0, 0.0], [0, 1, 1023, 1024, 1025, 1500], 300, base_seed=5)
+    snapshots = np.concatenate([states[k] for k in sorted(states)])
+    assert _sha256(snapshots) == "ee349efb8d181040a88131bfa3383fd68ae134711b2679903ae62ef33fc2f09d"
 
 
 def test_sympy_is_imported_only_for_polynomial_systems():
