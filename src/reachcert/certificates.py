@@ -28,7 +28,7 @@ import scipy.linalg
 from .linalg import LinalgError, is_symmetric_positive_definite, quadratic_form, solve_discrete_lyapunov
 from .spectral import analyze, unit_plane_basis
 from .systems import LinearSystem, TargetBall, step_batch
-from .verify import mc_drift
+from .verify import _ellipsoid_shell_proposal, mc_drift
 
 __all__ = [
     "QuadraticCertificate",
@@ -104,9 +104,9 @@ class QuadraticCertificate:
     def h_bound(self, r: float) -> float:
         return r - self.variant_b
 
-    def level_bound(self, r: float) -> float:
-        lam_min = float(np.linalg.eigvalsh(self.Q).min())
-        return math.sqrt(max(r, 0.0) / lam_min)
+    def level_proposal(self, n: int, level: float, rng):
+        """Uniform draws from {b < x'Qx <= level}, which is {V <= level, U > 0}."""
+        return _ellipsoid_shell_proposal(self.Q, self.variant_b, level, n, rng)
 
     def default_levels(self):
         return (2.0 * self.variant_b, 4.0 * self.variant_b, 8.0 * self.variant_b)
@@ -155,6 +155,13 @@ def synthesize_quadratic(system: LinearSystem, target: TargetBall) -> QuadraticC
 # Logarithmic certificates (fully critical, dimension <= 2)
 # ---------------------------------------------------------------------------
 
+def _star_bound(level: float) -> float:
+    """exp(2 level^2): for level >= 1, {V_log <= level} is {x'Q_star x <= exp(2 level^2)}."""
+    if level < 1.0:
+        raise ValueError(f"level {level} is below 1, the least value of V: {{V <= r, U > 0}} is empty")
+    return math.exp(2.0 * level * level)
+
+
 def _log_drift_values(X, Q_star) -> np.ndarray:
     X = np.atleast_2d(np.asarray(X, dtype=float))
     sq = quadratic_form(X, Q_star)
@@ -179,13 +186,10 @@ class LogCertificate:
 
     kind = "logarithmic"
 
-    def _lam_min(self) -> float:
-        return float(np.linalg.eigvalsh(self.Q_star).min())
-
     @property
     def compact_radius(self) -> float:
         # Euclidean radius covering {||x||_* <= compact_radius_star}
-        return self.compact_radius_star / math.sqrt(self._lam_min())
+        return self.compact_radius_star / math.sqrt(float(np.linalg.eigvalsh(self.Q_star).min()))
 
     def star_norms(self, X) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -200,8 +204,9 @@ class LogCertificate:
     def h_bound(self, r: float) -> float:
         return math.exp(2.0 * r * r) - self.variant_b
 
-    def level_bound(self, r: float) -> float:
-        return math.exp(r * r) / math.sqrt(self._lam_min())
+    def level_proposal(self, n: int, level: float, rng):
+        """Uniform draws from {b < x'Q_star x <= exp(2 level^2)}, which is {V <= level, U > 0}."""
+        return _ellipsoid_shell_proposal(self.Q_star, self.variant_b, _star_bound(level), n, rng)
 
     def default_levels(self):
         base = max(math.sqrt(math.log(max(self.compact_radius_star, math.e))), 1.0)
@@ -368,10 +373,13 @@ class CompositeCertificate:
     def h_bound(self, r: float) -> float:
         return math.exp(2.0 * r * r) + r - self.variant_b
 
-    def level_bound(self, r: float) -> float:
-        bu = self.unit_cert.level_bound(r)
-        bs = self.stable_cert.level_bound(r)
-        return float(np.linalg.norm(self.transform, 2)) * math.hypot(bu, bs)
+    def level_proposal(self, n: int, level: float, rng):
+        """Uniform draws x = T y from a cylinder holding {V <= level}: V_log >= 1 and the
+        stable part is >= 0, so y_u'Q_star y_u <= exp(2 level^2) and y_s'Q y_s <= level - 1."""
+        nu = self.unit_dim
+        unit = _ellipsoid_shell_proposal(self.unit_cert.Q_star, 0.0, _star_bound(level), nu, rng)
+        stable = _ellipsoid_shell_proposal(self.stable_cert.Q, 0.0, level - 1.0, n - nu, rng)
+        return lambda missing: np.hstack([unit(missing), stable(missing)]) @ self.transform.T
 
     @property
     def compact_radius(self) -> float:
@@ -490,8 +498,12 @@ class CustomCertificate:
     def h_bound(self, r: float) -> float:
         return float(self.h(r))
 
-    def level_bound(self, r: float) -> float:
-        return float(self.level_radius(r))
+    def level_proposal(self, n: int, level: float, rng):
+        """Uniform draws from the box [-R, R]^n with R = level_radius(level),
+        folded onto the positive quadrant if asked; rounds of at least 1024."""
+        bound = float(self.level_radius(level))
+        fold = np.abs if self.positive_quadrant else (lambda pts: pts)
+        return lambda missing: fold(rng.uniform(-bound, bound, size=(max(4 * missing, 1024), n)))
 
     def default_levels(self):
         if self.levels:

@@ -324,29 +324,16 @@ def _ellipsoid_shell_proposal(Q, b, level, n, rng):
     return propose
 
 
-def _box_proposal(bound, n, rng, positive_quadrant):
-    """Uniform draws from the box [-bound, bound]^n (its positive orthant if asked)."""
-
-    def propose(missing):
-        pts = rng.uniform(-bound, bound, size=(max(4 * missing, 1024), n))
-        return np.abs(pts) if positive_quadrant else pts
-
-    return propose
-
-
-def _sample_level_region(certificate, n, level, count, rng, positive_quadrant=False):
+def _sample_level_region(certificate, n, level, count, rng):
     """Sample count points uniformly from {V <= level, U > 0}.
 
-    Every proposal is tested against the region.  For a quadratic
-    certificate the region is the ellipsoidal shell {b < x'Qx <= level}
-    and the proposals are drawn uniformly from it, so only rounding at its
-    boundary rejects any; other certificates propose uniformly from the
-    Euclidean box bounding {V <= level}.
+    The certificate's ``level_proposal`` draws uniformly from a superset
+    (the region itself for quadratic and logarithmic certificates), and
+    every proposal is tested.  Raises once (accepted + 3) / tried falls
+    below MIN_ACCEPT_RATE (3 / tried bounds the rate at 95 % when none of
+    the draws so far was accepted).
     """
-    if certificate.kind == "quadratic":
-        propose = _ellipsoid_shell_proposal(certificate.Q, certificate.variant_b, level, n, rng)
-    else:
-        propose = _box_proposal(float(certificate.level_bound(level)), n, rng, positive_quadrant)
+    propose = certificate.level_proposal(n, level, rng)
     accepted = []
     tried = 0
     got = 0
@@ -360,9 +347,10 @@ def _sample_level_region(certificate, n, level, count, rng, positive_quadrant=Fa
         if sel.size:
             accepted.append(sel[: count - got])
             got += len(accepted[-1])
-        if tried > 1024 and got / tried < MIN_ACCEPT_RATE:
+        if (got + 3) / tried < MIN_ACCEPT_RATE:
             raise ValueError(
                 f"rejection sampling acceptance rate below {MIN_ACCEPT_RATE} at level {level}"
+                f" ({got} of {tried} proposals accepted)"
             )
     return np.concatenate(accepted, axis=0)
 
@@ -393,12 +381,11 @@ def verify_variant(
     levels = [float(r) for r in levels]
     if not levels:
         raise ValueError("need at least one level")
-    positive_quadrant = getattr(certificate, "positive_quadrant", False)
 
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(0x7A21,)))
     level_rows = []
     for r in levels:
-        pts = _sample_level_region(certificate, n, r, samples, rng, positive_quadrant)
+        pts = _sample_level_region(certificate, n, r, samples, rng)
         W = system.noise.draw([rng], len(pts))[:, 0]
         succ = step_batch(system, pts, W)
         u_pts = np.asarray(certificate.variant_values(pts))
@@ -417,6 +404,7 @@ def verify_variant(
             )
         )
 
+    positive_quadrant = getattr(certificate, "positive_quadrant", False)
     inclusion_bad = _check_inclusion(certificate, target, n, boundary_points, rng, positive_quadrant)
     passed = (
         delta > 0.0

@@ -340,3 +340,31 @@ def test_consecutive_commands_see_their_own_defaults(stable_file, tmp_path):
     assert {lv["samples"] for lv in flagged["variant"]["levels"]} == {3000}
     assert {lv["samples"] for lv in default["variant"]["levels"]} == {20_000}
     assert report("classify", "classify.json")["seed"] == 0
+
+
+def test_mixed_spectrum_certify_and_verify_complete(tmp_path):
+    """rotation(pi/4) (+) 0.5 takes the composite candidate: certify and
+    verify finish with a verdict (exit 0 or 1), never a usage error."""
+    A = np.zeros((3, 3))
+    A[:2, :2] = rotation_matrix(np.pi / 4)
+    A[2, 2] = 0.5
+    system = _write_system(
+        tmp_path,
+        "mixed.json",
+        {
+            "A": A.tolist(),
+            "B": np.eye(3).tolist(),
+            "noise": _law("uniform", 3),
+            "target": {"center": [0.0] * 3, "radius": 1.0, "norm": "euclidean"},
+        },
+    )
+    out = tmp_path / "out"
+    code = run(["certify", "--system", system, "--out", str(out), "--samples", "1000"])
+    assert code in (0, 1)
+    certificate = json.loads((out / "certify.json").read_text())["certificate"]
+    assert certificate["kind"] == "composite"
+    assert certificate["verified"] == (code == 0)
+    argv = ["verify", "--system", system, "--certificate", str(out / "certificate.json")]
+    code = run([*argv, "--out", str(out), "--samples", "1000"])
+    assert code in (0, 1)
+    assert json.loads((out / "verify.json").read_text())["passed"] == (code == 0)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -13,6 +14,7 @@ from reachcert import (
     TargetBall,
     exact_quadratic_drift,
     mc_drift,
+    synthesize_composite,
     synthesize_logarithmic,
     synthesize_quadratic,
     verify_drift,
@@ -389,23 +391,83 @@ class TestCubatureDrift:
 
 
 # ---------------------------------------------------------------------------
-# Exact sampling of quadratic level sets
+# Exact sampling of level sets
 # ---------------------------------------------------------------------------
 
+def _mixed_composite():
+    """The composite candidate for rotation(pi/4) (+) 0.5 and the unit ball."""
+    A = np.zeros((3, 3))
+    A[:2, :2] = rotation_matrix(np.pi / 4)
+    A[2, 2] = 0.5
+    system = LinearSystem(A=A, B=np.eye(3), noise=NoiseModel.uniform([1.0] * 3))
+    return synthesize_composite(system, TargetBall(center=np.zeros(3), radius=1.0), seed=0)
+
+
+def _box_rejection(cert, level, count, rng):
+    """Reference: rejection from a Euclidean box bounding the composite's
+    {V <= level}, a sampler independent of the cylinder.  Returns the
+    samples and the box's acceptance rate."""
+    lam_u = float(np.linalg.eigvalsh(cert.unit_cert.Q_star).min())
+    lam_s = float(np.linalg.eigvalsh(cert.stable_cert.Q).min())
+    radius = math.hypot(math.exp(level * level) / math.sqrt(lam_u), math.sqrt(level / lam_s))
+    bound = float(np.linalg.norm(cert.transform, 2)) * radius
+    kept, tried = [], 0
+    while sum(len(k) for k in kept) < count:
+        pts = rng.uniform(-bound, bound, size=(100_000, cert.transform.shape[0]))
+        tried += len(pts)
+        kept.append(pts[(cert.drift_values(pts) <= level) & (cert.variant_values(pts) > 0.0)])
+    return np.concatenate(kept)[:count], sum(len(k) for k in kept) / tried
+
+
 class TestExactLevelSampler:
-    @pytest.mark.parametrize("n", [2, 5, 20])
-    def test_uniform_on_the_ellipsoidal_shell(self, n):
+    @pytest.mark.parametrize(
+        "kind, n",
+        [pytest.param("quadratic", n, id=str(n)) for n in (2, 5, 20)]
+        + [pytest.param("logarithmic", n, id=f"log-{n}") for n in (1, 2)],
+    )
+    def test_uniform_on_the_ellipsoidal_shell(self, kind, n):
         rng = np.random.default_rng(n)
-        system = LinearSystem(A=random_stable_matrix(n, rng, rho=0.7), B=np.eye(n), noise=NoiseModel.uniform([1.0] * n))
-        cert = synthesize_quadratic(system, TargetBall(center=np.zeros(n), radius=1.0))
-        b, r = cert.variant_b, 4.0 * cert.variant_b
+        target = TargetBall(center=np.zeros(n), radius=1.0)
+        if kind == "quadratic":
+            system = LinearSystem(A=random_stable_matrix(n, rng, rho=0.7), B=np.eye(n), noise=NoiseModel.uniform([1.0] * n))
+            cert = synthesize_quadratic(system, target)
+            form, r = cert.Q, 4.0 * cert.variant_b
+            top = r
+        else:
+            A = np.eye(1) if n == 1 else rotation_matrix(np.pi / 3)
+            system = LinearSystem(A=A, B=np.eye(n), noise=NoiseModel.uniform([1.0] * n))
+            cert = synthesize_logarithmic(system, target, seed=0)
+            # {V <= r, U > 0} is the Q_star shell b < q <= exp(2 r^2).
+            form, r = cert.Q_star, cert.default_levels()[0]
+            top = math.exp(2.0 * r * r)
+        b = cert.variant_b
         pts = _sample_level_region(cert, n, r, 4000, rng)
-        q = quadratic_form(pts, cert.Q)
+        q = quadratic_form(pts, form)
         assert pts.shape == (4000, n)
-        assert np.all((q > b) & (q <= r))
-        # rho^n is uniform on (b^(n/2), r^(n/2)] under the uniform law.
-        lo, hi = b ** (n / 2), r ** (n / 2)
+        assert np.all((q > b) & (q <= top))
+        # rho^n is uniform on (b^(n/2), top^(n/2)] under the uniform law.
+        lo, hi = b ** (n / 2), top ** (n / 2)
         assert scipy.stats.kstest(q ** (n / 2), "uniform", args=(lo, hi - lo)).pvalue > 1e-3
+
+    def test_composite_cylinder_matches_box_rejection(self):
+        cert, level = _mixed_composite(), 1.6
+        want, acceptance = _box_rejection(cert, level, 3000, np.random.default_rng(1))
+        assert acceptance >= 0.005
+        got = _sample_level_region(cert, 3, level, 3000, np.random.default_rng(2))
+        assert got.shape == (3000, 3)
+        # The cylinder holds the whole region, so every box sample lies in it.
+        y = want @ cert.transform_inv.T
+        assert np.all(quadratic_form(y[:, :2], cert.unit_cert.Q_star) <= math.exp(2.0 * level * level))
+        assert np.all(quadratic_form(y[:, 2:], cert.stable_cert.Q) <= level - 1.0)
+        for stat in (cert.drift_values, cert.variant_values, lambda X: X[:, 2]):
+            assert scipy.stats.ks_2samp(stat(got), stat(want)).pvalue > 1e-3
+
+    def test_log_levels_below_one_rejected(self, rotation_system, unit_ball_2d):
+        # V >= 1 everywhere for the logarithmic drift and its composite.
+        log = synthesize_logarithmic(rotation_system, unit_ball_2d, seed=0)
+        for cert, n in ((log, 2), (_mixed_composite(), 3)):
+            with pytest.raises(ValueError, match="level 0.9 is below 1"):
+                _sample_level_region(cert, n, 0.9, 10, np.random.default_rng(0))
 
     def test_empty_shell_rejected(self, stable_2d, unit_ball_2d):
         cert = synthesize_quadratic(stable_2d, unit_ball_2d)
@@ -435,3 +497,54 @@ class TestExactLevelSampler:
         assert report["passed"] == (code == 0)
         assert report["drift"]["method"] == "exact"
         assert all(lv["samples"] == 20_000 for lv in report["variant"]["levels"])
+
+
+def _sparse_box_certificate(variant):
+    """1-D custom certificate V = |x| whose box [-1e4 r, 1e4 r] is about 1e4
+    times wider than {V <= r}."""
+    return CustomCertificate(
+        drift=lambda X: np.abs(np.atleast_2d(X)[:, 0]),
+        variant=variant,
+        h=lambda r: r,
+        delta=0.5,
+        compact_radius=1.0,
+        level_radius=lambda r: 1e4 * r,
+    )
+
+
+class TestRejectionAbort:
+    def test_sparse_box_still_samples(self):
+        # Accepts about 1e-4 of its draws: slow, but far above the 1e-6
+        # floor, so it must not abort after the first zero-acceptance rounds.
+        cert = _sparse_box_certificate(lambda X: np.abs(np.atleast_2d(X)[:, 0]))
+        pts = _sample_level_region(cert, 1, 1.0, 50, np.random.default_rng(4))
+        assert pts.shape == (50, 1)
+        assert np.all(np.abs(pts) <= 1.0)
+
+    def test_empty_region_raises_naming_the_level(self):
+        cert = _sparse_box_certificate(lambda X: -np.ones(len(np.atleast_2d(X))))
+        with pytest.raises(ValueError, match=r"at level 2\.5 \(0 of \d+ proposals accepted\)"):
+            _sample_level_region(cert, 1, 2.5, 10, np.random.default_rng(0))
+
+
+# sha256 of verify_variant(...).to_dict() (sorted-key JSON), samples=2000,
+# seed=5: the seeded level-set draws of the quadratic shell and of the
+# custom box are part of every report's bits and must not move.
+PINNED_VARIANT_DIGESTS = {
+    "quadratic": "38607341663003ce7fe1d2267001f6f58d89f7c20ab86548c3c26b0cb649329d",
+    "example1": "c3ba20ef11179e359fcd04823f581c049adf14d9ad07d376cfc2f5282811f22e",
+    "walk-abs": "ebcd2ee00f6617f50a5f75486932472efd35fd1d0e3258afed814d1851511cd0",
+}
+
+
+@pytest.mark.parametrize("case", PINNED_VARIANT_DIGESTS)
+def test_level_draws_keep_their_bits(case, stable_2d, unit_ball_2d):
+    if case == "quadratic":
+        args = (stable_2d, synthesize_quadratic(stable_2d, unit_ball_2d), unit_ball_2d)
+    elif case == "example1":
+        args = (cx.example1_system(), cx.example1_log_certificate(), _unit_box)
+    else:
+        args = (cx.random_walk_system(), cx.abs_certificate(), TargetBall(center=[0.0], radius=2.0))
+    report = verify_variant(*args, samples=2000, seed=5).to_dict()
+    digest = hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
+    assert digest == PINNED_VARIANT_DIGESTS[case]
