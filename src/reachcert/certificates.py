@@ -28,7 +28,7 @@ import scipy.linalg
 from .linalg import LinalgError, is_symmetric_positive_definite, quadratic_form, solve_discrete_lyapunov
 from .spectral import analyze, unit_plane_basis
 from .systems import LinearSystem, TargetBall, step_batch
-from .verify import _ellipsoid_shell_proposal, mc_drift
+from .verify import _ellipsoid_shell_proposal, drift_expectation
 
 __all__ = [
     "QuadraticCertificate",
@@ -237,8 +237,9 @@ def _scan_compact_radius(system: LinearSystem, Q_star, seed: int, radius_cap: fl
     """Outward doubling scan for a radius beyond which the log-drift is negative.
 
     At each candidate star-radius, the second-order closed-form estimate
-    must be below -margin on a sampled shell, and an antithetic Monte
-    Carlo estimate must confirm a non-positive drift at a few points.
+    must be below -margin on a sampled shell, and `drift_expectation`
+    must confirm a non-positive drift, error included, at every point of
+    that shell.
     """
     n = system.dimension
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(0x10C5,)))
@@ -251,19 +252,8 @@ def _scan_compact_radius(system: LinearSystem, Q_star, seed: int, radius_cap: fl
         margin = SCAN_MARGIN_SCALE * math.sqrt(math.log(rho))
         d2 = _second_order_log_drift(system, Q_star, pts)
         if np.all(d2 <= -margin):
-            ok = True
-            for i in range(min(4, len(pts))):
-                mean, hw = mc_drift(
-                    system,
-                    lambda X: _log_drift_values(X, Q_star),
-                    pts[i],
-                    samples=20_000,
-                    seed=seed + i,
-                )
-                if mean + hw > 0.0:
-                    ok = False
-                    break
-            if ok:
+            est, err = drift_expectation(system, lambda X: _log_drift_values(X, Q_star), pts, 20_000, seed)
+            if np.all(est + err <= 0.0):
                 return rho
         rho *= 2.0
     raise SynthesisError(

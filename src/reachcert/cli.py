@@ -155,11 +155,9 @@ def _cmd_verify(args) -> int:
     system, file_target = load_system(args.system)
     target = _resolve_target(args, file_target, system.dimension)
     cert = certs.load_certificate(args.certificate)
-    plan = default_shell_plan(cert, system.dimension, seed=args.seed)
-    if args.samples:
-        plan = replace(plan, noise_samples=args.samples)
+    plan = replace(default_shell_plan(cert, system.dimension, seed=args.seed), noise_samples=args.samples)
     drift = verify_drift(system, cert, plan=plan, seed=args.seed)
-    variant = verify_variant(system, cert, target, samples=args.samples or 20_000, seed=args.seed)
+    variant = verify_variant(system, cert, target, samples=args.samples, seed=args.seed)
     report = _base_report(args)
     report["certificate_input"] = {"path": args.certificate, "sha256": _sha256(args.certificate)}
     report["drift"] = drift.to_dict()
@@ -287,8 +285,14 @@ def _cmd_repro(args) -> int:
 # Argument parsing
 # ---------------------------------------------------------------------------
 
-def _add_common(p, system_required=True):
-    p.add_argument("--system", required=system_required, help="system description JSON file")
+def _positive_int(text: str) -> int:
+    if not text.isdecimal() or int(text) == 0:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return int(text)
+
+
+def _add_common(p):
+    p.add_argument("--system", required=True, help="system description JSON file")
     p.add_argument("--target-radius", type=float, default=None)
     p.add_argument("--target-center", default=None, help="comma-separated coordinates")
     p.add_argument("--seed", type=int, default=0)
@@ -315,13 +319,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--unit-tol", type=float, default=DEFAULT_UNIT_TOL)
     p.add_argument("--rank-tol", type=float, default=DEFAULT_RANK_TOL)
-    p.add_argument("--samples", type=int, default=20_000)
+    p.add_argument("--samples", type=_positive_int, default=20_000)
     p.set_defaults(func=_cmd_certify)
 
     p = sub.add_parser("verify", help="check V1/V2 for a certificate file")
     _add_common(p)
     p.add_argument("--certificate", required=True, help="certificate JSON file")
-    p.add_argument("--samples", type=int, default=20_000)
+    p.add_argument("--samples", type=_positive_int, default=20_000)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("simulate", help="ensemble hitting/divergence statistics")
@@ -339,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
         "case",
         choices=["example1-bounds", "example1-certificate", "example1-refute", "example2"],
     )
-    p.add_argument("--samples", type=int, default=20_000)
+    p.add_argument("--samples", type=_positive_int, default=20_000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=".")
     p.set_defaults(func=_cmd_repro)

@@ -22,7 +22,7 @@ import numpy as np
 
 from .certificates import CustomCertificate
 from .systems import LinearSystem, NoiseModel, PolynomialSystem, TargetBall, TrajectorySeed
-from .verify import DriftReport, ShellPlan, VariantReport, mc_drift, verify_drift, verify_variant
+from .verify import DriftReport, ShellPlan, VariantReport, drift_expectation, verify_drift, verify_variant
 
 __all__ = [
     "Example1Instance",
@@ -273,13 +273,8 @@ def example1_scan_compact_radius(seed: int = 0, start: float = 2.0, cap: float =
     while rho <= cap:
         angles = rng.uniform(0.0, np.pi / 2.0, size=32)
         pts = rho * np.column_stack([np.cos(angles), np.sin(angles)])
-        ok = True
-        for i, x in enumerate(pts):
-            mean, hw = mc_drift(system, _example1_drift, x, samples=20_000, seed=seed + i)
-            if mean + hw > 0.0:
-                ok = False
-                break
-        if ok:
+        est, err = drift_expectation(system, _example1_drift, pts, 20_000, seed)
+        if np.all(est + err <= 0.0):
             return rho
         rho *= 2.0
     raise RuntimeError(f"drift scan exceeded the radius cap {cap:g}")

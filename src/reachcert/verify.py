@@ -5,11 +5,12 @@ non-positive outside a compact set; the variant condition asks that U
 decreases by at least delta with positive probability on each V-sublevel
 set, stays below H(r) there, and that the set {U <= 0} lies inside the
 target.  Quadratic drifts on linear systems are checked with the exact
-closed-form expectation.  Other drifts are estimated on seeded shells:
-with tensor Gauss rules when the noise has at most three dimensions
-(reporting the gap between two rule orders as the error), otherwise by
-seeded Monte Carlo (reporting a 3-sigma half-width).  Either way the
-result is a numerical check with an error estimate, never a proof.
+closed-form expectation.  Other drifts are estimated on seeded shells by
+`drift_expectation`, as in certificate synthesis: with tensor Gauss rules
+when the noise has at most three dimensions (reporting the gap between two
+rule orders as the error), otherwise by seeded Monte Carlo (reporting a
+3-sigma half-width).  Either way the result is a numerical check with an
+error estimate, never a proof.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 import scipy.linalg
 
 from .linalg import is_symmetric_positive_definite, quadratic_form
-from .systems import LinearSystem, TargetBall, TrajectorySeed, contains, sample_noise, step_batch
+from .systems import LinearSystem, TargetBall, TrajectorySeed, contains, step_batch
 
 __all__ = [
     "ShellPlan",
@@ -31,6 +32,7 @@ __all__ = [
     "exact_quadratic_drift",
     "mc_drift",
     "cubature_drift",
+    "drift_expectation",
     "verify_drift",
     "verify_variant",
     "default_shell_plan",
@@ -145,59 +147,56 @@ class VariantReport:
 
 
 def exact_quadratic_drift(system: LinearSystem, Q, x) -> float:
-    """Exact E[V(Ax+Bw)] - V(x) for V(x) = x'Qx.
-
-    Equals x'(A'QA - Q)x + tr(B'QB Sigma_w); no sampling error.
-    """
+    """Exact E[V(Ax+Bw)] - V(x) for V(x) = x'Qx; no sampling error."""
     Q = np.atleast_2d(np.asarray(Q, dtype=float))
     if not is_symmetric_positive_definite(Q):
         raise ValueError("Q must be symmetric positive definite")
     x = np.asarray(x, dtype=float).reshape(-1)
-    A, B = system.A, system.B
-    if Q.shape[0] != A.shape[0] or x.size != A.shape[0]:
+    if Q.shape[0] != system.dimension or x.size != system.dimension:
         raise ValueError("dimension mismatch")
-    M = A.T @ Q @ A - Q
-    noise_term = float(np.trace(B.T @ Q @ B @ system.noise.covariance))
-    return float(x @ M @ x) + noise_term
+    return float(_exact_quadratic_drift_batch(system, Q, x[None])[0])
 
 
 def _exact_quadratic_drift_batch(system: LinearSystem, Q, X) -> np.ndarray:
+    """x'(A'QA - Q)x + tr(B'QB Sigma_w) at every row x of X."""
     M = system.A.T @ Q @ system.A - Q
     noise_term = float(np.trace(system.B.T @ Q @ system.B @ system.noise.covariance))
     return quadratic_form(X, M) + noise_term
 
 
-def mc_drift(system, V, x, samples: int = 10_000, seed: int = 0):
-    """Monte Carlo estimate of E[V(f(x,w))] - V(x) with a 3-sigma half-width.
+def mc_drift(system, V, X, samples: int = 10_000, seed: int = 0):
+    """Monte Carlo estimates of E[V(f(x,w))] - V(x) at every row x of X.
 
-    ``V`` must accept an (N, n) array of states and return N values.  Every
-    supported noise law is symmetric, so the estimator pairs each draw w
-    with -w (antithetic pairing), which cancels the first-order term of V
-    and shrinks the variance by orders of magnitude for slowly varying
-    drifts.
+    ``V`` must accept an (N, n) array of states and return N values.  Row i
+    draws ``samples // 2`` noise vectors from the stream
+    ``TrajectorySeed(seed, i)``.  Every supported noise law is symmetric,
+    so each draw w is paired with -w (antithetic pairing), which cancels the
+    first-order term of V and shrinks the variance by orders of magnitude
+    for slowly varying drifts.  Returns the estimates and their 3-sigma
+    half-widths; point x draw rows are evaluated CUBATURE_ROWS at a time.
     """
     if samples < 100:
         raise ValueError("need at least 100 samples")
-    x = np.asarray(x, dtype=float).reshape(-1)
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    v0 = np.asarray(V(X), dtype=float)
+    if not np.all(np.isfinite(v0)):
+        raise ValueError(f"drift function not finite at x={X[~np.isfinite(v0)][0]}")
     n_draws = samples // 2
-    W = sample_noise(system.noise, TrajectorySeed(seed, 0), n_draws)
-    X = np.broadcast_to(x, (n_draws, x.size))
-
-    v0 = float(np.asarray(V(x.reshape(1, -1)))[0])
-    if not np.isfinite(v0):
-        raise ValueError(f"drift function not finite at x={x}")
-
-    succ = step_batch(system, X, W)
-    mirrored = step_batch(system, X, -W)
-    vals = 0.5 * (np.asarray(V(succ), dtype=float) + np.asarray(V(mirrored), dtype=float))
-    if not np.all(np.isfinite(vals)):
-        bad = succ[~np.isfinite(vals)][0]
-        raise ValueError(f"drift function not finite at successor {bad}")
-
-    diffs = vals - v0
-    mean = float(diffs.mean())
-    half_width = float(3.0 * diffs.std(ddof=1) / np.sqrt(diffs.size))
-    return mean, half_width
+    stats = np.empty((2, len(X)))  # estimates, half-widths
+    per = max(1, CUBATURE_ROWS // n_draws)
+    for lo in range(0, len(X), per):
+        rngs = [TrajectorySeed(seed, i).rng() for i in range(lo, min(lo + per, len(X)))]
+        W = np.empty((len(rngs), n_draws, system.noise_dimension))
+        system.noise.draw(rngs, n_draws, out=W.transpose(1, 0, 2))  # each point's draws contiguous
+        W = W.reshape(-1, W.shape[2])
+        starts = np.repeat(X[lo : lo + per], n_draws, axis=0)
+        succ = step_batch(system, starts, W)
+        vals = 0.5 * (np.asarray(V(succ), dtype=float) + np.asarray(V(step_batch(system, starts, -W)), dtype=float))
+        if not np.all(np.isfinite(vals)):
+            raise ValueError(f"drift function not finite at successor {succ[~np.isfinite(vals)][0]}")
+        diffs = vals.reshape(len(rngs), n_draws) - v0[lo : lo + per, None]
+        stats[:, lo : lo + per] = diffs.mean(axis=1), 3.0 * diffs.std(axis=1, ddof=1) / np.sqrt(n_draws)
+    return stats[0], stats[1]
 
 
 def _sphere_points(n: int, count: int, radius: float, rng) -> np.ndarray:
@@ -234,14 +233,27 @@ def cubature_drift(system, V, X, orders):
     return means[:, 0], np.abs(means[:, 0] - means[:, 1])
 
 
+def drift_expectation(system, V, X, samples: int, seed: int):
+    """(estimates, errors) of E[V(f(x,w))] - V(x) at every row x of X.
+
+    The one choice between the estimators: `cubature_drift` for noise of
+    at most three dimensions (``samples`` and ``seed`` unused), else
+    `mc_drift` with ``samples`` draws per row.
+    """
+    orders = CUBATURE_ORDERS.get(system.noise_dimension)
+    if orders:
+        return cubature_drift(system, V, X, orders)
+    return mc_drift(system, V, X, samples=samples, seed=seed)
+
+
 def verify_drift(system, certificate, plan: ShellPlan | None = None, seed: int = 0) -> DriftReport:
     """Check the drift condition on shells outside the compact set.
 
     Quadratic certificates on linear systems use the exact expectation
-    (no error).  Other drifts use `cubature_drift` when the noise has at
-    most three dimensions, else `mc_drift` per point.  A point fails only
-    if its estimate minus its error (the rule-order gap, or the 3-sigma
-    half-width) lies above ``1e-9 * (1 + |V(x)|)``.
+    (no error).  Other drifts are estimated by `drift_expectation`, one
+    call per shell with seed ``plan.seed + 7919 j`` for shell j.  A point
+    fails only if its estimate minus its error (the rule-order gap, or the
+    3-sigma half-width) lies above ``1e-9 * (1 + |V(x)|)``.
     """
     n = system.dimension
     if plan is None:
@@ -251,13 +263,11 @@ def verify_drift(system, certificate, plan: ShellPlan | None = None, seed: int =
         if r < compact * (1.0 - 1e-12):
             raise ValueError(f"shell radius {r} lies inside the compact set (radius {compact})")
 
-    orders = ()
     if certificate.kind == "quadratic" and isinstance(system, LinearSystem):
-        method = "exact"
-    elif system.noise_dimension in CUBATURE_ORDERS:
-        method, orders = "cubature", CUBATURE_ORDERS[system.noise_dimension]
+        method, orders = "exact", ()
     else:
-        method = "monte-carlo"
+        orders = CUBATURE_ORDERS.get(system.noise_dimension, ())
+        method = "cubature" if orders else "monte-carlo"
     rng = np.random.default_rng(np.random.SeedSequence(entropy=plan.seed, spawn_key=(0xD21F7,)))
     shell_worst = []
     violations = []
@@ -268,19 +278,10 @@ def verify_drift(system, certificate, plan: ShellPlan | None = None, seed: int =
         if method == "exact":
             est = _exact_quadratic_drift_batch(system, certificate.Q, pts)
             hws = np.zeros_like(est)
-        elif method == "cubature":
-            est, hws = cubature_drift(system, certificate.drift_values, pts, orders)
         else:
-            est = np.empty(len(pts))
-            hws = np.empty(len(pts))
-            for i, x in enumerate(pts):
-                est[i], hws[i] = mc_drift(
-                    system,
-                    certificate.drift_values,
-                    x,
-                    samples=plan.noise_samples,
-                    seed=plan.seed + 7919 * j + i,
-                )
+            est, hws = drift_expectation(
+                system, certificate.drift_values, pts, plan.noise_samples, plan.seed + 7919 * j
+            )
         v_at = np.asarray(certificate.drift_values(pts), dtype=float)
         tols = DRIFT_TOL_SCALE * (1.0 + np.abs(v_at))
         bad = est - hws > tols

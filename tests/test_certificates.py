@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -101,6 +103,26 @@ class TestLogarithmic:
         assert a.compact_radius_star == b.compact_radius_star
         assert a.delta == b.delta
         assert a.epsilon == b.epsilon
+
+    @pytest.mark.parametrize("case", ["rotation", "walk"])
+    @pytest.mark.parametrize("seed", [0, 1, 90210])
+    def test_scan_radius_pinned(self, case, seed, rotation_system, random_walk):
+        # The scan confirms the drift by cubature on every shell point and
+        # stops at the first doubling of the domain threshold e.
+        system = rotation_system if case == "rotation" else random_walk
+        n = system.dimension
+        cert = synthesize_logarithmic(system, TargetBall(center=np.zeros(n), radius=1.0), seed=seed)
+        assert cert.compact_radius_star == 2.0 * math.e
+
+    @pytest.mark.parametrize("half_width", [0.3, 0.5, 0.7])
+    def test_anisotropic_noise_rejected(self, half_width, unit_ball_2d):
+        # The Taylor margin gate keeps the scan from accepting radii (about
+        # 1e7 here) where the drift lies below rounding.
+        system = LinearSystem(
+            A=rotation_matrix(np.pi / 4), B=np.eye(2), noise=NoiseModel.uniform([1.0, half_width])
+        )
+        with pytest.raises(SynthesisError, match="radius cap"):
+            synthesize_logarithmic(system, unit_ball_2d, seed=0)
 
 
 class TestComposite:

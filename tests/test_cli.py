@@ -368,3 +368,19 @@ def test_mixed_spectrum_certify_and_verify_complete(tmp_path):
     code = run([*argv, "--out", str(out), "--samples", "1000"])
     assert code in (0, 1)
     assert json.loads((out / "verify.json").read_text())["passed"] == (code == 0)
+
+
+@pytest.mark.parametrize("value", ["0", "-5"])
+@pytest.mark.parametrize("command", ["certify", "verify", "repro"])
+def test_samples_must_be_positive(command, value, stable_file, tmp_path, capsys):
+    """A non-positive --samples is a usage error that names the flag, not
+    an error deep inside numpy."""
+    argv = {
+        "certify": ["certify", "--system", stable_file],
+        "verify": ["verify", "--system", stable_file, "--certificate", str(tmp_path / "certificate.json")],
+        "repro": ["repro", "example2"],
+    }[command]
+    with pytest.raises(SystemExit) as exc:
+        run([*argv, "--samples", value, "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert f"argument --samples: expected a positive integer, got '{value}'" in capsys.readouterr().err

@@ -11,6 +11,7 @@ from reachcert.counterexamples import (
     example1_bounds_hold,
     example1_closed_form,
     example1_log_certificate,
+    example1_scan_compact_radius,
     example1_simulate_log2,
     example1_system,
     example1_verify_log_certificate,
@@ -160,6 +161,10 @@ class TestLogCertificate:
         assert drift.passed
         assert variant.inclusion_violations > 0
 
+    @pytest.mark.parametrize("seed", [0, 1, 90210])
+    def test_scan_radius_pinned(self, seed):
+        assert example1_scan_compact_radius(seed=seed) == 2.0
+
     def test_sample_point_inside_target(self):
         # (0.5, 0.5): U = ln 1.5 + 0.25 - 2 < 0 for the quoted offset.
         cert = example1_log_certificate(variant_offset=2.0)
@@ -191,7 +196,7 @@ class TestExample2:
         cert = abs_certificate()
         from reachcert import mc_drift
 
-        mean, hw = mc_drift(random_walk, cert.drift_values, [3.0], samples=1000, seed=0)
+        (mean,), _ = mc_drift(random_walk, cert.drift_values, [3.0], samples=1000, seed=0)
         assert mean == pytest.approx(0.0, abs=1e-14)
 
     def test_full_report(self):

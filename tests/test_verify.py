@@ -12,6 +12,7 @@ from reachcert import (
     QuadraticCertificate,
     ShellPlan,
     TargetBall,
+    drift_expectation,
     exact_quadratic_drift,
     mc_drift,
     synthesize_composite,
@@ -24,16 +25,17 @@ from reachcert import counterexamples as cx
 from reachcert.certificates import CustomCertificate
 from reachcert.cli import run
 from reachcert.linalg import quadratic_form
-from reachcert.systems import contains
+from reachcert.systems import TrajectorySeed, contains
 from reachcert.verify import (
     CUBATURE_ORDERS,
     _check_inclusion,
     _sample_level_region,
     _sphere_points,
+    _exact_quadratic_drift_batch,
     _zero_crossings,
     cubature_drift,
 )
-from conftest import random_stable_matrix, rotation_matrix
+from conftest import random_stable_matrix, reference_noise_draw, rotation_matrix
 
 
 class TestExactDrift:
@@ -55,7 +57,7 @@ class TestExactDrift:
             X = np.atleast_2d(X)
             return np.einsum("ij,ij->i", X, X)
 
-        mean, hw = mc_drift(stable_2d, V, x, samples=200_000, seed=1)
+        (mean,), (hw,) = mc_drift(stable_2d, V, x, samples=200_000, seed=1)
         assert abs(mean - exact) <= hw + 1e-6
 
     def test_non_pd_q_rejected(self, stable_2d):
@@ -68,12 +70,12 @@ class TestMcDrift:
         V = lambda X: np.abs(np.atleast_2d(X)[:, 0])
         a = mc_drift(random_walk, V, [3.0], samples=5000, seed=9)
         b = mc_drift(random_walk, V, [3.0], samples=5000, seed=9)
-        assert a == b
+        assert all(np.array_equal(p, q) for p, q in zip(a, b))
 
     def test_antithetic_zero_variance_on_symmetric_abs(self, random_walk):
         # |3 + w| + |3 - w| = 6 exactly for |w| <= 1: pair means vanish.
         V = lambda X: np.abs(np.atleast_2d(X)[:, 0])
-        mean, hw = mc_drift(random_walk, V, [3.0], samples=1000, seed=0)
+        (mean,), (hw,) = mc_drift(random_walk, V, [3.0], samples=1000, seed=0)
         assert mean == pytest.approx(0.0, abs=1e-14)
         assert hw == pytest.approx(0.0, abs=1e-14)
 
@@ -82,7 +84,7 @@ class TestMcDrift:
         # swamp it, antithetic pairing must give a non-positive interval.
         cert = synthesize_logarithmic(rotation_system, unit_ball_2d, seed=0)
         x = np.array([np.exp(10.0), 0.1])
-        mean, hw = mc_drift(rotation_system, cert.drift_values, x, samples=100_000, seed=3)
+        (mean,), (hw,) = mc_drift(rotation_system, cert.drift_values, x, samples=100_000, seed=3)
         assert mean + hw <= 0.0
 
     def test_non_finite_v_reported(self, random_walk):
@@ -92,6 +94,124 @@ class TestMcDrift:
 
         with pytest.raises(ValueError):
             mc_drift(random_walk, V, [-5.0], samples=1000, seed=0)
+
+
+# ---------------------------------------------------------------------------
+# Monte Carlo drift on rows (noise of more than three dimensions)
+# ---------------------------------------------------------------------------
+
+def _wide_quadratic_case():
+    """A 4-D stable system with 4-D uniform noise and V = x'Qx given as a
+    custom certificate, so only the Monte Carlo path applies to it."""
+    system = LinearSystem(
+        A=random_stable_matrix(4, np.random.default_rng(4), rho=0.8),
+        B=np.eye(4),
+        noise=NoiseModel.uniform([1.0, 0.5, 2.0, 1.5]),
+    )
+    Q = np.array([[2.0, 0.3, 0.0, 0.1], [0.3, 1.0, 0.2, 0.0], [0.0, 0.2, 1.5, 0.4], [0.1, 0.0, 0.4, 1.0]])
+    cert = CustomCertificate(
+        drift=lambda X: quadratic_form(X, Q),
+        variant=lambda X: quadratic_form(X, Q) - 0.5,
+        h=lambda r: r,
+        delta=0.1,
+        compact_radius=1.0,
+        level_radius=math.sqrt,
+    )
+    return system, Q, cert
+
+
+def _single_state_cases():
+    """(system, V, x, samples, seed) for one-state mc_drift calls with noise
+    of 1, 2, 4 and 5 dimensions, uniform and Gaussian, linear and polynomial."""
+    walk = cx.random_walk_system()
+    yield walk, lambda X: np.atleast_2d(X)[:, 0] ** 2, [3.0], 2000, 4
+    rot = LinearSystem(A=[[0.0, -1.0], [1.0, 0.0]], B=np.eye(2), noise=NoiseModel.gaussian(0.8 * np.eye(2)))
+    yield rot, lambda X: np.sqrt(np.log1p(np.einsum("ij,ij->i", X, X))), [5.0, -2.0], 4000, 7
+    wide = LinearSystem(A=0.5 * np.eye(4), B=np.eye(4), noise=NoiseModel.uniform([1.0, 0.5, 2.0, 1.0]))
+    yield wide, lambda X: np.einsum("ij,ij->i", X, X), [1.0, 2.0, -1.0, 0.5], 3000, 11
+    rng = np.random.default_rng(3)
+    cov = np.diag([1.0, 0.5, 2.0, 0.3, 1.5])
+    five = LinearSystem(
+        A=0.3 * rng.standard_normal((3, 3)), B=rng.standard_normal((3, 5)), noise=NoiseModel.gaussian(cov)
+    )
+    yield five, lambda X: np.log1p(np.einsum("ij,ij->i", X, X)), [2.0, -1.0, 4.0], 5000, 13
+    yield cx.example1_system(), cx._example1_drift, [3.0, 1.0], 2000, 2
+
+
+# sha256 of the JSON list of (mean, half-width) of the cases above, taken
+# when mc_drift estimated one state per call: a lone row keeps its stream
+# (seed, 0) and its bits now that mc_drift takes rows.
+PINNED_SINGLE_STATE_DIGEST = "61eee0645a3db9e1393db092a3ef4ae1d925cc348f2972f6fc6a8463c831a79e"
+
+
+class TestMcDriftRows:
+    def test_estimates_cover_the_exact_drift(self):
+        system, Q, cert = _wide_quadratic_case()
+        rng = np.random.default_rng(8)
+        X = np.concatenate([_sphere_points(4, 50, r, rng) for r in (0.5, 2.0, 8.0, 32.0)])
+        est, hw = mc_drift(system, cert.drift_values, X, samples=2000, seed=17)
+        assert est.shape == hw.shape == (200,)
+        exact = _exact_quadratic_drift_batch(system, Q, X)
+        assert np.mean(np.abs(est - exact) <= hw) >= 0.99
+
+    def test_row_slices_do_not_change_results(self, monkeypatch):
+        system, _, cert = _wide_quadratic_case()
+        X = _sphere_points(4, 20, 3.0, np.random.default_rng(2))
+        whole = mc_drift(system, cert.drift_values, X, samples=1000, seed=6)
+        monkeypatch.setattr("reachcert.verify.CUBATURE_ROWS", 1500)  # 3 points per slice
+        sliced = mc_drift(system, cert.drift_values, X, samples=1000, seed=6)
+        # As for cubature: agreement to rounding of the V values.
+        atol = 16 * np.finfo(float).eps * float(np.abs(cert.drift_values(X)).max())
+        np.testing.assert_allclose(sliced[0], whole[0], rtol=0, atol=atol)
+        np.testing.assert_allclose(sliced[1], whole[1], rtol=0, atol=atol)
+
+    def test_row_i_draws_from_stream_i(self):
+        # Reference: the antithetic estimator of row i written out with the
+        # noise of stream (seed, i) drawn by hand.
+        system, _, cert = _wide_quadratic_case()
+        X = _sphere_points(4, 5, 2.0, np.random.default_rng(3))
+        est, hw = mc_drift(system, cert.drift_values, X, samples=1000, seed=9)
+        for i, x in enumerate(X):
+            W = reference_noise_draw(system.noise, TrajectorySeed(9, i).rng(), 500)
+            ax = system.A @ x
+            pair = 0.5 * (cert.drift_values(ax + W) + cert.drift_values(ax - W))
+            diffs = pair - cert.drift_values(x)[0]
+            assert est[i] == pytest.approx(diffs.mean(), rel=1e-12, abs=1e-12)
+            assert hw[i] == pytest.approx(3.0 * diffs.std(ddof=1) / np.sqrt(500), rel=1e-9)
+
+    def test_single_state_bits_pinned(self):
+        out = []
+        for system, V, x, samples, seed in _single_state_cases():
+            (mean,), (hw,) = mc_drift(system, V, x, samples=samples, seed=seed)
+            out.append([float(mean), float(hw)])
+        assert hashlib.sha256(json.dumps(out).encode()).hexdigest() == PINNED_SINGLE_STATE_DIGEST
+
+    def test_drift_expectation_picks_the_estimator(self, rotation_system, unit_ball_2d):
+        cert = synthesize_logarithmic(rotation_system, unit_ball_2d, seed=0)
+        X = _sphere_points(2, 8, 20.0, np.random.default_rng(1))
+        got = drift_expectation(rotation_system, cert.drift_values, X, 1000, 5)
+        want = cubature_drift(rotation_system, cert.drift_values, X, CUBATURE_ORDERS[2])
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+        system, _, wide = _wide_quadratic_case()
+        X = _sphere_points(4, 8, 2.0, np.random.default_rng(1))
+        got = drift_expectation(system, wide.drift_values, X, 1000, 5)
+        want = mc_drift(system, wide.drift_values, X, samples=1000, seed=5)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+    def test_composite_with_four_noise_dimensions(self):
+        # rotation(pi/4) (+) diag(0.5, 0.3): the unit part's scan and the
+        # drift report both estimate by Monte Carlo (m = 4).
+        A = np.zeros((4, 4))
+        A[:2, :2] = rotation_matrix(np.pi / 4)
+        A[2:, 2:] = np.diag([0.5, 0.3])
+        system = LinearSystem(A=A, B=np.eye(4), noise=NoiseModel.uniform([1.0] * 4))
+        cert = synthesize_composite(system, TargetBall(center=np.zeros(4), radius=1.0), seed=0)
+        assert cert.unit_cert.compact_radius_star == 2.0 * math.e
+        r = cert.compact_radius
+        plan = ShellPlan(radii=(r, 2.0 * r), points_per_shell=8, noise_samples=2000, seed=1)
+        report = verify_drift(system, cert, plan=plan)
+        assert (report.method, report.rule_orders) == ("monte-carlo", ())
+        assert len(report.shell_worst) == 2
 
 
 class TestVerifyDrift:
@@ -335,7 +455,7 @@ class TestCubatureDrift:
                     # One stream per point, as in verify_drift: a shared
                     # seed would make the Monte Carlo misses correlated.
                     seed = 7919 * (5 * k + j) + i
-                    mean, hw = mc_drift(system, cert.drift_values, x, samples=10_000, seed=seed)
+                    (mean,), (hw,) = mc_drift(system, cert.drift_values, x, samples=10_000, seed=seed)
                     assert (est[i] - err[i] > tols[i]) == (mean - hw > tols[i])
                     total += 1
                     inside += abs(est[i] - mean) <= hw
