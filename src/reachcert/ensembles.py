@@ -6,11 +6,14 @@ Every trajectory owns an independent RNG stream derived from
 independent of batching or thread scheduling (up to the last bit where a
 batch steps a single row through a factor that is not the identity: numpy
 sends a one-row product to gemv).
-`simulate`, `hitting_stats` and `ensemble_states` observe one block
-kernel, `_run`: noise is drawn NOISE_CHUNK steps at a time per trajectory
-into one buffer per batch of BATCH_SIZE trajectories, and stepped in
-sub-blocks of about SUBBLOCK_BYTES of state, after each of which the
-observer finds first hits and overflows with array operations.  Neither
+`simulate`, `hitting_stats`, `ensemble_states` and `decay_exponent`
+observe one block kernel, `_run`: noise is drawn NOISE_CHUNK steps at a
+time per trajectory into one buffer per batch, and stepped in sub-blocks
+of about SUBBLOCK_BYTES of state, after each of which the observer finds
+first hits and overflows with array operations.  A batch is sized by its
+noise buffer, NOISE_BYTES whatever the noise dimension, and a decay fit
+keeps only each batch's ball counts at the grid steps, so an ensemble's
+memory depends on neither its trajectory count nor its grid.  Neither
 length changes any trajectory: a chunked ensemble replays exactly the
 stream of a single-trajectory simulation.  A factor A or B that is exactly
 the identity is not multiplied, so the random walk x + Bw pays for its
@@ -45,10 +48,9 @@ NOISE_CHUNK = 1024
 # cache and off the peak RSS, large enough that the per-pass array calls
 # are paid once per ~65 steps of a 1000-trajectory, 2D ensemble.
 SUBBLOCK_BYTES = 1 << 20
-# Trajectories per batch of hitting_stats and ensemble_states: a batch's
-# noise buffer is BATCH_SIZE x NOISE_CHUNK x m doubles (about 100 MB at
-# m = 3), one per worker thread.
-BATCH_SIZE = 4096
+# Bytes of a batch's noise buffer, one per worker thread: a default batch
+# is NOISE_BYTES // (NOISE_CHUNK * m * 8) trajectories, 2048 at m = 3.
+NOISE_BYTES = 48 << 20
 
 
 def _max_workers() -> int:
@@ -58,10 +60,20 @@ def _max_workers() -> int:
         return 1
 
 
-def _map_batches(run, n_traj: int, batch_size: int) -> list:
-    """``run`` on consecutive trajectory-index batches, in order, on up to
-    ``_max_workers()`` threads."""
-    batches = [list(range(s, min(s + batch_size, n_traj))) for s in range(0, n_traj, batch_size)]
+def _batch_rows(m: int) -> int:
+    """Default trajectories per batch for noise of dimension m: a noise
+    buffer of NOISE_BYTES."""
+    return max(1, NOISE_BYTES // (NOISE_CHUNK * m * 8))
+
+
+def _map_batches(run, system, n_traj: int, batch_size: int | None) -> list:
+    """``run`` on consecutive trajectory-index ranges of ``batch_size``
+    (default ``_batch_rows``), in order, on up to ``_max_workers()`` threads."""
+    if batch_size is None:
+        batch_size = _batch_rows(system.noise.dimension)
+    elif batch_size < 1:
+        raise ValueError(f"batch_size must be at least 1, got {batch_size}")
+    batches = [range(s, min(s + batch_size, n_traj)) for s in range(0, n_traj, batch_size)]
     workers = _max_workers()
     if workers > 1 and len(batches) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -291,7 +303,7 @@ def hitting_stats(
     horizon: int,
     base_seed: int,
     divergence_threshold: float | None = None,
-    batch_size: int = BATCH_SIZE,
+    batch_size: int | None = None,
 ) -> EnsembleStats:
     """First-hit and divergence statistics over a seeded ensemble.
 
@@ -302,7 +314,7 @@ def hitting_stats(
     threshold (default 1e6 * (1 + ||x0||)) without hitting.
     """
     if n_traj < 1:
-        raise ValueError("need at least one trajectory")
+        raise ValueError(f"n_traj must be at least 1, got {n_traj}")
     x0 = np.asarray(x0, dtype=float).reshape(-1)
     if divergence_threshold is None:
         divergence_threshold = 1e6 * (1.0 + float(np.linalg.norm(x0)))
@@ -310,7 +322,7 @@ def hitting_stats(
     def run(indices):
         return _hitting_batch(system, target, x0, indices, horizon, base_seed, divergence_threshold)
 
-    results = _map_batches(run, n_traj, batch_size)
+    results = _map_batches(run, system, n_traj, batch_size)
     hit_times = np.concatenate([r[0] for r in results])
     divergent = np.concatenate([r[1] for r in results])
     overflowed = np.concatenate([r[2] for r in results])
@@ -336,31 +348,35 @@ def hitting_stats(
     )
 
 
-def _snapshot_batch(system, x0, indices, ks, base_seed):
-    """States of the given trajectories at each step in ks (sorted)."""
+def _snapshot_batch(system, x0, indices, ks, base_seed, reduce):
+    """{k: reduce(states at step k)} of the given trajectories for each k
+    in ks (sorted); ``reduce`` sees an (rows, n) view that is overwritten
+    later, and returns what the caller keeps of it."""
     X0 = np.tile(np.asarray(x0, dtype=float), (len(indices), 1))
-    out = {0: X0} if ks and ks[0] == 0 else {}
+    out = {0: reduce(X0)} if ks and ks[0] == 0 else {}
 
     def record(k, live, S):
         for kk in ks:
             if k < kk <= k + len(S):
-                out[kk] = S[kk - k - 1].copy()
+                out[kk] = reduce(S[kk - k - 1])
 
     rngs = [TrajectorySeed(base_seed, i).rng() for i in indices]
     _run(system, X0, rngs, max(ks, default=0), record)
     return out
 
 
-def ensemble_states(system, x0, ks, n_traj: int, base_seed: int, batch_size: int = BATCH_SIZE):
+def ensemble_states(system, x0, ks, n_traj: int, base_seed: int, batch_size: int | None = None):
     """Snapshot ensemble states at the requested steps: {k: (n_traj, n) array}."""
     ks = sorted(set(int(k) for k in ks))
     if any(k < 0 for k in ks):
         raise ValueError("snapshot steps must be non-negative")
+    if n_traj < 1:
+        raise ValueError(f"n_traj must be at least 1, got {n_traj}")
 
     def run(indices):
-        return _snapshot_batch(system, x0, indices, ks, base_seed)
+        return _snapshot_batch(system, x0, indices, ks, base_seed, np.copy)
 
-    results = _map_batches(run, n_traj, batch_size)
+    results = _map_batches(run, system, n_traj, batch_size)
     return {k: np.concatenate([r[k] for r in results], axis=0) for k in ks}
 
 
@@ -375,7 +391,8 @@ def decay_exponent(
     """Log-log slope of the ball-occupancy probability P(x_k in ball) vs k.
 
     Starts at the origin by default.  Grid points with zero occupancy are
-    dropped; at least 4 usable points are required for the fit.
+    dropped; at least 4 usable points are required for the fit.  Only ball
+    counts are kept, so memory does not grow with n_traj or the grid.
     """
     n = system.dimension
     if x0 is None:
@@ -385,9 +402,20 @@ def decay_exponent(
     ks = sorted(set(int(k) for k in k_grid))
     if any(k < 1 for k in ks):
         raise ValueError("k_grid entries must be >= 1")
+    if n_traj < 1:
+        raise ValueError(f"n_traj must be at least 1, got {n_traj}")
 
-    states = ensemble_states(system, x0, ks, n_traj, base_seed)
-    p_hat = np.array([float(_member_rows(ball, states[k]).mean()) for k in ks])
+    def count(X):
+        return int(np.count_nonzero(_member_rows(ball, X)))
+
+    def run(indices):
+        return _snapshot_batch(system, x0, indices, ks, base_seed, count)
+
+    # Each batch keeps one ball count per grid step.  The summed count is
+    # exact, and one correctly rounded division by n_traj gives the bits of
+    # the mean of the whole ensemble's membership mask.
+    counts = _map_batches(run, system, n_traj, None)
+    p_hat = np.array([sum(c[k] for c in counts) / n_traj for k in ks])
 
     usable = p_hat > 0.0
     dropped = int(np.sum(~usable))

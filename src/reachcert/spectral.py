@@ -43,9 +43,6 @@ class UnitCluster:
     geometric: int
     block_size: int  # largest Jordan block attached to this cluster
 
-    def is_real(self) -> bool:
-        return self.eigenvalue.imag == 0.0
-
 
 @dataclass(frozen=True)
 class SpectralReport:
@@ -58,10 +55,6 @@ class SpectralReport:
     d_max_unit: int = 0
     stable_part_rho: float = 0.0
     ambiguous_clustering: bool = False
-
-    @property
-    def has_unit_eigenvalues(self) -> bool:
-        return bool(self.unit_clusters)
 
     def to_dict(self) -> dict:
         return {

@@ -129,7 +129,21 @@ class NoiseModel:
         if len(rngs) == 1 and out[:, 0].flags.c_contiguous:
             lone = out[:, 0]
             if gaussian:
-                np.matmul(rngs[0].standard_normal((length, m)), self._chol.T, out=lone)
+                # Drawn in place, then multiplied a stage of rows at a time
+                # (numpy copies each overlapping input piece first).  A
+                # piece of two or more rows takes gemm like the whole
+                # product and keeps its bits; a lone last row would take
+                # gemv, so it joins the piece before it.
+                rngs[0].standard_normal(out=lone)
+                rows = max(2, STAGE_BYTES // (8 * m))
+                start = 0
+                while start < length:
+                    end = start + rows
+                    if end + 1 >= length:
+                        end = length
+                    piece = lone[start:end]
+                    np.matmul(piece, self._chol.T, out=piece)
+                    start = end
                 return out
             # A stage of values at a time, each scaled while in cache; the
             # uniform fill is sequential, so the pieces join bit for bit.

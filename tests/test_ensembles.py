@@ -16,7 +16,7 @@ from reachcert import (
     simulate,
 )
 from reachcert.counterexamples import example1_system
-from reachcert.ensembles import BATCH_SIZE, NOISE_CHUNK, OVERFLOW_GUARD, _hitting_batch, _member_rows
+from reachcert.ensembles import NOISE_CHUNK, OVERFLOW_GUARD, _batch_rows, _hitting_batch, _member_rows
 from reachcert.systems import sample_noise, step_batch
 
 
@@ -295,17 +295,22 @@ class TestEnsembleStates:
     @pytest.mark.parametrize("case", sorted(INVARIANCE_SYSTEMS))
     def test_batch_and_thread_invariant(self, case, monkeypatch):
         system, x0 = INVARIANCE_SYSTEMS[case]
-        # 4099 = 585 * 7 + 4 = 4096 + 3: no setting leaves a batch of one
-        # row, which numpy steps by gemv and may round differently.
-        n_traj = BATCH_SIZE + 3
         # Short chunks keep the test quick and still reuse the noise buffer
-        # across chunk boundaries, the last chunk a partial one.
+        # across chunk boundaries, the last chunk a partial one; the budget
+        # shrinks with them, so the default batch keeps its size.
+        monkeypatch.setattr(ensembles, "NOISE_BYTES", ensembles.NOISE_BYTES * 128 // NOISE_CHUNK)
         monkeypatch.setattr(ensembles, "NOISE_CHUNK", 128)
+        # The default batch + 3 (2051 = 293 * 7 at m = 3, 3075 = 439 * 7 + 2
+        # at m = 2): no setting leaves a batch of one row, which numpy steps
+        # by gemv and may round differently.
+        default = _batch_rows(system.noise.dimension)
+        assert default == _batch_rows(1) // system.noise.dimension
+        n_traj = default + 3
         ks = [0, 1, 37, 300]
         want = None
         for threads in ("1", "2"):
             monkeypatch.setenv("REACHCERT_THREADS", threads)
-            for batch_size in (7, BATCH_SIZE, 20_000):
+            for batch_size in (7, None, 20_000):
                 got = ensemble_states(system, x0, ks, n_traj, base_seed=21, batch_size=batch_size)
                 if want is None:
                     want = got
@@ -313,16 +318,30 @@ class TestEnsembleStates:
                     assert np.array_equal(got[k], want[k]), (threads, batch_size, k)
 
     def test_noise_memory_is_bounded_by_the_batch(self, monkeypatch):
-        # Noise is drawn into one (NOISE_CHUNK, batch, m) buffer per batch,
-        # so the peak stays near one batch's buffer, whatever n_traj is.
+        # A default batch draws its noise into one (NOISE_CHUNK, batch, m)
+        # buffer of NOISE_BYTES, so the peak stays near that budget whatever
+        # n_traj and the noise dimension are.
         monkeypatch.setenv("REACHCERT_THREADS", "1")
-        tracemalloc.start()
-        try:
-            ensemble_states(IDENTITY_3D, [0.0, 0.0, 0.0], [NOISE_CHUNK], 8192, base_seed=0)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 1.25 * BATCH_SIZE * NOISE_CHUNK * 3 * 8
+        for m in (1, 3, 8):
+            system = LinearSystem(A=np.eye(m), B=np.eye(m), noise=NoiseModel.uniform([1.0] * m))
+            tracemalloc.start()
+            try:
+                ensemble_states(system, np.zeros(m), [NOISE_CHUNK], 2 * _batch_rows(m) + 2, base_seed=0)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 1.25 * ensembles.NOISE_BYTES, m
+
+    def test_rejects_no_trajectories(self, random_walk):
+        with pytest.raises(ValueError, match="n_traj"):
+            ensemble_states(random_walk, [0.0], [1], 0, base_seed=0)
+
+    def test_rejects_empty_batches(self, random_walk, unit_ball_1d):
+        # _map_batches checks the size for every ensemble kind.
+        with pytest.raises(ValueError, match="batch_size"):
+            ensemble_states(random_walk, [0.0], [1], 10, base_seed=0, batch_size=0)
+        with pytest.raises(ValueError, match="batch_size"):
+            hitting_stats(random_walk, unit_ball_1d, [5.0], 10, 10, base_seed=0, batch_size=-1)
 
     def test_step_zero(self, random_walk):
         states = ensemble_states(random_walk, [3.0], [0], 4, base_seed=0)
@@ -353,3 +372,64 @@ class TestDecayExponent:
                 base_seed=0,
                 x0=[50.0],
             )
+
+    def test_rejects_no_trajectories(self, random_walk, unit_ball_1d):
+        with pytest.raises(ValueError, match="n_traj"):
+            decay_exponent(random_walk, unit_ball_1d, k_grid=[16, 32, 64, 128], n_traj=0)
+
+
+def _reference_occupancy(system, ball, ks, n_traj, base_seed, x0):
+    """p_hat and slope as decay_exponent computed them from the snapshots
+    of the whole ensemble: its oracle."""
+    states = ensemble_states(system, x0, ks, n_traj, base_seed)
+    p_hat = np.array([float(_member_rows(ball, states[k]).mean()) for k in ks])
+    usable = p_hat > 0.0
+    slope = np.polyfit(np.log(np.asarray(ks, dtype=float)[usable]), np.log(p_hat[usable]), 1)[0]
+    return p_hat, float(slope)
+
+
+DECAY_CASES = {
+    # name: (system, ball, x0)
+    "identity-3d": (IDENTITY_3D, TargetBall(center=[0.0, 0.0, 0.0], radius=3.0), [0.0, 0.0, 0.0]),
+    "walk-1d": (WALK, TargetBall(center=[0.0], radius=1.0), [0.0]),
+    "rotation-offset-weighted": (
+        INVARIANCE_SYSTEMS["rotation-gaussian"][0],
+        TargetBall(center=[0.5, -0.3], radius=3.0, weight=[[2.0, 0.3], [0.3, 1.0]]),
+        [1.0, -2.0],
+    ),
+}
+
+
+class TestDecayCounts:
+    """decay_exponent counts ball members per batch instead of keeping
+    snapshots; the counts must give the bits of the snapshot formula."""
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize("case", sorted(DECAY_CASES))
+    def test_matches_snapshot_formula(self, case, threads, monkeypatch):
+        system, ball, x0 = DECAY_CASES[case]
+        ks = [3, 8, 16, 17, 40, 64]
+        # 600 rows leave no batch of one row, which gemv may round differently.
+        want_p, want_slope = _reference_occupancy(system, ball, ks, 600, 5, x0)
+        # Chunks of 16 steps and batches of 37 // m rows: many of both.
+        monkeypatch.setattr(ensembles, "NOISE_CHUNK", 16)
+        monkeypatch.setattr(ensembles, "NOISE_BYTES", 37 * 16 * 8)
+        monkeypatch.setenv("REACHCERT_THREADS", threads)
+        assert 600 // _batch_rows(system.noise.dimension) >= 16
+        fit = decay_exponent(system, ball, k_grid=ks, n_traj=600, base_seed=5, x0=x0)
+        assert fit.p_hat == tuple(want_p) and fit.dropped == 0
+        assert fit.slope == want_slope
+
+    def test_memory_does_not_grow_with_trajectories(self, monkeypatch):
+        monkeypatch.setenv("REACHCERT_THREADS", "1")
+        ball = TargetBall(center=[0.0, 0.0, 0.0], radius=3.0)
+        n_traj = 2 * _batch_rows(3)
+        peaks = []
+        for scale in (1, 4):
+            tracemalloc.start()
+            try:
+                decay_exponent(IDENTITY_3D, ball, k_grid=[8, 16, 32, 64], n_traj=scale * n_traj, base_seed=3)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 1.1 * peaks[0], peaks

@@ -186,20 +186,29 @@ class TestStagedDraw:
         assert np.array_equal(buf[:, 1], fresh[:, 0])
         assert np.isnan(buf[:, [0, 2]]).all()
 
+    @pytest.mark.parametrize("stage_rows", [2, 3])
+    @pytest.mark.parametrize("length", [2, 3, 4, 5, 7, 10])
+    def test_lone_stream_in_stage_pieces(self, law, stage_rows, length, monkeypatch):
+        # Stages of two or three rows end in pieces of one to three rows; a
+        # Gaussian piece of one row would be multiplied by gemv.
+        noise = LAWS[law]
+        monkeypatch.setattr(systems, "STAGE_BYTES", stage_rows * noise.dimension * 8)
+        self._check(noise, [TrajectorySeed(13, length)], length)
+
 
 def test_lone_stream_needs_no_second_block():
     """A lone stream is drawn straight into out: the draw's peak is out plus
     stage-sized buffers, not a second full-length block."""
-    noise = NoiseModel.uniform([1.0, 2.0])
     count = 2_000_000
-    tracemalloc.start()
-    try:
-        out = sample_noise(noise, TrajectorySeed(4), count)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert out.shape == (count, 2)
-    assert peak < out.nbytes + 4 * systems.STAGE_BYTES
+    for noise in (NoiseModel.uniform([1.0, 2.0]), NoiseModel.gaussian([[1.0, 0.3], [0.3, 0.5]])):
+        tracemalloc.start()
+        try:
+            out = sample_noise(noise, TrajectorySeed(4), count)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.shape == (count, 2)
+        assert peak < out.nbytes + 4 * systems.STAGE_BYTES, noise.kind
 
 
 def _sha256(a):
