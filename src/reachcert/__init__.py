@@ -44,7 +44,6 @@ from .systems import (
     TrajectorySeed,
     load_system,
     sample_noise,
-    step,
     step_batch,
     system_to_dict,
 )
@@ -97,7 +96,6 @@ __all__ = [
     "TrajectorySeed",
     "load_system",
     "sample_noise",
-    "step",
     "step_batch",
     "system_to_dict",
     "DriftReport",

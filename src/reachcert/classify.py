@@ -19,9 +19,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .linalg import DEFAULT_RANK_TOL, numerical_rank
 from .spectral import DEFAULT_UNIT_TOL, SpectralReport, analyze
-from .systems import LinearSystem, TargetBall
+from .systems import LinearSystem, TargetBall, contains
 
 __all__ = ["Outcome", "Verdict", "classify"]
 
@@ -64,7 +66,7 @@ def classify(
     """Map (A, B, noise, target) to a reachability verdict with its trace."""
     if target.dimension != system.dimension:
         raise ValueError("target dimension does not match the system")
-    if not target.contains_origin():
+    if not contains(target, np.zeros((1, target.dimension)))[0]:
         raise ValueError("the target set must contain the origin")
 
     report = analyze(system.A, unit_tol=unit_tol, rank_tol=rank_tol)

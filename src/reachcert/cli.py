@@ -54,6 +54,8 @@ class ConfigError(Exception):
 
 def _resolve_target(args, from_file: TargetBall | None, dimension: int) -> TargetBall:
     """Target from CLI flags, falling back to the system file's target block."""
+    if args.target_center is not None and args.target_radius is None:
+        raise ConfigError("--target-center needs --target-radius")
     if args.target_radius is not None:
         center = np.zeros(dimension)
         if args.target_center is not None:
@@ -291,6 +293,12 @@ def _positive_int(text: str) -> int:
     return int(text)
 
 
+def _nonnegative_int(text: str) -> int:
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def _add_common(p):
     p.add_argument("--system", required=True, help="system description JSON file")
     p.add_argument("--target-radius", type=float, default=None)
@@ -331,11 +339,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="ensemble hitting/divergence statistics")
     _add_common(p)
     p.add_argument("--x0", default=None, help="comma-separated initial state (default: origin)")
-    p.add_argument("--horizon", type=int, default=10_000)
-    p.add_argument("--trajectories", type=int, default=1000)
+    p.add_argument("--horizon", type=_nonnegative_int, default=10_000)
+    p.add_argument("--trajectories", type=_positive_int, default=1000)
     p.add_argument("--decay", action="store_true", help="fit the occupancy decay exponent")
     p.add_argument("--csv", action="store_true", help="emit trajectory/occupancy CSVs")
-    p.add_argument("--csv-trajectories", type=int, default=10, help="trajectories to dump to CSV")
+    p.add_argument("--csv-trajectories", type=_nonnegative_int, default=10, help="trajectories to dump to CSV")
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("repro", help="reproduce the counterexample constructions")

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .certificates import CustomCertificate
-from .systems import LinearSystem, NoiseModel, PolynomialSystem, TargetBall, TrajectorySeed
+from .systems import LinearSystem, NoiseModel, PolynomialSystem, TargetBall, TrajectorySeed, step_batch
 from .verify import DriftReport, ShellPlan, VariantReport, drift_expectation, verify_drift, verify_variant
 
 __all__ = [
@@ -122,7 +122,7 @@ def example1_simulate_log2(instance: Example1Instance, w_seq):
     log2_xi = [math.log2(x[0])]
     eta = [x[1]]
     for k in range(instance.k_star):
-        x = np.asarray(system._transition(x, w[k : k + 1]), dtype=float)
+        x = step_batch(system, x[None], w[None, k : k + 1])[0]
         log2_xi.append(math.log2(x[0]))
         eta.append(x[1])
     return np.asarray(log2_xi), np.asarray(eta)
@@ -301,8 +301,8 @@ def example1_verify_log_certificate(
     )
     drift_report = verify_drift(system, cert, plan=plan)
 
-    def in_unit_box(x):
-        return 0.0 < x[0] < 1.0 and 0.0 < x[1] < 1.0
+    def in_unit_box(X):
+        return np.all((X > 0.0) & (X < 1.0), axis=1)
 
     variant_report = verify_variant(
         system, cert, target=in_unit_box, samples=samples, seed=seed

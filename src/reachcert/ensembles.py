@@ -10,14 +10,15 @@ sends a one-row product to gemv).
 observe one block kernel, `_run`: noise is drawn NOISE_CHUNK steps at a
 time per trajectory into one buffer per batch, and stepped in sub-blocks
 of about SUBBLOCK_BYTES of state, after each of which the observer finds
-first hits and overflows with array operations.  A batch is sized by its
-noise buffer, NOISE_BYTES whatever the noise dimension, and a decay fit
-keeps only each batch's ball counts at the grid steps, so an ensemble's
-memory depends on neither its trajectory count nor its grid.  Neither
-length changes any trajectory: a chunked ensemble replays exactly the
-stream of a single-trajectory simulation.  A factor A or B that is exactly
-the identity is not multiplied, so the random walk x + Bw pays for its
-additions only; the states keep the bits of step_batch.
+first hits (`systems.contains`) and overflows with array operations.  A
+batch is sized by its noise buffer, NOISE_BYTES whatever the noise
+dimension, and a decay fit keeps only each batch's ball counts at the
+grid steps, so an ensemble's memory depends on neither its trajectory
+count nor its grid.  Neither length changes any trajectory: a chunked
+ensemble replays exactly the stream of a single-trajectory simulation.
+A factor A or B that is exactly the identity is not multiplied, so the
+random walk x + Bw pays for its additions only; the states keep the bits
+of step_batch.
 """
 
 from __future__ import annotations
@@ -28,8 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import quadratic_form
-from .systems import LinearSystem, TargetBall, TrajectorySeed, step_batch
+from .systems import LinearSystem, TrajectorySeed, contains, step_batch
 
 __all__ = [
     "Trajectory",
@@ -129,19 +129,6 @@ class DecayFit:
             "dropped": self.dropped,
             "trajectories": self.trajectories,
         }
-
-
-def _member_rows(target, X: np.ndarray) -> np.ndarray:
-    """Row-wise membership; target is a TargetBall or an (N, n) -> bool mask."""
-    if callable(target):
-        return np.asarray(target(X), dtype=bool)
-    # Subtracting a zero centre is exact, so skipping it changes no bit.
-    D = X - target.center if target.center.any() else X
-    if target.weight is None:
-        sq = np.einsum("ij,ij->i", D, D)
-    else:
-        sq = quadratic_form(D, target.weight)
-    return sq < target.radius**2
 
 
 def _factors(system):
@@ -269,7 +256,7 @@ def _hitting_batch(system, target, x0, indices, horizon, base_seed, threshold):
     X0 = np.tile(np.asarray(x0, dtype=float), (nb, 1))
     hit_time = np.full(nb, -1, dtype=np.int64)
     overflowed = np.zeros(nb, dtype=bool)
-    initial = _member_rows(target, X0)
+    initial = contains(target, X0)
     hit_time[initial] = 0
     start = np.flatnonzero(~initial)
 
@@ -277,7 +264,7 @@ def _hitting_batch(system, target, x0, indices, horizon, base_seed, threshold):
         s, r, n = S.shape
         rows = start[live]
         t_over = _first_overflow(S)
-        t_hit = _first(_member_rows(target, S.reshape(-1, n)).reshape(s, r))
+        t_hit = _first(contains(target, S.reshape(-1, n)).reshape(s, r))
         # A row's first event decides; an overflow wins a tie with a hit.
         hits = t_hit < t_over
         hit_time[rows[hits]] = k + 1 + t_hit[hits]
@@ -307,8 +294,8 @@ def hitting_stats(
 ) -> EnsembleStats:
     """First-hit and divergence statistics over a seeded ensemble.
 
-    ``target`` is a TargetBall or a callable mapping an (N, n) state
-    array to a boolean membership mask (for non-ball regions).
+    ``target`` is a TargetBall or, for a non-ball region, a callable
+    mapping an (N, n) state array to a row mask (`systems.contains`).
     Trajectories freeze at their first target hit; a trajectory is
     divergent if it overflowed or its final state norm exceeds the
     threshold (default 1e6 * (1 + ||x0||)) without hitting.
@@ -382,7 +369,7 @@ def ensemble_states(system, x0, ks, n_traj: int, base_seed: int, batch_size: int
 
 def decay_exponent(
     system,
-    ball: TargetBall,
+    ball,
     k_grid=None,
     n_traj: int = 100_000,
     base_seed: int = 0,
@@ -390,6 +377,7 @@ def decay_exponent(
 ) -> DecayFit:
     """Log-log slope of the ball-occupancy probability P(x_k in ball) vs k.
 
+    ``ball`` is a TargetBall or a callable row mask, as in `hitting_stats`.
     Starts at the origin by default.  Grid points with zero occupancy are
     dropped; at least 4 usable points are required for the fit.  Only ball
     counts are kept, so memory does not grow with n_traj or the grid.
@@ -406,7 +394,7 @@ def decay_exponent(
         raise ValueError(f"n_traj must be at least 1, got {n_traj}")
 
     def count(X):
-        return int(np.count_nonzero(_member_rows(ball, X)))
+        return int(np.count_nonzero(contains(ball, X)))
 
     def run(indices):
         return _snapshot_batch(system, x0, indices, ks, base_seed, count)

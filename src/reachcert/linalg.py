@@ -1,8 +1,8 @@
 """Dense real-matrix primitives used throughout the toolkit.
 
 Eigenvalue clustering, spectral radius, a checked discrete Lyapunov solve,
-SVD-based numerical rank, and weighted norms.  Everything targets small
-dense matrices (desk scale, n up to a few dozen).
+SVD-based numerical rank, and row-wise quadratic forms.  Everything
+targets small dense matrices (desk scale, n up to a few dozen).
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ __all__ = [
     "spectral_radius",
     "solve_discrete_lyapunov",
     "numerical_rank",
-    "weighted_norm",
     "quadratic_form",
     "is_symmetric_positive_definite",
 ]
@@ -33,19 +32,14 @@ class LinalgError(ValueError):
     """Raised for invalid inputs or failed numerical guarantees."""
 
 
-def _as_matrix(M, name="matrix"):
+def _as_square(M, name="matrix"):
     M = np.asarray(M, dtype=float)
     if M.ndim == 1:
-        M = M.reshape(1, -1) if M.size > 1 else M.reshape(1, 1)
+        M = M.reshape(1, -1)
     if M.ndim != 2:
         raise LinalgError(f"{name} must be 2-dimensional, got shape {M.shape}")
     if not np.all(np.isfinite(M)):
         raise LinalgError(f"{name} has non-finite entries")
-    return M
-
-
-def _as_square(M, name="matrix"):
-    M = _as_matrix(M, name)
     if M.shape[0] != M.shape[1]:
         raise LinalgError(f"{name} must be square, got shape {M.shape}")
     return M
@@ -192,16 +186,6 @@ def numerical_rank(M, rank_tol: float = DEFAULT_RANK_TOL) -> int:
     if s.size == 0 or s[0] == 0.0:
         return 0
     return int(np.sum(s > rank_tol * s[0]))
-
-
-def weighted_norm(x, Q) -> float:
-    """Weighted vector norm sqrt(x' Q x) for symmetric PD Q."""
-    x = np.asarray(x, dtype=float).reshape(-1)
-    Q = _as_square(Q, "Q")
-    if Q.shape[0] != x.size:
-        raise LinalgError(f"dimension mismatch: x has {x.size} entries, Q is {Q.shape[0]}x{Q.shape[0]}")
-    val = float(x @ Q @ x)
-    return float(np.sqrt(max(val, 0.0)))
 
 
 def quadratic_form(X, M) -> np.ndarray:

@@ -2,11 +2,13 @@
 target balls, and seeded reproducible sampling.
 
 The dynamics are ``x_{k+1} = f(x_k, w_k)`` with i.i.d. zero-mean noise
-``w_k``.  The linear special case is ``f(x, w) = A x + B w``.  Target
-sets are open balls (Euclidean or weighted by a PD matrix).  The noise
-law lives in `NoiseModel`, which alone draws noise and builds its Gauss
-rules; all noise sampling is driven by explicit per-trajectory seeds so
-ensembles are reproducible regardless of execution order.
+``w_k``.  The linear special case is ``f(x, w) = A x + B w``.  States
+are the rows of an (N, n) array, both for `step_batch` and for
+`contains`, whose target is an open ball (Euclidean or weighted by a PD
+matrix) or a callable row mask.  The noise law lives in `NoiseModel`,
+which alone draws noise and builds its Gauss rules; all noise sampling
+is driven by explicit per-trajectory seeds so ensembles are reproducible
+regardless of execution order.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import LinalgError, is_symmetric_positive_definite, weighted_norm
+from .linalg import is_symmetric_positive_definite, quadratic_form
 
 __all__ = [
     "NoiseModel",
@@ -25,12 +27,10 @@ __all__ = [
     "TargetBall",
     "TrajectorySeed",
     "sample_noise",
-    "step",
     "step_batch",
     "contains",
     "load_system",
     "system_to_dict",
-    "OverflowInStep",
 ]
 
 UNIFORM_KINDS = ("uniform-box", "uniform-interval-product")
@@ -38,10 +38,6 @@ UNIFORM_KINDS = ("uniform-box", "uniform-interval-product")
 # row before copying it into the time-major block: small enough to stay in
 # cache, large enough that each step's copy writes a run of many streams.
 STAGE_BYTES = 1 << 20
-
-
-class OverflowInStep(ArithmeticError):
-    """A transition produced a non-finite state."""
 
 
 def _scale_uniform(u, h):
@@ -274,9 +270,6 @@ def _compile_transition(exprs, n, m):
         parsed.append(e)
     fn = sympy.lambdify(list(xs) + list(ws), parsed, modules="numpy")
 
-    def transition(x, w):
-        return np.asarray(fn(*x, *w), dtype=float)
-
     def transition_batch(X, W):
         N = max(X.shape[0], W.shape[0])
         args = [np.broadcast_to(X[:, i], (N,)) for i in range(X.shape[1])]
@@ -285,7 +278,7 @@ def _compile_transition(exprs, n, m):
         cols = [np.broadcast_to(np.asarray(c, dtype=float), (N,)) for c in out]
         return np.column_stack(cols)
 
-    return transition, transition_batch
+    return transition_batch
 
 
 @dataclass(frozen=True)
@@ -298,7 +291,6 @@ class PolynomialSystem:
 
     transition_exprs: tuple
     noise: NoiseModel
-    _transition: object = field(default=None, repr=False, compare=False)
     _transition_batch: object = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
@@ -307,9 +299,7 @@ class PolynomialSystem:
         n, m = len(exprs), self.noise.dimension
         if n == 0:
             raise ValueError("transition must have at least one coordinate")
-        single, batch = _compile_transition(exprs, n, m)
-        object.__setattr__(self, "_transition", single)
-        object.__setattr__(self, "_transition_batch", batch)
+        object.__setattr__(self, "_transition_batch", _compile_transition(exprs, n, m))
 
     @property
     def dimension(self) -> int:
@@ -348,15 +338,6 @@ class TargetBall:
     @property
     def dimension(self) -> int:
         return self.center.size
-
-    def norm_of(self, v) -> float:
-        v = np.asarray(v, dtype=float).reshape(-1)
-        if self.weight is None:
-            return float(np.linalg.norm(v))
-        return weighted_norm(v, self.weight)
-
-    def contains_origin(self) -> bool:
-        return self.norm_of(-self.center) < self.radius
 
     def to_dict(self) -> dict:
         norm = "euclidean" if self.weight is None else {"weighted": self.weight.tolist()}
@@ -399,30 +380,12 @@ def sample_noise(noise: NoiseModel, seed: TrajectorySeed, count: int) -> np.ndar
     return noise.draw([seed.rng()], count)[:, 0]
 
 
-def step(system, x, w):
-    """One transition x -> f(x, w).  Raises OverflowInStep on non-finite output."""
-    x = np.asarray(x, dtype=float).reshape(-1)
-    w = np.asarray(w, dtype=float).reshape(-1)
-    if x.size != system.dimension:
-        raise ValueError(f"state has {x.size} entries, system dimension is {system.dimension}")
-    if w.size != system.noise_dimension:
-        raise ValueError(f"noise has {w.size} entries, expected {system.noise_dimension}")
-    with np.errstate(over="ignore", invalid="ignore"):
-        if isinstance(system, LinearSystem):
-            out = system.A @ x + system.B @ w
-        else:
-            out = system._transition(x, w)
-    if not np.all(np.isfinite(out)):
-        raise OverflowInStep(f"non-finite state after step from x={x}")
-    return out
-
-
 def step_batch(system, X, W) -> np.ndarray:
     """Vectorized transitions: rows of X and W are states/noise vectors.
 
-    Returns the (N, n) array of successors.  Unlike `step`, non-finite
-    outputs are returned as-is; callers doing long simulations mask them
-    (overflow handling is a per-trajectory policy, not an exception).
+    Returns the (N, n) array of successors.  Non-finite outputs are
+    returned as-is; callers doing long simulations mask them (overflow
+    handling is a per-trajectory policy, not an exception).
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     W = np.atleast_2d(np.asarray(W, dtype=float))
@@ -431,12 +394,20 @@ def step_batch(system, X, W) -> np.ndarray:
     return system._transition_batch(X, W)
 
 
-def contains(target: TargetBall, x) -> bool:
-    """Strict open-ball membership in the target's norm."""
-    x = np.asarray(x, dtype=float).reshape(-1)
-    if x.size != target.dimension:
-        raise ValueError("dimension mismatch between state and target")
-    return target.norm_of(x - target.center) < target.radius
+def contains(target, X: np.ndarray) -> np.ndarray:
+    """Row mask of the (N, n) states X in the target: target(X) for a
+    callable, else q < R^2 with q the squared norm of x - center."""
+    if callable(target):
+        return np.asarray(target(X), dtype=bool)
+    if X.shape[1] != target.dimension:
+        raise ValueError(f"states have {X.shape[1]} coordinates, the target has {target.dimension}")
+    # Subtracting a zero centre is exact, so skipping it changes no bit.
+    D = X - target.center if target.center.any() else X
+    if target.weight is None:
+        sq = np.einsum("ij,ij->i", D, D)
+    else:
+        sq = quadratic_form(D, target.weight)
+    return sq < target.radius**2
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,10 @@ The drift condition asks that the expected one-step change of V is
 non-positive outside a compact set; the variant condition asks that U
 decreases by at least delta with positive probability on each V-sublevel
 set, stays below H(r) there, and that the set {U <= 0} lies inside the
-target.  Quadratic drifts on linear systems are checked with the exact
-closed-form expectation.  Other drifts are estimated on seeded shells by
+target G, a TargetBall or a callable row mask (see `systems.contains`).
+Every check takes states as the rows of an (N, n) array.  Quadratic
+drifts on linear systems are checked with the exact closed-form
+expectation.  Other drifts are estimated on seeded shells by
 `drift_expectation`, as in certificate synthesis: with tensor Gauss rules
 when the noise has at most three dimensions (reporting the gap between two
 rule orders as the error), otherwise by seeded Monte Carlo (reporting a
@@ -21,7 +23,7 @@ import numpy as np
 import scipy.linalg
 
 from .linalg import is_symmetric_positive_definite, quadratic_form
-from .systems import LinearSystem, TargetBall, TrajectorySeed, contains, step_batch
+from .systems import LinearSystem, TrajectorySeed, contains, step_batch
 
 __all__ = [
     "ShellPlan",
@@ -146,19 +148,15 @@ class VariantReport:
         }
 
 
-def exact_quadratic_drift(system: LinearSystem, Q, x) -> float:
-    """Exact E[V(Ax+Bw)] - V(x) for V(x) = x'Qx; no sampling error."""
+def exact_quadratic_drift(system: LinearSystem, Q, X) -> np.ndarray:
+    """Exact E[V(Ax+Bw)] - V(x) for V(x) = x'Qx at every row x of X:
+    x'(A'QA - Q)x + tr(B'QB Sigma_w), with no sampling error."""
     Q = np.atleast_2d(np.asarray(Q, dtype=float))
     if not is_symmetric_positive_definite(Q):
         raise ValueError("Q must be symmetric positive definite")
-    x = np.asarray(x, dtype=float).reshape(-1)
-    if Q.shape[0] != system.dimension or x.size != system.dimension:
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    if Q.shape[0] != system.dimension or X.shape[1] != system.dimension:
         raise ValueError("dimension mismatch")
-    return float(_exact_quadratic_drift_batch(system, Q, x[None])[0])
-
-
-def _exact_quadratic_drift_batch(system: LinearSystem, Q, X) -> np.ndarray:
-    """x'(A'QA - Q)x + tr(B'QB Sigma_w) at every row x of X."""
     M = system.A.T @ Q @ system.A - Q
     noise_term = float(np.trace(system.B.T @ Q @ system.B @ system.noise.covariance))
     return quadratic_form(X, M) + noise_term
@@ -276,7 +274,7 @@ def verify_drift(system, certificate, plan: ShellPlan | None = None, seed: int =
         if getattr(certificate, "positive_quadrant", False):
             pts = np.abs(pts)
         if method == "exact":
-            est = _exact_quadratic_drift_batch(system, certificate.Q, pts)
+            est = exact_quadratic_drift(system, certificate.Q, pts)
             hws = np.zeros_like(est)
         else:
             est, hws = drift_expectation(
@@ -359,7 +357,7 @@ def _sample_level_region(certificate, n, level, count, rng):
 def verify_variant(
     system,
     certificate,
-    target: TargetBall,
+    target,
     levels=None,
     samples: int = 20_000,
     seed: int = 0,
@@ -367,13 +365,14 @@ def verify_variant(
 ) -> VariantReport:
     """Check the variant condition per level plus the target inclusion.
 
-    ``target`` is either a TargetBall or a callable predicate x -> bool
-    describing an arbitrary open region G.  Per level r: sample x from
+    ``target`` is a TargetBall or, for an arbitrary open region G, a
+    callable row mask as in `hitting_stats`.  Per level r: sample x from
     {V <= r, U > 0}, draw one noise vector per x, and estimate the
-    probability that U decreases by at least the certificate's delta.  Exact checks: U(x) <= H(r) on all samples, and
-    random points of {U = 0} belong to the target.  Passes iff every
-    level's probability estimate is separated from 0 by 3 sigma, delta is
-    positive, and the exact checks have no violations.
+    probability that U decreases by at least the certificate's delta.
+    Exact checks: U(x) <= H(r) on all samples, and random points of
+    {U = 0} belong to the target.  Passes iff every level's probability
+    estimate is separated from 0 by 3 sigma, delta is positive, and the
+    exact checks have no violations.
     """
     n = system.dimension
     delta = float(certificate.delta)
@@ -422,8 +421,7 @@ def _check_inclusion(certificate, target, n, count, rng, positive_quadrant):
     if positive_quadrant:
         dirs = np.abs(dirs)
         dirs /= np.maximum(np.linalg.norm(dirs, axis=1, keepdims=True), 1e-300)
-    member = target if callable(target) else (lambda x: contains(target, x))
-    return sum(not member(x) for x in _zero_crossings(certificate, dirs))
+    return int(np.count_nonzero(~contains(target, _zero_crossings(certificate, dirs))))
 
 
 def _zero_crossings(certificate, dirs, t_max=1e9):

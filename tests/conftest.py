@@ -19,6 +19,19 @@ def reference_noise_draw(noise, rng, count):
     return rng.uniform(-1.0, 1.0, size=(count, m)) * noise.half_widths
 
 
+def ball_mask(ball):
+    """The row mask of a TargetBall written out by hand, as a callable
+    target: q < R^2 with q the squared norm of x - center in the ball's
+    norm, which must give the ball's own results bit for bit."""
+
+    def mask(X):
+        D = X - ball.center
+        q = np.einsum("ij,ij->i", D, D) if ball.weight is None else np.einsum("ij,ij->i", D @ ball.weight, D)
+        return q < ball.radius**2
+
+    return mask
+
+
 def random_stable_matrix(n: int, rng, rho: float = 0.9) -> np.ndarray:
     A = rng.standard_normal((n, n))
     radius = max(abs(np.linalg.eigvals(A)))

@@ -14,7 +14,7 @@ import pytest
 import reachcert as rc
 from reachcert import counterexamples as cx
 from reachcert.linalg import is_symmetric_positive_definite
-from reachcert.verify import _exact_quadratic_drift_batch
+from reachcert.verify import exact_quadratic_drift
 
 from conftest import random_stable_matrix, rotation_matrix
 from test_classify import regression_matrix
@@ -64,7 +64,7 @@ def test_criterion_2_exact_quadratic_drift():
         z = rng.standard_normal((1000, n))
         radii = cert.compact_radius * (1.0 + rng.uniform(0.01, 10.0, size=1000))
         pts = z / np.linalg.norm(z, axis=1, keepdims=True) * radii[:, None]
-        drift = _exact_quadratic_drift_batch(system, cert.Q, pts)
+        drift = exact_quadratic_drift(system, cert.Q, pts)
         violations += int(np.sum(drift > 1e-10))
     _line(2, "closed-form drift <= 0 at 1000 shell points per system", violations == 0,
           f"{violations} violations")

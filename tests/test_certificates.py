@@ -50,10 +50,11 @@ class TestQuadratic:
     def test_drift_negative_outside_compact_set(self, stable_2d, unit_ball_2d):
         cert = synthesize_quadratic(stable_2d, unit_ball_2d)
         rng = np.random.default_rng(0)
+        X = []
         for _ in range(200):
             d = rng.standard_normal(2)
-            x = (cert.compact_radius * 1.01 + rng.uniform(0, 10)) * d / np.linalg.norm(d)
-            assert exact_quadratic_drift(stable_2d, cert.Q, x) <= 1e-12
+            X.append((cert.compact_radius * 1.01 + rng.uniform(0, 10)) * d / np.linalg.norm(d))
+        assert np.all(exact_quadratic_drift(stable_2d, cert.Q, X) <= 1e-12)
 
     def test_unstable_rejected(self, unit_ball_1d):
         system = LinearSystem(A=[[2.0]], B=[[1.0]], noise=NoiseModel.uniform([1.0]))
@@ -66,7 +67,7 @@ class TestQuadratic:
         # Worst point of the sublevel set must stay inside the weighted ball.
         vals, vecs = np.linalg.eigh(cert.Q)
         x = vecs[:, 0] * np.sqrt(2.0 * cert.variant_b / vals[0]) * (1.0 - 1e-9)
-        assert target.norm_of(x) < target.radius + 1e-9
+        assert np.sqrt(x @ target.weight @ x) < target.radius + 1e-9
 
 
 class TestLogarithmic:

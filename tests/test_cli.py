@@ -87,6 +87,13 @@ class TestClassifyCommand:
             ["classify", "--system", path, "--target-radius", "1.0", "--out", str(tmp_path)]
         ) == 0
 
+    def test_target_center_needs_a_radius(self, random_walk_file, tmp_path, capsys):
+        # Without --target-radius the centre would be dropped for the file's target.
+        argv = ["classify", "--system", random_walk_file, "--target-center", "5", "--out", str(tmp_path)]
+        assert run(argv) == 2
+        assert "--target-center needs --target-radius" in capsys.readouterr().err
+        assert not (tmp_path / "classify.json").exists()
+
     def test_byte_identical_reports_modulo_timing(self, random_walk_file, tmp_path):
         outs = []
         for name in ("a", "b"):
@@ -384,3 +391,22 @@ def test_samples_must_be_positive(command, value, stable_file, tmp_path, capsys)
         run([*argv, "--samples", value, "--out", str(tmp_path)])
     assert exc.value.code == 2
     assert f"argument --samples: expected a positive integer, got '{value}'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flag, value, expected",
+    [
+        ("--trajectories", "0", "a positive integer"),
+        ("--trajectories", "-5", "a positive integer"),
+        ("--horizon", "-3", "a non-negative integer"),
+        ("--csv-trajectories", "-2", "a non-negative integer"),
+    ],
+)
+def test_simulate_counts_are_checked_by_the_parser(flag, value, expected, random_walk_file, tmp_path, capsys):
+    """A count out of range is a usage error that names the flag, before any
+    array is built or any CSV is written."""
+    with pytest.raises(SystemExit) as exc:
+        run(["simulate", "--system", random_walk_file, "--csv", flag, value, "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert f"argument {flag}: expected {expected}, got '{value}'" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))

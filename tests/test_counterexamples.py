@@ -21,16 +21,16 @@ from reachcert.counterexamples import (
     refute_polynomial_drift,
 )
 from reachcert.ensembles import hitting_stats
-from reachcert.systems import TargetBall, step
+from reachcert.systems import TargetBall, step_batch
 
 
 class TestExample1System:
     def test_step_example(self):
-        x = step(example1_system(), np.array([2.0, 2.0]), np.array([0.0]))
+        (x,) = step_batch(example1_system(), [[2.0, 2.0]], [[0.0]])
         assert np.allclose(x, [3.0, 1.0])
 
     def test_eta_zero_halves_xi(self):
-        x = step(example1_system(), np.array([8.0, 0.0]), np.array([0.0]))
+        (x,) = step_batch(example1_system(), [[8.0, 0.0]], [[0.0]])
         assert np.allclose(x, [4.0, 0.0])
 
     def test_eta_decoupled_halving(self):
@@ -38,7 +38,7 @@ class TestExample1System:
         x = np.array([1.0, 5.0])
         for k in range(6):
             assert x[1] == pytest.approx(5.0 / 2.0**k, abs=0.0)
-            x = step(system, x, np.array([0.3]))
+            (x,) = step_batch(system, [x], [[0.3]])
 
 
 class TestClosedForm:

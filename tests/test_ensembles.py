@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import reference_noise_draw, rotation_matrix
+from conftest import ball_mask, reference_noise_draw, rotation_matrix
 from reachcert import ensembles
 from reachcert import (
     LinearSystem,
@@ -16,8 +16,8 @@ from reachcert import (
     simulate,
 )
 from reachcert.counterexamples import example1_system
-from reachcert.ensembles import NOISE_CHUNK, OVERFLOW_GUARD, _batch_rows, _hitting_batch, _member_rows
-from reachcert.systems import sample_noise, step_batch
+from reachcert.ensembles import NOISE_CHUNK, OVERFLOW_GUARD, _batch_rows, _hitting_batch
+from reachcert.systems import contains, sample_noise, step_batch
 
 
 def _reference_hitting_batch(system, target, x0, indices, horizon, base_seed, threshold):
@@ -32,7 +32,7 @@ def _reference_hitting_batch(system, target, x0, indices, horizon, base_seed, th
     hit_time = np.full(nb, -1, dtype=np.int64)
     overflowed = np.zeros(nb, dtype=bool)
     alive = np.ones(nb, dtype=bool)
-    initial = _member_rows(target, X)
+    initial = contains(target, X)
     hit_time[initial] = 0
     alive[initial] = False
     k = 0
@@ -55,7 +55,7 @@ def _reference_hitting_batch(system, target, x0, indices, horizon, base_seed, th
                 live[cur[bad]] = False
                 cur = cur[~bad]
             if cur.size:
-                hits = _member_rows(target, Xa[cur])
+                hits = contains(target, Xa[cur])
                 if hits.any():
                     hit_time[rows[cur[hits]]] = k + t + 1
                     live[cur[hits]] = False
@@ -382,7 +382,7 @@ def _reference_occupancy(system, ball, ks, n_traj, base_seed, x0):
     """p_hat and slope as decay_exponent computed them from the snapshots
     of the whole ensemble: its oracle."""
     states = ensemble_states(system, x0, ks, n_traj, base_seed)
-    p_hat = np.array([float(_member_rows(ball, states[k]).mean()) for k in ks])
+    p_hat = np.array([float(contains(ball, states[k]).mean()) for k in ks])
     usable = p_hat > 0.0
     slope = np.polyfit(np.log(np.asarray(ks, dtype=float)[usable]), np.log(p_hat[usable]), 1)[0]
     return p_hat, float(slope)
@@ -433,3 +433,30 @@ class TestDecayCounts:
             finally:
                 tracemalloc.stop()
         assert peaks[1] < 1.1 * peaks[0], peaks
+
+
+class TestCallableTarget:
+    """A callable row mask equal to a ball stands for the ball exactly."""
+
+    BALLS = {
+        "walk-1d": (WALK, TargetBall(center=[0.0], radius=2.0), [6.0]),
+        "rotation-offset-weighted": (
+            INVARIANCE_SYSTEMS["rotation-gaussian"][0],
+            TargetBall(center=[0.5, -0.3], radius=3.0, weight=[[2.0, 0.3], [0.3, 1.0]]),
+            [6.0, -4.0],
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(BALLS))
+    def test_hitting_stats(self, case):
+        system, ball, x0 = self.BALLS[case]
+        want = hitting_stats(system, ball, x0, 300, 2000, base_seed=4).to_dict()
+        assert 0.0 < want["hit_fraction"] < 1.0
+        assert hitting_stats(system, ball_mask(ball), x0, 300, 2000, base_seed=4).to_dict() == want
+
+    @pytest.mark.parametrize("case", sorted(BALLS))
+    def test_decay_exponent(self, case):
+        system, ball, _ = self.BALLS[case]
+        ks = [4, 8, 16, 32, 64]
+        want = decay_exponent(system, ball, k_grid=ks, n_traj=500, base_seed=4).to_dict()
+        assert decay_exponent(system, ball_mask(ball), k_grid=ks, n_traj=500, base_seed=4).to_dict() == want

@@ -16,14 +16,12 @@ from reachcert.ensembles import ensemble_states
 from reachcert.systems import (
     LinearSystem,
     NoiseModel,
-    OverflowInStep,
     PolynomialSystem,
     TargetBall,
     TrajectorySeed,
     contains,
     load_system,
     sample_noise,
-    step,
     step_batch,
     system_to_dict,
 )
@@ -243,7 +241,8 @@ def test_sympy_is_imported_only_for_polynomial_systems():
         "assert 'sympy' not in sys.modules, 'sympy imported with reachcert'\n"
         "from reachcert.counterexamples import example1_system\n"
         "s = example1_system()\n"
-        "assert s._transition([2.0, 1.0], [0.0]).tolist() == [2.0, 0.5]\n"
+        "from reachcert.systems import step_batch\n"
+        "assert step_batch(s, [[2.0, 1.0]], [[0.0]]).tolist() == [[2.0, 0.5]]\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
@@ -251,7 +250,7 @@ def test_sympy_is_imported_only_for_polynomial_systems():
 
 class TestStep:
     def test_linear_step(self, random_walk):
-        x = step(random_walk, np.array([3.0]), np.array([0.25]))
+        (x,) = step_batch(random_walk, [[3.0]], [[0.25]])
         assert x[0] == pytest.approx(3.25)
 
     def test_polynomial_step_example(self):
@@ -259,18 +258,20 @@ class TestStep:
             transition_exprs=("0.5*x1*(1 + x2 + w1)", "0.5*x2"),
             noise=NoiseModel.uniform([1.0]),
         )
-        x = step(system, np.array([2.0, 2.0]), np.array([0.0]))
+        (x,) = step_batch(system, [[2.0, 2.0]], [[0.0]])
         assert np.allclose(x, [3.0, 1.0])
 
     def test_step_batch_matches_step(self, stable_2d):
+        # Each row against one step A x + B w of its own.
         rng = np.random.default_rng(0)
         X = rng.standard_normal((50, 2))
         W = rng.standard_normal((50, 2))
         batch = step_batch(stable_2d, X, W)
-        rows = np.array([step(stable_2d, x, w) for x, w in zip(X, W)])
+        rows = np.array([stable_2d.A @ x + stable_2d.B @ w for x, w in zip(X, W)])
         assert np.allclose(batch, rows)
 
     def test_polynomial_batch_matches_step(self):
+        # Each row against the transition evaluated at that point alone.
         system = PolynomialSystem(
             transition_exprs=("0.5*x1*(1 + x2 + w1)", "0.5*x2"),
             noise=NoiseModel.uniform([1.0]),
@@ -279,32 +280,77 @@ class TestStep:
         X = rng.uniform(0.0, 4.0, size=(30, 2))
         W = rng.uniform(-1.0, 1.0, size=(30, 1))
         batch = step_batch(system, X, W)
-        rows = np.array([step(system, x, w) for x, w in zip(X, W)])
+        rows = np.array([[0.5 * x[0] * (1 + x[1] + w[0]), 0.5 * x[1]] for x, w in zip(X, W)])
         assert np.allclose(batch, rows)
+        # One row at a time, as example1_simulate_log2 steps, keeps the bits.
+        one_by_one = [step_batch(system, X[i : i + 1], W[i : i + 1]) for i in range(30)]
+        assert np.array_equal(np.concatenate(one_by_one), batch)
 
-    def test_overflow_reported(self):
+    def test_overflow_returned_as_is(self):
+        # Overflow is a per-trajectory policy of the ensembles, not an error.
         system = LinearSystem(A=[[1e200]], B=[[1.0]], noise=NoiseModel.uniform([1.0]))
-        with pytest.raises(OverflowInStep):
-            step(system, np.array([1e200]), np.array([0.0]))
+        with np.errstate(over="ignore"):
+            (x,) = step_batch(system, [[1e200]], [[0.0]])
+        assert np.isinf(x[0])
 
     def test_dimension_mismatch(self, random_walk):
         with pytest.raises(ValueError):
-            step(random_walk, np.array([1.0, 2.0]), np.array([0.0]))
+            step_batch(random_walk, [[1.0, 2.0]], [[0.0]])
+
+
+def _assert_mask(target, X, expected):
+    """contains on all rows of X at once, and on each row alone."""
+    X = np.asarray(X, dtype=float)
+    assert contains(target, X).tolist() == expected
+    assert [bool(contains(target, x[None])[0]) for x in X] == expected
 
 
 class TestTargetBall:
+    # Every ball below has its sphere at exactly representable points, so a
+    # row on the sphere has q == R^2 exactly and must be outside.
     def test_strict_openness(self, unit_ball_1d):
-        assert contains(unit_ball_1d, [0.999])
-        assert not contains(unit_ball_1d, [1.0])
+        _assert_mask(unit_ball_1d, [[0.999]], [True])
+        _assert_mask(unit_ball_1d, [[1.0]], [False])
+        _assert_mask(
+            unit_ball_1d, [[-1.0], [-0.999], [0.0], [0.999], [1.0], [1.5]], [False, True, True, True, False, False]
+        )
+        # Off-centre: (4, 2) - (1, -2) = (3, 4) lies on the sphere of radius 5.
+        ball = TargetBall(center=[1.0, -2.0], radius=5.0)
+        _assert_mask(ball, [[4.0, 2.0]], [False])
+        _assert_mask(
+            ball,
+            [[4.0, 2.0], [4.0, 1.99], [-2.0, -6.0], [1.0, -2.0], [1.0, 3.0], [6.0, -2.0]],
+            [False, True, False, True, False, False],
+        )
 
     def test_weighted_norm_membership(self):
         ball = TargetBall(center=[0.0, 0.0], radius=1.0, weight=np.diag([4.0, 1.0]))
-        assert not contains(ball, [0.9, 0.0])  # weighted norm 1.8
-        assert contains(ball, [0.4, 0.0])
+        _assert_mask(ball, [[0.9, 0.0]], [False])  # weighted norm 1.8
+        _assert_mask(ball, [[0.4, 0.0]], [True])
+        # (0.5, 0) and (0, 1) lie on the weighted sphere.
+        _assert_mask(
+            ball,
+            [[0.5, 0.0], [0.0, 1.0], [0.0, -1.0], [0.4, 0.0], [0.0, 0.999], [0.9, 0.0]],
+            [False, False, False, True, True, False],
+        )
+        # Off-centre and weighted: (1.5, -1) - (1, -1) = (0.5, 0) on the sphere.
+        shifted = TargetBall(center=[1.0, -1.0], radius=1.0, weight=np.diag([4.0, 1.0]))
+        _assert_mask(
+            shifted, [[1.5, -1.0], [1.25, -1.0], [1.0, 0.0], [1.0, -0.5]], [False, True, False, True]
+        )
 
     def test_contains_origin(self):
-        assert TargetBall(center=[0.5], radius=1.0).contains_origin()
-        assert not TargetBall(center=[2.0], radius=1.0).contains_origin()
+        assert contains(TargetBall(center=[0.5], radius=1.0), np.zeros((1, 1)))[0]
+        assert not contains(TargetBall(center=[2.0], radius=1.0), np.zeros((1, 1)))[0]
+        assert not contains(TargetBall(center=[1.0], radius=1.0), np.zeros((1, 1)))[0]
+
+    def test_callable_target_is_its_own_mask(self):
+        X = np.array([[0.5, 0.5], [1.5, 0.5]])
+        assert contains(lambda X: np.all((X > 0.0) & (X < 1.0), axis=1), X).tolist() == [True, False]
+
+    def test_dimension_mismatch(self, unit_ball_1d):
+        with pytest.raises(ValueError, match="coordinates"):
+            contains(unit_ball_1d, np.zeros((3, 2)))
 
     def test_invalid_radius(self):
         with pytest.raises(ValueError):
@@ -338,14 +384,14 @@ class TestSystemFiles:
         loaded, target = load_system(path)
         assert isinstance(loaded, PolynomialSystem)
         assert target is None
-        x = step(loaded, np.array([2.0, 2.0]), np.array([0.0]))
+        (x,) = step_batch(loaded, [[2.0, 2.0]], [[0.0]])
         assert np.allclose(x, [3.0, 1.0])
 
     def test_caret_power_accepted(self):
         system = PolynomialSystem(
             transition_exprs=("x1^2 + w1", "x2"), noise=NoiseModel.uniform([1.0])
         )
-        x = step(system, np.array([3.0, 1.0]), np.array([0.5]))
+        (x,) = step_batch(system, [[3.0, 1.0]], [[0.5]])
         assert x[0] == pytest.approx(9.5)
 
     def test_unknown_noise_kind_rejected(self, tmp_path):

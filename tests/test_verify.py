@@ -25,17 +25,16 @@ from reachcert import counterexamples as cx
 from reachcert.certificates import CustomCertificate
 from reachcert.cli import run
 from reachcert.linalg import quadratic_form
-from reachcert.systems import TrajectorySeed, contains
+from reachcert.systems import TrajectorySeed
 from reachcert.verify import (
     CUBATURE_ORDERS,
     _check_inclusion,
     _sample_level_region,
     _sphere_points,
-    _exact_quadratic_drift_batch,
     _zero_crossings,
     cubature_drift,
 )
-from conftest import random_stable_matrix, reference_noise_draw, rotation_matrix
+from conftest import ball_mask, random_stable_matrix, reference_noise_draw, rotation_matrix
 
 
 class TestExactDrift:
@@ -46,12 +45,12 @@ class TestExactDrift:
         expected = x @ (A.T @ Q @ A - Q) @ x + np.trace(
             B.T @ Q @ B @ stable_2d.noise.covariance
         )
-        assert exact_quadratic_drift(stable_2d, Q, x) == pytest.approx(expected, abs=1e-12)
+        assert exact_quadratic_drift(stable_2d, Q, x[None]) == pytest.approx([expected], abs=1e-12)
 
     def test_mc_agrees_with_exact(self, stable_2d):
         Q = np.eye(2)
         x = np.array([4.0, 2.0])
-        exact = exact_quadratic_drift(stable_2d, Q, x)
+        (exact,) = exact_quadratic_drift(stable_2d, Q, x[None])
 
         def V(X):
             X = np.atleast_2d(X)
@@ -62,7 +61,7 @@ class TestExactDrift:
 
     def test_non_pd_q_rejected(self, stable_2d):
         with pytest.raises(ValueError):
-            exact_quadratic_drift(stable_2d, np.diag([1.0, -1.0]), [1.0, 1.0])
+            exact_quadratic_drift(stable_2d, np.diag([1.0, -1.0]), [[1.0, 1.0]])
 
 
 class TestMcDrift:
@@ -151,7 +150,7 @@ class TestMcDriftRows:
         X = np.concatenate([_sphere_points(4, 50, r, rng) for r in (0.5, 2.0, 8.0, 32.0)])
         est, hw = mc_drift(system, cert.drift_values, X, samples=2000, seed=17)
         assert est.shape == hw.shape == (200,)
-        exact = _exact_quadratic_drift_batch(system, Q, X)
+        exact = exact_quadratic_drift(system, Q, X)
         assert np.mean(np.abs(est - exact) <= hw) >= 0.99
 
     def test_row_slices_do_not_change_results(self, monkeypatch):
@@ -289,13 +288,27 @@ class TestVerifyVariant:
             levels=(3.0,),
         )
         inside = verify_variant(
-            random_walk, cert, lambda x: abs(x[0]) < 2.0, samples=2000, seed=0
+            random_walk, cert, lambda X: np.abs(X[:, 0]) < 2.0, samples=2000, seed=0
         )
         assert inside.inclusion_violations == 0
         outside = verify_variant(
-            random_walk, cert, lambda x: abs(x[0]) < 0.5, samples=2000, seed=0
+            random_walk, cert, lambda X: np.abs(X[:, 0]) < 0.5, samples=2000, seed=0
         )
         assert outside.inclusion_violations > 0
+
+    @pytest.mark.parametrize(
+        "ball",
+        [
+            TargetBall(center=[0.0, 0.0], radius=1.0),
+            TargetBall(center=[0.0, 0.0], radius=0.5),
+            TargetBall(center=[0.3, -0.2], radius=0.9, weight=[[2.0, 0.3], [0.3, 1.0]]),
+        ],
+        ids=["unit", "small", "offset-weighted"],
+    )
+    def test_callable_ball_matches_the_ball(self, stable_2d, unit_ball_2d, ball):
+        cert = synthesize_quadratic(stable_2d, unit_ball_2d)
+        want = verify_variant(stable_2d, cert, ball, samples=2000, seed=2).to_dict()
+        assert verify_variant(stable_2d, cert, ball_mask(ball), samples=2000, seed=2).to_dict() == want
 
     def test_empty_region_reported(self, stable_2d, unit_ball_2d):
         cert = synthesize_quadratic(stable_2d, unit_ball_2d)
@@ -333,6 +346,16 @@ def _zero_crossing_scalar(certificate, direction, t_max=1e9):
     return lo * direction
 
 
+def _member_point(target, x):
+    """Reference membership of one point: sqrt(d'Wd) < R for a ball, or
+    the callable's mask of x as a one-row array."""
+    if callable(target):
+        return bool(target(x[None])[0])
+    d = x - target.center
+    q = d @ d if target.weight is None else d @ target.weight @ d
+    return math.sqrt(q) < target.radius
+
+
 def _check_inclusion_scalar(certificate, target, n, count, rng, positive_quadrant):
     """Reference: the per-ray inclusion count."""
     bad = 0
@@ -340,16 +363,15 @@ def _check_inclusion_scalar(certificate, target, n, count, rng, positive_quadran
     if positive_quadrant:
         dirs = np.abs(dirs)
         dirs /= np.maximum(np.linalg.norm(dirs, axis=1, keepdims=True), 1e-300)
-    member = target if callable(target) else (lambda x: contains(target, x))
     for d in dirs:
         x = _zero_crossing_scalar(certificate, d)
-        if x is not None and not member(x):
+        if x is not None and not _member_point(target, x):
             bad += 1
     return bad
 
 
-def _unit_box(x):
-    return 0.0 < x[0] < 1.0 and 0.0 < x[1] < 1.0
+def _unit_box(X):
+    return np.all((X > 0.0) & (X < 1.0), axis=1)
 
 
 def _custom_variant(variant):
@@ -468,7 +490,7 @@ class TestCubatureDrift:
         Q = np.array([[2.0, 0.3], [0.3, 1.0]])
         X = np.array([[3.0, -1.0], [0.5, 2.0]])
         est, err = cubature_drift(stable_2d, lambda Y: quadratic_form(np.atleast_2d(Y), Q), X, (8, 4))
-        exact = [exact_quadratic_drift(stable_2d, Q, x) for x in X]
+        exact = exact_quadratic_drift(stable_2d, Q, X)
         assert est == pytest.approx(exact, rel=1e-12)
         assert np.all(err < 1e-12)
 
