@@ -23,9 +23,14 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-import scipy.linalg
 
-from .linalg import LinalgError, is_symmetric_positive_definite, quadratic_form, solve_discrete_lyapunov
+from .linalg import (
+    LinalgError,
+    is_symmetric_positive_definite,
+    max_generalized_eigenvalue,
+    quadratic_form,
+    solve_discrete_lyapunov,
+)
 from .spectral import analyze, unit_plane_basis
 from .systems import LinearSystem, TargetBall, step_batch
 from .verify import _ellipsoid_shell_proposal, drift_expectation
@@ -68,7 +73,7 @@ def _sublevel_b(Q, target: TargetBall) -> float:
         lam_min = float(np.linalg.eigvalsh(Q).min())
         return 0.5 * lam_min * R * R
     # Need max x'Wx over {x'Qx <= 2b} below R^2.
-    lam_max = float(scipy.linalg.eigh(target.weight, Q, eigvals_only=True).max())
+    lam_max = max_generalized_eigenvalue(target.weight, Q)
     return 0.5 * R * R / lam_max
 
 
@@ -127,7 +132,7 @@ def synthesize_quadratic(system: LinearSystem, target: TargetBall) -> QuadraticC
     A, B = system.A, system.B
     alpha = 1.0
     compact_radius_sq = float(np.trace(B.T @ Q @ B @ system.noise.covariance)) / alpha
-    r0 = float(scipy.linalg.eigh(A.T @ Q @ A, Q, eigvals_only=True).max())
+    r0 = max_generalized_eigenvalue(A.T @ Q @ A, Q)
     r0 = min(max(r0, 0.0), 1.0)
     b = _sublevel_b(Q, target)
     if b <= 0:
@@ -136,7 +141,7 @@ def synthesize_quadratic(system: LinearSystem, target: TargetBall) -> QuadraticC
     # ||B||_Q^2: worst-case Q-norm gain of B (Euclidean norm on the noise
     # side unless n == m, where the Q-weighted norm applies as well).
     if B.shape[0] == B.shape[1]:
-        gain = float(scipy.linalg.eigh(B.T @ Q @ B, Q, eigvals_only=True).max())
+        gain = max_generalized_eigenvalue(B.T @ Q @ B, Q)
     else:
         gain = float(np.linalg.eigvalsh(B.T @ Q @ B).max())
     noise_set_bound = delta / gain if gain > 0 else math.inf
@@ -434,7 +439,9 @@ def synthesize_composite(
     )
 
     # Combined variant form in original coordinates.
-    blocks = scipy.linalg.block_diag(unit_cert.Q_star, stable_cert.Q)
+    blocks = np.zeros(A.shape)
+    blocks[:nu, :nu] = unit_cert.Q_star
+    blocks[nu:, nu:] = stable_cert.Q
     M = T_inv.T @ blocks @ T_inv
     M = 0.5 * (M + M.T)
     b = _sublevel_b(M, target)

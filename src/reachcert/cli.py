@@ -33,6 +33,7 @@ from .verify import default_shell_plan, verify_drift, verify_variant
 __all__ = ["main", "run"]
 
 
+@functools.cache
 def _tool_version() -> str:
     try:
         return pkg_version("reachcert")

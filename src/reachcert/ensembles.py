@@ -302,6 +302,8 @@ def hitting_stats(
     """
     if n_traj < 1:
         raise ValueError(f"n_traj must be at least 1, got {n_traj}")
+    if horizon < 0:
+        raise ValueError("horizon must be non-negative")
     x0 = np.asarray(x0, dtype=float).reshape(-1)
     if divergence_threshold is None:
         divergence_threshold = 1e6 * (1.0 + float(np.linalg.norm(x0)))

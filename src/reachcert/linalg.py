@@ -1,8 +1,10 @@
 """Dense real-matrix primitives used throughout the toolkit.
 
 Eigenvalue clustering, spectral radius, a checked discrete Lyapunov solve,
-SVD-based numerical rank, and row-wise quadratic forms.  Everything
-targets small dense matrices (desk scale, n up to a few dozen).
+the largest generalized symmetric eigenvalue, SVD-based numerical rank,
+and row-wise quadratic forms.  Everything targets small dense matrices
+(desk scale, n up to a few dozen).  scipy is imported inside the two
+functions that need it, so that importing the package does not load it.
 """
 
 from __future__ import annotations
@@ -10,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 __all__ = [
     "LinalgError",
@@ -18,6 +19,7 @@ __all__ = [
     "eigen_decompose",
     "spectral_radius",
     "solve_discrete_lyapunov",
+    "max_generalized_eigenvalue",
     "numerical_rank",
     "quadratic_form",
     "is_symmetric_positive_definite",
@@ -147,6 +149,8 @@ def solve_discrete_lyapunov(A, residual_tol: float = LYAPUNOV_RESIDUAL_TOL):
     positive definite, or if the residual ``||A'QA - Q + I||_F`` exceeds
     ``residual_tol * (1 + ||Q||_F)``.
     """
+    import scipy.linalg  # slow to import; only commands that solve need it
+
     A = _as_square(A, "A")
     n = A.shape[0]
     rho = spectral_radius(A)
@@ -168,6 +172,16 @@ def solve_discrete_lyapunov(A, residual_tol: float = LYAPUNOV_RESIDUAL_TOL):
     if not is_symmetric_positive_definite(Q):
         raise LinalgError(f"Lyapunov solution not positive definite (rho={rho:.6g})")
     return Q
+
+
+def max_generalized_eigenvalue(X, Q) -> float:
+    """Largest lambda with X v = lambda Q v, for symmetric X and SPD Q.
+
+    That is the maximum of v'Xv / v'Qv over v != 0.
+    """
+    import scipy.linalg
+
+    return float(scipy.linalg.eigh(X, Q, eigvals_only=True).max())
 
 
 def numerical_rank(M, rank_tol: float = DEFAULT_RANK_TOL) -> int:

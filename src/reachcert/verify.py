@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .linalg import is_symmetric_positive_definite, quadratic_form
 from .systems import LinearSystem, TrajectorySeed, contains, step_batch
@@ -214,8 +213,10 @@ def cubature_drift(system, V, X, orders):
     X = np.atleast_2d(np.asarray(X, dtype=float))
     (nodes_hi, w_hi), (nodes_lo, w_lo) = (system.noise.gauss_rule(order) for order in orders)
     nodes = np.concatenate([nodes_hi, nodes_lo])
-    weights = scipy.linalg.block_diag(w_hi[:, None], w_lo[:, None])  # (K, 2)
     K = len(nodes)
+    weights = np.zeros((K, 2))  # column 0 weighs the high-order nodes, column 1 the low-order ones
+    weights[: len(w_hi), 0] = w_hi
+    weights[len(w_hi) :, 1] = w_lo
     v0 = np.asarray(V(X), dtype=float)
     if not np.all(np.isfinite(v0)):
         raise ValueError(f"drift function not finite at x={X[~np.isfinite(v0)][0]}")
@@ -311,6 +312,8 @@ def _ellipsoid_shell_proposal(Q, b, level, n, rng):
     """
     if not level > max(b, 0.0):
         raise ValueError(f"level {level} is not above the variant offset {b}: {{V <= r, U > 0}} is empty")
+    import scipy.linalg  # slow to import; only level sampling needs it
+
     L = np.linalg.cholesky(Q)
     t = (max(b, 0.0) / level) ** (0.5 * n)
 

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from reachcert import (
     LinearSystem,
@@ -146,6 +147,14 @@ class TestComposite:
         assert cert.unit_dim + cert.stable_cert.Q.shape[0] == 3
         # Transform round trips.
         assert np.allclose(cert.transform @ cert.transform_inv, np.eye(3), atol=1e-9)
+
+    def test_blocks_equal_scipy_block_diag(self, mixed_system):
+        # The variant form's block diagonal is built in numpy: M must equal
+        # the one built from scipy.linalg.block_diag bit for bit.
+        cert = synthesize_composite(mixed_system, TargetBall(center=np.zeros(3), radius=1.5))
+        blocks = scipy.linalg.block_diag(cert.unit_cert.Q_star, cert.stable_cert.Q)
+        M = cert.transform_inv.T @ blocks @ cert.transform_inv
+        assert cert.M.tobytes() == (0.5 * (M + M.T)).tobytes()
 
     def test_fully_critical_rejected(self, rotation_system, unit_ball_2d):
         with pytest.raises(SynthesisError):

@@ -180,6 +180,10 @@ class TestHittingStats:
         )
         assert base.to_dict() == threaded.to_dict()
 
+    def test_rejects_negative_horizon(self, random_walk, unit_ball_1d):
+        with pytest.raises(ValueError, match="horizon"):
+            hitting_stats(random_walk, unit_ball_1d, [5.0], 3, -3, base_seed=0)
+
     def test_unstable_divergence(self, unit_ball_1d):
         system = LinearSystem(A=[[2.0]], B=[[1.0]], noise=NoiseModel.uniform([1.0]))
         stats = hitting_stats(system, unit_ball_1d, [10.0], 200, 1000, base_seed=4)

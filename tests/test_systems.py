@@ -248,6 +248,32 @@ def test_sympy_is_imported_only_for_polynomial_systems():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_scipy_is_imported_only_for_solves():
+    # Classifying, simulating, the ensembles and the logarithmic scan need
+    # no scipy; a Lyapunov solve loads it.
+    src = os.path.dirname(os.path.dirname(reachcert.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = (
+        "import sys, math, numpy as np, reachcert, reachcert.cli\n"
+        "from reachcert import LinearSystem, NoiseModel, TargetBall, classify, simulate\n"
+        "from reachcert import decay_exponent, hitting_stats, synthesize_logarithmic, synthesize_quadratic\n"
+        "c, s = math.cos(1.0), math.sin(1.0)\n"
+        "rot = LinearSystem(A=[[c, -s], [s, c]], B=np.eye(2), noise=NoiseModel.uniform([1.0, 1.0]))\n"
+        "ball = TargetBall(center=np.zeros(2), radius=1.0)\n"
+        "assert classify(rot, ball).outcome == 'ReachableCritical'\n"
+        "simulate(rot, [3.0, 0.0], 50, 0)\n"
+        "hitting_stats(rot, ball, [3.0, 0.0], 50, 100, base_seed=0)\n"
+        "decay_exponent(rot, ball, k_grid=[4, 8, 16, 32], n_traj=2000, base_seed=0)\n"
+        "synthesize_logarithmic(rot, ball, seed=0)\n"
+        "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if m.startswith('scipy'))[:5]\n"
+        "half = LinearSystem(A=[[0.5, 0.0], [0.0, 0.5]], B=np.eye(2), noise=NoiseModel.uniform([1.0, 1.0]))\n"
+        "assert abs(synthesize_quadratic(half, ball).r0 - 0.25) < 1e-12\n"
+        "assert 'scipy.linalg' in sys.modules\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
 class TestStep:
     def test_linear_step(self, random_walk):
         (x,) = step_batch(random_walk, [[3.0]], [[0.25]])

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.stats
 
 from reachcert import (
@@ -25,7 +26,7 @@ from reachcert import counterexamples as cx
 from reachcert.certificates import CustomCertificate
 from reachcert.cli import run
 from reachcert.linalg import quadratic_form
-from reachcert.systems import TrajectorySeed
+from reachcert.systems import TrajectorySeed, step_batch
 from reachcert.verify import (
     CUBATURE_ORDERS,
     _check_inclusion,
@@ -483,6 +484,24 @@ class TestCubatureDrift:
                     inside += abs(est[i] - mean) <= hw
         assert total == 320
         assert inside >= 0.99 * total
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_rule_weights_equal_scipy_block_diag(self, dim):
+        # Both rules are weighed in one (K, 2) product whose weights are
+        # built in numpy: the estimates must equal those of the
+        # scipy.linalg.block_diag weights bit for bit.
+        system = LinearSystem(A=np.eye(dim), B=np.eye(dim), noise=NoiseModel.uniform([1.0, 0.5, 2.0][:dim]))
+        V = lambda Y: np.log1p(np.einsum("ij,ij->i", Y, Y))
+        X = np.random.default_rng(3).standard_normal((5, dim)) * 4.0
+        orders = CUBATURE_ORDERS[dim]
+        (nodes_hi, w_hi), (nodes_lo, w_lo) = (system.noise.gauss_rule(order) for order in orders)
+        nodes = np.concatenate([nodes_hi, nodes_lo])
+        weights = scipy.linalg.block_diag(w_hi[:, None], w_lo[:, None])
+        succ = step_batch(system, np.repeat(X, len(nodes), axis=0), np.tile(nodes, (len(X), 1)))
+        means = (V(succ).reshape(len(X), len(nodes)) - V(X)[:, None]) @ weights
+        est, err = cubature_drift(system, V, X, orders)
+        assert est.tobytes() == means[:, 0].tobytes()
+        assert err.tobytes() == np.abs(means[:, 0] - means[:, 1]).tobytes()
 
     def test_exact_on_polynomial_integrands(self, stable_2d):
         # V quadratic on a linear system: the rule reproduces the exact
