@@ -31,7 +31,7 @@ from .linalg import (
     quadratic_form,
     solve_discrete_lyapunov,
 )
-from .spectral import analyze, unit_plane_basis
+from .spectral import unit_plane_basis
 from .systems import LinearSystem, TargetBall, step_batch
 from .verify import _ellipsoid_shell_proposal, drift_expectation
 
@@ -86,7 +86,6 @@ class QuadraticCertificate:
     """V(x) = x'Qx, U(x) = x'Qx - b, compact set {x'x <= compact_radius_sq}."""
 
     Q: np.ndarray
-    alpha: float
     compact_radius_sq: float
     r0: float
     variant_b: float
@@ -121,7 +120,7 @@ def synthesize_quadratic(system: LinearSystem, target: TargetBall) -> QuadraticC
     """Quadratic certificate for rho(A) < 1.
 
     Q solves A'QA = Q - I; the compact set radius^2 is
-    tr(B'QB Sigma_w) / alpha with alpha = 1; b is the largest value
+    tr(B'QB Sigma_w); b is the largest value
     keeping {x'Qx < 2b} inside the target; r0 = lambda_max(Q^{-1}A'QA);
     delta = (1 - r0) b.
     """
@@ -130,8 +129,7 @@ def synthesize_quadratic(system: LinearSystem, target: TargetBall) -> QuadraticC
     except LinalgError as exc:
         raise SynthesisError(f"Lyapunov solve failed: {exc}") from exc
     A, B = system.A, system.B
-    alpha = 1.0
-    compact_radius_sq = float(np.trace(B.T @ Q @ B @ system.noise.covariance)) / alpha
+    compact_radius_sq = float(np.trace(B.T @ Q @ B @ system.noise.covariance))
     r0 = max_generalized_eigenvalue(A.T @ Q @ A, Q)
     r0 = min(max(r0, 0.0), 1.0)
     b = _sublevel_b(Q, target)
@@ -147,7 +145,6 @@ def synthesize_quadratic(system: LinearSystem, target: TargetBall) -> QuadraticC
     noise_set_bound = delta / gain if gain > 0 else math.inf
     return QuadraticCertificate(
         Q=Q,
-        alpha=alpha,
         compact_radius_sq=compact_radius_sq,
         r0=r0,
         variant_b=b,
@@ -187,7 +184,6 @@ class LogCertificate:
     variant_b: float
     delta: float
     epsilon: float
-    domain_threshold: float = DOMAIN_THRESHOLD
 
     kind = "logarithmic"
 
@@ -297,15 +293,6 @@ def synthesize_logarithmic(
     Preconditions: all eigenvalues of A on the unit circle with Jordan
     blocks of size one, n <= 2, B full rank with n == m.
     """
-    n = system.dimension
-    if n > 2:
-        raise SynthesisError("logarithmic certificate requires dimension <= 2")
-    report = analyze(system.A)
-    if report.dim_EA != n or report.d_max_unit > 1:
-        raise SynthesisError(
-            "logarithmic certificate requires all eigenvalues on the unit circle "
-            "with Jordan blocks of size one"
-        )
     try:
         basis = unit_plane_basis(system.A)
     except LinalgError as exc:
@@ -518,7 +505,7 @@ def certificate_to_dict(cert) -> dict:
         return {
             "kind": "quadratic",
             "Q": cert.Q.tolist(),
-            "alpha": cert.alpha,
+            "alpha": 1.0,
             "compact_radius_sq": cert.compact_radius_sq,
             "r0": cert.r0,
             "b": cert.variant_b,
@@ -529,7 +516,7 @@ def certificate_to_dict(cert) -> dict:
         return {
             "kind": "logarithmic",
             "Q_star": cert.Q_star.tolist(),
-            "domain_threshold": cert.domain_threshold,
+            "domain_threshold": DOMAIN_THRESHOLD,
             "compact_radius_star": cert.compact_radius_star,
             "b": cert.variant_b,
             "delta": cert.delta,
@@ -550,15 +537,22 @@ def certificate_to_dict(cert) -> dict:
     raise TypeError(f"cannot serialize certificate of type {type(cert).__name__}")
 
 
+def _require_constant(d: dict, key: str, value: float):
+    """Reject a file whose ``key`` is not ``value``: the checks assume that
+    constant, so a file stating another would verify as if it said ``value``."""
+    if float(d.get(key, value)) != value:
+        raise ValueError(f"certificate {key} must be {value!r}, got {d[key]!r}")
+
+
 def certificate_from_dict(d: dict):
     kind = d.get("kind")
     if kind == "quadratic":
+        _require_constant(d, "alpha", 1.0)
         Q = np.asarray(d["Q"], dtype=float)
         if not is_symmetric_positive_definite(Q):
             raise ValueError("certificate Q is not symmetric positive definite")
         return QuadraticCertificate(
             Q=Q,
-            alpha=float(d.get("alpha", 1.0)),
             compact_radius_sq=float(d["compact_radius_sq"]),
             r0=float(d["r0"]),
             variant_b=float(d["b"]),
@@ -566,6 +560,7 @@ def certificate_from_dict(d: dict):
             noise_set_bound=float(d.get("noise_set_bound", 0.0)),
         )
     if kind == "logarithmic":
+        _require_constant(d, "domain_threshold", DOMAIN_THRESHOLD)
         Q_star = np.asarray(d["Q_star"], dtype=float)
         if not is_symmetric_positive_definite(Q_star):
             raise ValueError("certificate Q_star is not symmetric positive definite")
@@ -575,7 +570,6 @@ def certificate_from_dict(d: dict):
             variant_b=float(d["b"]),
             delta=float(d["delta"]),
             epsilon=float(d.get("epsilon", 0.0)),
-            domain_threshold=float(d.get("domain_threshold", DOMAIN_THRESHOLD)),
         )
     if kind == "composite":
         T = np.asarray(d["transform"], dtype=float)

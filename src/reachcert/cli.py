@@ -17,7 +17,6 @@ import os
 import sys
 import time
 from dataclasses import replace
-from importlib.metadata import PackageNotFoundError, version as pkg_version
 
 import numpy as np
 
@@ -35,6 +34,9 @@ __all__ = ["main", "run"]
 
 @functools.cache
 def _tool_version() -> str:
+    # Imported here: importlib.metadata pulls in email, zipfile and socket.
+    from importlib.metadata import PackageNotFoundError, version as pkg_version
+
     try:
         return pkg_version("reachcert")
     except PackageNotFoundError:

@@ -110,73 +110,58 @@ class NoiseModel:
         stream yields the same values whether drawn by itself or in a block.
         ``out``, if given, is filled and returned; it may be a strided view.
 
-        A lone stream whose ``out[:, 0]`` is contiguous is drawn straight
-        into it, with no second block.  Otherwise each stream fills one row
-        of a row-major stage of about STAGE_BYTES in one C call; the stage
-        is mapped to the law in whole-stage passes (one Cholesky product, or
-        a scale whose inner loop is a row long, never m) and copied
-        transposed into ``out``, a whole noise vector at a time, while it is
-        still in cache.
+        Streams are drawn in groups through a row-major stage of about
+        STAGE_BYTES, one stream per row, a piece of steps at a time: the
+        whole stream when it fits, else pieces of the stage's length.  Each
+        row is filled in one C call, the piece is mapped to the law in one
+        pass (a Cholesky product, or a scale whose inner loop is a row long,
+        never m) and copied transposed into ``out``, a whole noise vector at
+        a time, while it is still in cache.
         """
         m = self.dimension
         if out is None:
             out = np.empty((length, len(rngs), m))
         gaussian = self.kind == "gaussian"
-        if len(rngs) == 1 and out[:, 0].flags.c_contiguous:
-            lone = out[:, 0]
-            if gaussian:
-                # Drawn in place, then multiplied a stage of rows at a time
-                # (numpy copies each overlapping input piece first).  A
-                # piece of two or more rows takes gemm like the whole
-                # product and keeps its bits; a lone last row would take
-                # gemv, so it joins the piece before it.
-                rngs[0].standard_normal(out=lone)
-                rows = max(2, STAGE_BYTES // (8 * m))
-                start = 0
-                while start < length:
-                    end = start + rows
-                    if end + 1 >= length:
-                        end = length
-                    piece = lone[start:end]
-                    np.matmul(piece, self._chol.T, out=piece)
-                    start = end
-                return out
-            # A stage of values at a time, each scaled while in cache; the
-            # uniform fill is sequential, so the pieces join bit for bit.
-            flat = lone.reshape(-1)
-            tile = np.tile(self.half_widths, max(1, min(length, STAGE_BYTES // (8 * m))))
-            for p in range(0, flat.size, tile.size):
-                piece = flat[p : p + tile.size]
-                rngs[0].random(out=piece)
-                _scale_uniform(piece, tile[: piece.size])
-            return out
-        rows = max(1, STAGE_BYTES // max(1, length * m * 8))
-        stage = np.empty((min(rows, len(rngs)), length, m))
+        steps = min(length, max(2, STAGE_BYTES // (8 * m)))
+        rows = max(1, STAGE_BYTES // (8 * m * max(1, steps)))
+        # One spare step: a piece of two or more steps takes gemm like the
+        # whole product and keeps its bits, but a lone last step would take
+        # gemv, so it joins the piece before it.
+        stage = np.empty(min(rows, len(rngs)) * (steps + 1) * m)
         if gaussian:
             z = np.empty_like(stage)
         else:
-            tile = np.tile(self.half_widths, length)
+            tile = np.tile(self.half_widths, steps + 1)
         # Vectors contiguous in ``out`` move as single m-double items, which
         # copies far faster than a loop of length m; at m = 1 the float copy
         # is faster.
         vector = np.dtype((np.void, 8 * m))
         whole_vectors = m > 1 and out.dtype == np.float64 and out.strides[-1] == 8
         for r0 in range(0, len(rngs), rows):
-            block = stage[: len(rngs) - r0]
-            if gaussian:
-                # One gemm per stream, as rng.standard_normal(size=(length, m)) @ L.T.
-                for row, rng in zip(z, rngs[r0 : r0 + rows]):
-                    rng.standard_normal(out=row)
-                np.matmul(z[: len(block)], self._chol.T, out=block)
-            else:
-                for row, rng in zip(block, rngs[r0 : r0 + rows]):
-                    rng.random(out=row)
-                _scale_uniform(block.reshape(len(block), -1), tile)
-            dst = out[:, r0 : r0 + len(block)]
-            if whole_vectors:
-                dst.view(vector)[..., 0] = block.view(vector)[..., 0].T
-            else:
-                dst[...] = block.transpose(1, 0, 2)
+            group = rngs[r0 : r0 + rows]
+            start = 0
+            while start < length:
+                end = length if start + steps + 1 >= length else start + steps
+                shape = (len(group), end - start, m)
+                block = stage[: len(group) * shape[1] * m].reshape(shape)
+                if gaussian:
+                    # One gemm per stream and piece, which together give the
+                    # bits of rng.standard_normal(size=(length, m)) @ L.T.
+                    normals = z[: block.size].reshape(shape)
+                    for row, rng in zip(normals, group):
+                        rng.standard_normal(out=row)
+                    np.matmul(normals, self._chol.T, out=block)
+                else:
+                    # The uniform fill is sequential, so the pieces join bit for bit.
+                    for row, rng in zip(block, group):
+                        rng.random(out=row)
+                    _scale_uniform(block.reshape(len(group), -1), tile[: block[0].size])
+                dst = out[start:end, r0 : r0 + len(group)]
+                if whole_vectors:
+                    dst.view(vector)[..., 0] = block.view(vector)[..., 0].T
+                else:
+                    dst[...] = block.transpose(1, 0, 2)
+                start = end
         return out
 
     def gauss_rule(self, order: int):

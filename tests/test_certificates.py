@@ -205,6 +205,30 @@ class TestSerialization:
         with pytest.raises(ValueError):
             certificate_from_dict(bad)
 
+    @pytest.mark.parametrize(
+        "d, key, constant",
+        [
+            (
+                {"kind": "quadratic", "Q": [[2.0, 0.0], [0.0, 1.0]], "compact_radius_sq": 1.0, "r0": 0.5, "b": 0.1, "delta": 0.05},
+                "alpha",
+                1.0,
+            ),
+            (
+                {"kind": "logarithmic", "Q_star": [[1.0, 0.0], [0.0, 1.0]], "compact_radius_star": 4.0, "b": 0.5, "delta": 0.1},
+                "domain_threshold",
+                math.e,
+            ),
+        ],
+        ids=["alpha", "domain_threshold"],
+    )
+    def test_constant_other_than_the_checked_one_rejected(self, d, key, constant):
+        # The checks assume the constant; a file stating another value would
+        # verify as if it said the constant, so it is refused.
+        assert certificate_from_dict(d).kind == d["kind"]
+        assert certificate_from_dict(dict(d, **{key: constant})).kind == d["kind"]
+        with pytest.raises(ValueError, match=key):
+            certificate_from_dict(dict(d, **{key: 2.0 * constant}))
+
     def test_dict_round_trip_preserves_values(self, stable_2d, unit_ball_2d):
         cert = synthesize_quadratic(stable_2d, unit_ball_2d)
         again = certificate_from_dict(certificate_to_dict(cert))

@@ -187,16 +187,19 @@ class TestStagedDraw:
     @pytest.mark.parametrize("stage_rows", [2, 3])
     @pytest.mark.parametrize("length", [2, 3, 4, 5, 7, 10])
     def test_lone_stream_in_stage_pieces(self, law, stage_rows, length, monkeypatch):
-        # Stages of two or three rows end in pieces of one to three rows; a
-        # Gaussian piece of one row would be multiplied by gemv.
+        # Stages of two or three steps end in pieces of one to three steps; a
+        # Gaussian piece of one step would be multiplied by gemv.  One stream
+        # and three, each of which fills the stage alone, a piece at a time.
         noise = LAWS[law]
         monkeypatch.setattr(systems, "STAGE_BYTES", stage_rows * noise.dimension * 8)
-        self._check(noise, [TrajectorySeed(13, length)], length)
+        for streams in (1, 3):
+            self._check(noise, [TrajectorySeed(13, length + i) for i in range(streams)], length)
 
 
 def test_lone_stream_needs_no_second_block():
-    """A lone stream is drawn straight into out: the draw's peak is out plus
-    stage-sized buffers, not a second full-length block."""
+    """A lone stream longer than the stage is drawn a piece of steps at a
+    time: the draw's peak is out plus stage-sized buffers, not a second
+    full-length block."""
     count = 2_000_000
     for noise in (NoiseModel.uniform([1.0, 2.0]), NoiseModel.gaussian([[1.0, 0.3], [0.3, 0.5]])):
         tracemalloc.start()
@@ -239,6 +242,7 @@ def test_sympy_is_imported_only_for_polynomial_systems():
     code = (
         "import sys, reachcert, reachcert.cli\n"
         "assert 'sympy' not in sys.modules, 'sympy imported with reachcert'\n"
+        "assert 'importlib.metadata' not in sys.modules, 'importlib.metadata imported with reachcert.cli'\n"
         "from reachcert.counterexamples import example1_system\n"
         "s = example1_system()\n"
         "from reachcert.systems import step_batch\n"

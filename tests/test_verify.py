@@ -227,7 +227,6 @@ class TestVerifyDrift:
         rw = LinearSystem(A=[[1.0]], B=[[1.0]], noise=NoiseModel.uniform([1.0]))
         bad = QuadraticCertificate(
             Q=np.eye(1),
-            alpha=1.0,
             compact_radius_sq=1.0,
             r0=0.99,
             variant_b=0.25,
