@@ -31,8 +31,8 @@ from .linalg import (
     quadratic_form,
     solve_discrete_lyapunov,
 )
-from .spectral import unit_plane_basis
-from .systems import LinearSystem, TargetBall, step_batch
+from .spectral import invariant_basis, unit_plane_basis
+from .systems import LinearSystem, TargetBall, _number, step_batch
 from .verify import _ellipsoid_shell_proposal, drift_expectation
 
 __all__ = [
@@ -161,7 +161,10 @@ def _star_bound(level: float) -> float:
     """exp(2 level^2): for level >= 1, {V_log <= level} is {x'Q_star x <= exp(2 level^2)}."""
     if level < 1.0:
         raise ValueError(f"level {level} is below 1, the least value of V: {{V <= r, U > 0}} is empty")
-    return math.exp(2.0 * level * level)
+    try:
+        return math.exp(2.0 * level * level)
+    except OverflowError:
+        raise ValueError(f"level {level} is too large: {{V <= r}} reaches past the float range") from None
 
 
 def _log_drift_values(X, Q_star) -> np.ndarray:
@@ -294,10 +297,9 @@ def synthesize_logarithmic(
     blocks of size one, n <= 2, B full rank with n == m.
     """
     try:
-        basis = unit_plane_basis(system.A)
+        Q_star = unit_plane_basis(system.A)
     except LinalgError as exc:
         raise SynthesisError(str(exc)) from exc
-    Q_star = basis.Q_star
     b = _sublevel_b(Q_star, target)
     if b <= 0:
         raise SynthesisError("target too small: sublevel bound b is non-positive")
@@ -374,40 +376,21 @@ class CompositeCertificate:
         return tuple(r + float(self.stable_cert.variant_b) for r in base)
 
 
-def _invariant_split(A, unit_tol=1e-9):
-    """Real bases for the unit-circle invariant subspace and its complement."""
-    eigvals, eigvecs = np.linalg.eig(A)
-    unit_cols, stable_cols = [], []
-    skip = set()
-    for i, lam in enumerate(eigvals):
-        if i in skip:
-            continue
-        cols = unit_cols if abs(abs(lam) - 1.0) <= max(unit_tol, 1e-7) else stable_cols
-        v = eigvecs[:, i]
-        if abs(lam.imag) > 1e-12:
-            # Use one member of each conjugate pair; its real and
-            # imaginary parts span the corresponding real plane.
-            j = int(np.argmin(np.abs(eigvals - np.conj(lam))))
-            skip.add(j)
-            cols.append(v.real)
-            cols.append(v.imag)
-        else:
-            cols.append(v.real)
-    if not unit_cols or not stable_cols:
-        raise SynthesisError("composite split needs both a unit part and a stable part")
-    T = np.column_stack(unit_cols + stable_cols)
-    if np.linalg.cond(T) > 1e10:
-        raise SynthesisError("invariant subspace split is ill-conditioned")
-    return T, len(unit_cols)
-
-
 def synthesize_composite(
     system: LinearSystem, target: TargetBall, seed: int = 0
 ) -> CompositeCertificate:
     """Composite certificate for a critical system with a stable part."""
     _require_origin_ball(target)
     A, B = system.A, system.B
-    T, nu = _invariant_split(A)
+    try:
+        T, report = invariant_basis(A)
+    except LinalgError as exc:
+        raise SynthesisError(str(exc)) from exc
+    nu = report.dim_EA
+    if nu == 0 or nu == A.shape[0]:
+        raise SynthesisError("composite split needs both a unit part and a stable part")
+    if np.linalg.cond(T) > 1e10:
+        raise SynthesisError("invariant subspace split is ill-conditioned")
     if nu > 2:
         raise SynthesisError("unit-circle subspace has dimension > 2; no certificate template")
     T_inv = np.linalg.inv(T)
@@ -540,7 +523,7 @@ def certificate_to_dict(cert) -> dict:
 def _require_constant(d: dict, key: str, value: float):
     """Reject a file whose ``key`` is not ``value``: the checks assume that
     constant, so a file stating another would verify as if it said ``value``."""
-    if float(d.get(key, value)) != value:
+    if _number(d, key, value) != value:
         raise ValueError(f"certificate {key} must be {value!r}, got {d[key]!r}")
 
 
@@ -553,11 +536,11 @@ def certificate_from_dict(d: dict):
             raise ValueError("certificate Q is not symmetric positive definite")
         return QuadraticCertificate(
             Q=Q,
-            compact_radius_sq=float(d["compact_radius_sq"]),
-            r0=float(d["r0"]),
-            variant_b=float(d["b"]),
-            delta=float(d["delta"]),
-            noise_set_bound=float(d.get("noise_set_bound", 0.0)),
+            compact_radius_sq=_number(d, "compact_radius_sq"),
+            r0=_number(d, "r0"),
+            variant_b=_number(d, "b"),
+            delta=_number(d, "delta"),
+            noise_set_bound=_number(d, "noise_set_bound", 0.0),
         )
     if kind == "logarithmic":
         _require_constant(d, "domain_threshold", DOMAIN_THRESHOLD)
@@ -566,10 +549,10 @@ def certificate_from_dict(d: dict):
             raise ValueError("certificate Q_star is not symmetric positive definite")
         return LogCertificate(
             Q_star=Q_star,
-            compact_radius_star=float(d["compact_radius_star"]),
-            variant_b=float(d["b"]),
-            delta=float(d["delta"]),
-            epsilon=float(d.get("epsilon", 0.0)),
+            compact_radius_star=_number(d, "compact_radius_star"),
+            variant_b=_number(d, "b"),
+            delta=_number(d, "delta"),
+            epsilon=_number(d, "epsilon", 0.0),
         )
     if kind == "composite":
         T = np.asarray(d["transform"], dtype=float)
@@ -577,12 +560,12 @@ def certificate_from_dict(d: dict):
         return CompositeCertificate(
             transform=T,
             transform_inv=np.linalg.inv(T),
-            unit_dim=int(d["unit_dim"]),
+            unit_dim=int(_number(d, "unit_dim")),
             unit_cert=certificate_from_dict(d["unit"]),
             stable_cert=certificate_from_dict(d["stable"]),
             M=0.5 * (M + M.T),
-            variant_b=float(d["b"]),
-            delta=float(d["delta"]),
+            variant_b=_number(d, "b"),
+            delta=_number(d, "delta"),
             verified=bool(d.get("verified", False)),
         )
     raise ValueError(f"unknown certificate kind {kind!r}")

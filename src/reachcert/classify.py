@@ -21,8 +21,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import DEFAULT_RANK_TOL, numerical_rank
-from .spectral import DEFAULT_UNIT_TOL, SpectralReport, analyze
+from .linalg import UNIT_TOL, numerical_rank
+from .spectral import SpectralReport, analyze
 from .systems import LinearSystem, TargetBall, contains
 
 __all__ = ["Outcome", "Verdict", "classify"]
@@ -57,27 +57,22 @@ class Verdict:
         }
 
 
-def classify(
-    system: LinearSystem,
-    target: TargetBall,
-    unit_tol: float = DEFAULT_UNIT_TOL,
-    rank_tol: float = DEFAULT_RANK_TOL,
-) -> Verdict:
+def classify(system: LinearSystem, target: TargetBall) -> Verdict:
     """Map (A, B, noise, target) to a reachability verdict with its trace."""
     if target.dimension != system.dimension:
         raise ValueError("target dimension does not match the system")
     if not contains(target, np.zeros((1, target.dimension)))[0]:
         raise ValueError("the target set must contain the origin")
 
-    report = analyze(system.A, unit_tol=unit_tol, rank_tol=rank_tol)
+    report = analyze(system.A)
     trace = []
     warnings = []
     if report.ambiguous_clustering:
         warnings.append("eigenvalue clusters closer than 10x the clustering tolerance")
 
     rho = report.rho
-    if rho < 1.0 - unit_tol:
-        trace.append(("spectral_radius", rho, f"< 1 - {unit_tol:g}: stable"))
+    if rho < 1.0 - UNIT_TOL:
+        trace.append(("spectral_radius", rho, f"< 1 - {UNIT_TOL:g}: stable"))
         return Verdict(
             outcome=Outcome.REACHABLE_STABLE,
             certificate_advice="quadratic",
@@ -85,8 +80,8 @@ def classify(
             spectral=report,
             warnings=tuple(warnings),
         )
-    if rho > 1.0 + unit_tol:
-        trace.append(("spectral_radius", rho, f"> 1 + {unit_tol:g}: unstable"))
+    if rho > 1.0 + UNIT_TOL:
+        trace.append(("spectral_radius", rho, f"> 1 + {UNIT_TOL:g}: unstable"))
         return Verdict(
             outcome=Outcome.NOT_REACHABLE_UNSTABLE,
             certificate_advice="none",
@@ -96,7 +91,7 @@ def classify(
         )
 
     trace.append(("spectral_radius", rho, "within the critical band around 1"))
-    if abs(rho - 1.0) > 0.1 * unit_tol:
+    if abs(rho - 1.0) > 0.1 * UNIT_TOL:
         warnings.append("near-critical: spectral radius within tolerance of 1 but not exactly 1")
 
     if report.d_max_unit >= 2:
@@ -111,7 +106,7 @@ def classify(
     trace.append(("largest_unit_jordan_block", report.d_max_unit, "diagonalizable unit part"))
 
     n, m = system.dimension, system.noise_dimension
-    b_rank = numerical_rank(system.B, rank_tol)
+    b_rank = numerical_rank(system.B)
     full_excitation = (n == m) and (b_rank == n)
     trace.append(
         (

@@ -25,9 +25,12 @@ __all__ = [
     "is_symmetric_positive_definite",
 ]
 
-DEFAULT_CLUSTER_TOL = 1e-8
-DEFAULT_RANK_TOL = 1e-10
-LYAPUNOV_RESIDUAL_TOL = 1e-9
+# The tolerances every decision in the package reads; nothing overrides them.
+UNIT_TOL = 1e-9  # an eigenvalue whose modulus is within UNIT_TOL of 1 lies on the unit circle
+CLUSTER_TOL = 1e-8  # eigenvalues within CLUSTER_TOL of each other (transitively) merge
+RANK_TOL = 1e-10  # singular values up to RANK_TOL times the largest count as zero
+LYAPUNOV_RESIDUAL_TOL = 1e-9  # relative residual a Lyapunov solution must meet
+SYM_TOL = 1e-10  # relative asymmetry a positive definite matrix may show
 
 
 class LinalgError(ValueError):
@@ -67,14 +70,14 @@ class ComplexSpectrum:
         return np.abs(np.asarray(self.eigenvalues))
 
 
-def _cluster(values, tol):
-    """Greedy transitive clustering of complex values within distance tol."""
+def _cluster(values):
+    """Greedy transitive clustering of complex values within distance CLUSTER_TOL."""
     order = np.lexsort((values.imag, values.real))
     values = values[order]
     groups = []
     for v in values:
         for g in groups:
-            if any(abs(v - u) <= tol for u in g):
+            if any(abs(v - u) <= CLUSTER_TOL for u in g):
                 g.append(v)
                 break
         else:
@@ -82,27 +85,25 @@ def _cluster(values, tol):
     return groups
 
 
-def eigen_decompose(M, cluster_tol: float = DEFAULT_CLUSTER_TOL) -> ComplexSpectrum:
+def eigen_decompose(M) -> ComplexSpectrum:
     """Eigenvalues of a square real matrix, merged into clusters.
 
-    Raw eigenvalues within ``cluster_tol`` of each other (transitively)
+    Raw eigenvalues within ``CLUSTER_TOL`` of each other (transitively)
     are merged; the cluster value is their mean.  Conjugate symmetry is
     restored exactly: clusters with a small imaginary part are snapped to
     the real axis, and non-real clusters are paired with their conjugates.
     """
-    if cluster_tol <= 0:
-        raise LinalgError("cluster_tol must be positive")
     M = _as_square(M)
     try:
         raw = np.linalg.eigvals(M)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise LinalgError(f"eigenvalue iteration failed: {exc}") from exc
 
-    groups = _cluster(raw, cluster_tol)
+    groups = _cluster(raw)
     eigs, mults = [], []
     for g in groups:
         val = np.mean(g)
-        if abs(val.imag) <= cluster_tol:
+        if abs(val.imag) <= CLUSTER_TOL:
             val = complex(val.real, 0.0)
         eigs.append(val)
         mults.append(len(g))
@@ -116,7 +117,7 @@ def eigen_decompose(M, cluster_tol: float = DEFAULT_CLUSTER_TOL) -> ComplexSpect
         partners = [
             j
             for j in range(len(eigs))
-            if not used[j] and j != i and abs(eigs[j] - np.conj(eigs[i])) <= 2 * cluster_tol
+            if not used[j] and j != i and abs(eigs[j] - np.conj(eigs[i])) <= 2 * CLUSTER_TOL
         ]
         if partners:
             j = min(partners, key=lambda j: abs(eigs[j] - np.conj(eigs[i])))
@@ -138,7 +139,7 @@ def spectral_radius(M) -> float:
     return float(spectrum.moduli().max())
 
 
-def solve_discrete_lyapunov(A, residual_tol: float = LYAPUNOV_RESIDUAL_TOL):
+def solve_discrete_lyapunov(A):
     """Solve ``A' Q A = Q - I`` for symmetric positive definite Q.
 
     Requires ``spectral_radius(A) < 1``.  The equation is solved by
@@ -147,7 +148,7 @@ def solve_discrete_lyapunov(A, residual_tol: float = LYAPUNOV_RESIDUAL_TOL):
     to a Sylvester equation above); the result is symmetrized.  Raises
     LinalgError if the spectral radius precondition fails, if Q is not
     positive definite, or if the residual ``||A'QA - Q + I||_F`` exceeds
-    ``residual_tol * (1 + ||Q||_F)``.
+    ``LYAPUNOV_RESIDUAL_TOL * (1 + ||Q||_F)``.
     """
     import scipy.linalg  # slow to import; only commands that solve need it
 
@@ -164,7 +165,7 @@ def solve_discrete_lyapunov(A, residual_tol: float = LYAPUNOV_RESIDUAL_TOL):
     Q = 0.5 * (Q + Q.T)
 
     residual = np.linalg.norm(A.T @ Q @ A - Q + np.eye(n), "fro")
-    if residual > residual_tol * (1.0 + np.linalg.norm(Q, "fro")):
+    if residual > LYAPUNOV_RESIDUAL_TOL * (1.0 + np.linalg.norm(Q, "fro")):
         raise LinalgError(
             f"Lyapunov residual {residual:.3e} exceeds tolerance; "
             f"equation ill-conditioned (rho={rho:.6g})"
@@ -184,13 +185,11 @@ def max_generalized_eigenvalue(X, Q) -> float:
     return float(scipy.linalg.eigh(X, Q, eigvals_only=True).max())
 
 
-def numerical_rank(M, rank_tol: float = DEFAULT_RANK_TOL) -> int:
-    """Count of singular values above ``rank_tol`` times the largest one.
+def numerical_rank(M) -> int:
+    """Count of singular values above ``RANK_TOL`` times the largest one.
 
     The zero matrix has rank 0.  Accepts real or complex input.
     """
-    if rank_tol <= 0:
-        raise LinalgError("rank_tol must be positive")
     M = np.atleast_2d(np.asarray(M))
     if not np.all(np.isfinite(M)):
         raise LinalgError("matrix has non-finite entries")
@@ -199,7 +198,7 @@ def numerical_rank(M, rank_tol: float = DEFAULT_RANK_TOL) -> int:
     s = np.linalg.svd(M, compute_uv=False)
     if s.size == 0 or s[0] == 0.0:
         return 0
-    return int(np.sum(s > rank_tol * s[0]))
+    return int(np.sum(s > RANK_TOL * s[0]))
 
 
 def quadratic_form(X, M) -> np.ndarray:
@@ -211,14 +210,14 @@ def quadratic_form(X, M) -> np.ndarray:
     return np.einsum("ij,ij->i", X @ M, X)
 
 
-def is_symmetric_positive_definite(Q, sym_tol: float = 1e-10) -> bool:
+def is_symmetric_positive_definite(Q) -> bool:
     """Check symmetry (relative Frobenius) and positive definiteness."""
     Q = np.asarray(Q, dtype=float)
     if Q.ndim != 2 or Q.shape[0] != Q.shape[1]:
         return False
     if not np.all(np.isfinite(Q)):
         return False
-    if np.linalg.norm(Q - Q.T, "fro") > sym_tol * (1.0 + np.linalg.norm(Q, "fro")):
+    if np.linalg.norm(Q - Q.T, "fro") > SYM_TOL * (1.0 + np.linalg.norm(Q, "fro")):
         return False
     try:
         np.linalg.cholesky(0.5 * (Q + Q.T))

@@ -2,10 +2,12 @@
 
 Extracts the facts the reachability decision tree branches on: the
 spectral radius, the eigenvalue clusters on the unit circle with their
-algebraic/geometric multiplicities and largest Jordan block size, the
-real dimension of the unit-circle invariant subspace, and (for fully
-critical systems of dimension at most 2) the real change of basis whose
-induced weighted norm is preserved by A.
+algebraic/geometric multiplicities and largest Jordan block size, and
+the real dimension of the unit-circle invariant subspace.  One real
+eigenvector basis, split into that subspace and its complement, serves
+certificate synthesis, as does (for fully critical systems of dimension
+at most 2) the weighted norm preserved by A.  Every threshold is one of
+the tolerance constants of `linalg`.
 """
 
 from __future__ import annotations
@@ -14,29 +16,20 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import (
-    DEFAULT_CLUSTER_TOL,
-    DEFAULT_RANK_TOL,
-    LinalgError,
-    eigen_decompose,
-    numerical_rank,
-)
+from .linalg import CLUSTER_TOL, UNIT_TOL, LinalgError, eigen_decompose, numerical_rank
 
 __all__ = [
     "UnitCluster",
     "SpectralReport",
-    "RealPlaneBasis",
     "analyze",
+    "invariant_basis",
     "unit_plane_basis",
-    "DEFAULT_UNIT_TOL",
 ]
-
-DEFAULT_UNIT_TOL = 1e-9
 
 
 @dataclass(frozen=True)
 class UnitCluster:
-    """One eigenvalue cluster with modulus within unit_tol of 1."""
+    """One eigenvalue cluster with modulus within UNIT_TOL of 1."""
 
     eigenvalue: complex
     algebraic: int
@@ -49,7 +42,6 @@ class SpectralReport:
     """Structural summary of a square real matrix."""
 
     rho: float
-    unit_tol: float
     unit_clusters: tuple = field(default_factory=tuple)
     dim_EA: int = 0
     d_max_unit: int = 0
@@ -59,7 +51,7 @@ class SpectralReport:
     def to_dict(self) -> dict:
         return {
             "rho": self.rho,
-            "unit_tol": self.unit_tol,
+            "unit_tol": UNIT_TOL,
             "unit_clusters": [
                 {
                     "eigenvalue": [c.eigenvalue.real, c.eigenvalue.imag],
@@ -76,42 +68,29 @@ class SpectralReport:
         }
 
 
-@dataclass(frozen=True)
-class RealPlaneBasis:
-    """Real basis P with Q_star = (P P')^{-1} such that A'Q_star A = Q_star."""
-
-    P: np.ndarray
-    Q_star: np.ndarray
-
-
-def _block_size(A, lam, rank_tol):
+def _block_size(A, lam):
     """Largest Jordan block size for eigenvalue lam via rank stabilization.
 
     d is the smallest k with rank((A - lam I)^k) == rank((A - lam I)^{k+1}).
     """
     n = A.shape[0]
     M = A.astype(complex) - lam * np.eye(n)
-    prev = numerical_rank(M, rank_tol)
+    prev = numerical_rank(M)
     power = M.copy()
     for k in range(1, n + 1):
         power = power @ M
-        cur = numerical_rank(power, rank_tol)
+        cur = numerical_rank(power)
         if cur == prev:
             return k
         prev = cur
     return n
 
 
-def analyze(
-    A,
-    unit_tol: float = DEFAULT_UNIT_TOL,
-    rank_tol: float = DEFAULT_RANK_TOL,
-    cluster_tol: float = DEFAULT_CLUSTER_TOL,
-) -> SpectralReport:
+def analyze(A) -> SpectralReport:
     """Full spectral structure report for a square real matrix."""
     A = np.atleast_2d(np.asarray(A, dtype=float))
     n = A.shape[0]
-    spectrum = eigen_decompose(A, cluster_tol=cluster_tol)
+    spectrum = eigen_decompose(A)
     eigs = np.asarray(spectrum.eigenvalues)
     mults = np.asarray(spectrum.multiplicities)
     rho = float(np.abs(eigs).max()) if eigs.size else 0.0
@@ -121,16 +100,16 @@ def analyze(
     ambiguous = False
     for i in range(len(eigs)):
         for j in range(i + 1, len(eigs)):
-            if abs(eigs[i] - eigs[j]) < 10.0 * cluster_tol:
+            if abs(eigs[i] - eigs[j]) < 10.0 * CLUSTER_TOL:
                 ambiguous = True
 
     unit_clusters = []
     stable_moduli = []
     for lam, a in zip(eigs, mults):
-        if abs(abs(lam) - 1.0) <= unit_tol:
+        if abs(abs(lam) - 1.0) <= UNIT_TOL:
             M = A.astype(complex) - lam * np.eye(n)
-            g = n - numerical_rank(M, rank_tol)
-            d = _block_size(A, lam, rank_tol)
+            g = n - numerical_rank(M)
+            d = _block_size(A, lam)
             unit_clusters.append(
                 UnitCluster(eigenvalue=complex(lam), algebraic=int(a), geometric=int(g), block_size=int(d))
             )
@@ -144,7 +123,6 @@ def analyze(
     stable_rho = float(max(stable_moduli, default=0.0))
     return SpectralReport(
         rho=rho,
-        unit_tol=unit_tol,
         unit_clusters=tuple(unit_clusters),
         dim_EA=dim_EA,
         d_max_unit=d_max,
@@ -153,19 +131,52 @@ def analyze(
     )
 
 
-def unit_plane_basis(A, unit_tol: float = DEFAULT_UNIT_TOL) -> RealPlaneBasis:
-    """Norm-preserving weighted norm for a fully critical A with n <= 2.
+def invariant_basis(A):
+    """Real eigenvector basis of A, the unit-circle invariant subspace first.
+
+    Returns ``(T, report)`` with ``report = analyze(A)``.  The columns of T
+    come from `np.linalg.eig`: a real eigenvalue gives its eigenvector, a
+    conjugate pair the real and imaginary parts of the eigenvector of its
+    member with positive imaginary part (the one LAPACK lists first).  The
+    first ``report.dim_EA`` columns belong to the eigenvalues nearest the
+    unit circle, so the split counts exactly the eigenvalues that `analyze`
+    puts on it; each part keeps the order of `eig`.  T is singular when A is
+    not diagonalizable, so callers check its conditioning.
+    """
+    A = np.atleast_2d(np.asarray(A, dtype=float))
+    report = analyze(A)
+    eigvals, eigvecs = np.linalg.eig(A)
+    # (distance to the unit circle, real columns) per eigenvalue or pair
+    blocks = [
+        (abs(abs(lam) - 1.0), [v.real, v.imag] if lam.imag else [v.real])
+        for lam, v in zip(eigvals, eigvecs.T)
+        if lam.imag >= 0.0
+    ]
+    unit, count = set(), 0
+    for k in sorted(range(len(blocks)), key=lambda k: blocks[k][0]):
+        if count < report.dim_EA:
+            unit.add(k)
+            count += len(blocks[k][1])
+    if count != report.dim_EA:
+        raise LinalgError("a conjugate pair straddles the unit-circle split")
+    order = sorted(range(len(blocks)), key=lambda k: k not in unit)
+    return np.column_stack([c for k in order for c in blocks[k][1]]), report
+
+
+def unit_plane_basis(A) -> np.ndarray:
+    """Norm-preserving weight Q_star for a fully critical A with n <= 2.
 
     Preconditions: all eigenvalues have modulus 1 and A is diagonalizable
-    (checked via `analyze`).  Returns P and Q_star = (P P')^{-1} with
-    A' Q_star A = Q_star.  Q_star is normalized to unit determinant, which
-    gives the identity for orthogonal A.
+    (checked via `analyze`).  Returns Q_star = (P P')^{-1} for the real
+    eigenvector basis P of `invariant_basis`, so A' Q_star A = Q_star.
+    Q_star is normalized to unit determinant, which gives the identity for
+    orthogonal A.
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     n = A.shape[0]
     if n > 2:
         raise LinalgError("unit_plane_basis requires dimension <= 2")
-    report = analyze(A, unit_tol=unit_tol)
+    P, report = invariant_basis(A)
     if report.dim_EA != n or report.d_max_unit > 1:
         raise LinalgError(
             "unit_plane_basis requires all eigenvalues on the unit circle "
@@ -173,18 +184,7 @@ def unit_plane_basis(A, unit_tol: float = DEFAULT_UNIT_TOL) -> RealPlaneBasis:
         )
 
     if n == 1:
-        return RealPlaneBasis(P=np.eye(1), Q_star=np.eye(1))
-
-    eigvals, eigvecs = np.linalg.eig(A)
-    if abs(eigvals[0].imag) > unit_tol:
-        # Complex pair alpha +/- i beta: P = [Re v, Im v] gives
-        # P^{-1} A P = [[alpha, beta], [-beta, alpha]].
-        idx = 0 if eigvals[0].imag > 0 else 1
-        v = eigvecs[:, idx]
-        P = np.column_stack([v.real, v.imag])
-    else:
-        # Real diagonalizable case (eigenvalues in {+1, -1}).
-        P = np.column_stack([eigvecs[:, 0].real, eigvecs[:, 1].real])
+        return np.eye(1)
     if abs(np.linalg.det(P)) < 1e-12:
         raise LinalgError("degenerate eigenvector basis")
 
@@ -197,4 +197,4 @@ def unit_plane_basis(A, unit_tol: float = DEFAULT_UNIT_TOL) -> RealPlaneBasis:
     residual = np.linalg.norm(A.T @ Q_star @ A - Q_star, "fro")
     if residual > 1e-8 * (1.0 + np.linalg.norm(Q_star, "fro")):
         raise LinalgError(f"norm-preservation residual {residual:.3e} too large")
-    return RealPlaneBasis(P=P, Q_star=Q_star)
+    return Q_star

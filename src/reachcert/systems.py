@@ -40,6 +40,19 @@ UNIFORM_KINDS = ("uniform-box", "uniform-interval-product")
 STAGE_BYTES = 1 << 20
 
 
+def _number(d: dict, key: str, default: float | None = None) -> float:
+    """``d[key]`` as a float, or ``default`` (when given) if the key is absent.
+
+    A value that is no number, a JSON null among them, raises ValueError
+    naming the field rather than float()'s TypeError.
+    """
+    value = d[key] if default is None or key in d else default
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{key} must be a number, got {value!r}") from None
+
+
 def _scale_uniform(u, h):
     """Map raw doubles u in [0, 1) to uniform(-1, 1) * h in place.
 
@@ -338,7 +351,7 @@ class TargetBall:
             raise ValueError(f"unknown target norm {norm!r}")
         return TargetBall(
             center=np.asarray(d["center"], dtype=float),
-            radius=float(d["radius"]),
+            radius=_number(d, "radius"),
             weight=weight,
         )
 

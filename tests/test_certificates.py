@@ -11,6 +11,7 @@ from reachcert import (
     TargetBall,
     certificate_from_dict,
     certificate_to_dict,
+    classify,
     load_certificate,
     save_certificate,
     synthesize_composite,
@@ -159,6 +160,19 @@ class TestComposite:
     def test_fully_critical_rejected(self, rotation_system, unit_ball_2d):
         with pytest.raises(SynthesisError):
             synthesize_composite(rotation_system, unit_ball_2d)
+
+    def test_split_counts_what_classify_counts(self):
+        # 1 - 5e-8 is off the unit circle for the classifier, so the split
+        # keeps it in the stable part instead of failing for want of one.
+        A = np.zeros((3, 3))
+        A[:2, :2] = rotation_matrix(np.pi / 4)
+        A[2, 2] = 1.0 - 5e-8
+        system = LinearSystem(A=A, B=np.eye(3), noise=NoiseModel.uniform([1.0] * 3))
+        target = TargetBall(center=np.zeros(3), radius=1.5)
+        assert classify(system, target).spectral.dim_EA == 2
+        cert = synthesize_composite(system, target)
+        assert cert.unit_dim == 2
+        assert cert.stable_cert.Q.shape == (1, 1)
 
 
 class TestSerialization:

@@ -410,3 +410,87 @@ def test_simulate_counts_are_checked_by_the_parser(flag, value, expected, random
     assert exc.value.code == 2
     assert f"argument {flag}: expected {expected}, got '{value}'" in capsys.readouterr().err
     assert not list(tmp_path.glob("*.csv"))
+
+
+def test_near_unit_stable_part_certifies_past_the_split(tmp_path, capsys):
+    """rotation(pi/4) (+) (1 - 5e-8): classify counts a unit dimension of 2,
+    and certify splits along it, so the composite candidate is built and
+    flagged unverified rather than failing to split."""
+    A = np.zeros((3, 3))
+    A[:2, :2] = rotation_matrix(np.pi / 4)
+    A[2, 2] = 1.0 - 5e-8
+    system = _write_system(
+        tmp_path,
+        "near.json",
+        {
+            "A": A.tolist(),
+            "B": np.eye(3).tolist(),
+            "noise": _law("uniform", 3),
+            "target": {"center": [0.0] * 3, "radius": 1.5, "norm": "euclidean"},
+        },
+    )
+    out = tmp_path / "out"
+    assert run(["certify", "--system", system, "--out", str(out), "--samples", "1000"]) == 1
+    assert "synthesis failed" not in capsys.readouterr().err
+    report = json.loads((out / "certify.json").read_text())
+    assert report["classify"]["spectral"]["dim_EA"] == 2
+    assert report["certificate"]["unit_dim"] == 2
+    assert report["certificate"]["verified"] is False
+    # Its default variant levels add the stable part's b (about 1e7), past
+    # what exp(2 r^2) can hold: verify names the level instead of overflowing.
+    argv = ["verify", "--system", system, "--certificate", str(out / "certificate.json")]
+    assert run([*argv, "--out", str(out), "--samples", "1000"]) == 2
+    assert "is too large" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--unit-tol", "--rank-tol"])
+@pytest.mark.parametrize("command", ["classify", "certify"])
+def test_tolerance_flags_are_unknown(command, flag, tmp_path, capsys):
+    """The tolerances are constants, so a tolerance flag is a usage error.
+    On A = [[1.5]], `classify --unit-tol -1` used to print ReachableStable
+    and exit 0."""
+    system = _write_system(
+        tmp_path,
+        "a15.json",
+        {
+            "A": [[1.5]],
+            "B": [[1.0]],
+            "noise": {"kind": "uniform-box", "half_widths": [1.0]},
+            "target": {"center": [0.0], "radius": 1.0},
+        },
+    )
+    with pytest.raises(SystemExit) as exc:
+        run([command, "--system", system, flag, "-1", "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} -1" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["a15.json"]
+
+
+def test_null_certificate_constant_is_a_usage_error(stable_file, tmp_path, capsys):
+    """A JSON null where a certificate file needs a number exits 2 and names
+    the field, instead of a TypeError traceback."""
+    cert = tmp_path / "null.json"
+    cert.write_text(
+        json.dumps(
+            {"kind": "quadratic", "Q": [[1.0, 0.0], [0.0, 1.0]], "compact_radius_sq": 1.0,
+             "r0": None, "b": 0.1, "delta": 0.05}
+        )
+    )
+    argv = ["verify", "--system", stable_file, "--certificate", str(cert), "--out", str(tmp_path)]
+    assert run(argv) == 2
+    assert "r0 must be a number, got None" in capsys.readouterr().err
+
+
+def test_null_target_radius_is_a_usage_error(tmp_path, capsys):
+    system = _write_system(
+        tmp_path,
+        "nullradius.json",
+        {
+            "A": [[0.5]],
+            "B": [[1.0]],
+            "noise": {"kind": "uniform-box", "half_widths": [1.0]},
+            "target": {"center": [0.0], "radius": None},
+        },
+    )
+    assert run(["classify", "--system", system, "--out", str(tmp_path)]) == 2
+    assert "radius must be a number, got None" in capsys.readouterr().err

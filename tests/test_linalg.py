@@ -95,8 +95,9 @@ class TestNumericalRank:
         assert numerical_rank(np.zeros((2, 2))) == 0
 
     def test_tolerance_respected(self):
+        # 1e-14 falls below RANK_TOL times the largest singular value.
         A = np.diag([1.0, 1e-14])
-        assert numerical_rank(A, rank_tol=1e-10) == 1
+        assert numerical_rank(A) == 1
 
 
 class TestPositiveDefinite:

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reachcert.linalg import LinalgError
-from reachcert.spectral import analyze, unit_plane_basis
+from reachcert.spectral import analyze, invariant_basis, unit_plane_basis
 
 from conftest import rotation_matrix
 
@@ -53,20 +55,19 @@ class TestAnalyze:
 
 class TestUnitPlaneBasis:
     def test_rotation_gives_identity(self):
-        basis = unit_plane_basis(rotation_matrix(np.pi / 3))
-        assert np.allclose(basis.Q_star, np.eye(2), atol=1e-10)
+        Q = unit_plane_basis(rotation_matrix(np.pi / 3))
+        assert np.allclose(Q, np.eye(2), atol=1e-10)
 
     def test_scalar_signs(self):
         for a in (1.0, -1.0):
-            basis = unit_plane_basis(np.array([[a]]))
-            assert np.allclose(basis.Q_star, [[1.0]], atol=1e-12)
+            Q = unit_plane_basis(np.array([[a]]))
+            assert np.allclose(Q, [[1.0]], atol=1e-12)
 
     def test_invariance_property(self):
         # A'Q*A = Q* for a non-orthogonal critical matrix: conjugated rotation.
         T = np.array([[2.0, 1.0], [0.0, 1.0]])
         A = T @ rotation_matrix(0.9) @ np.linalg.inv(T)
-        basis = unit_plane_basis(A)
-        Q = basis.Q_star
+        Q = unit_plane_basis(A)
         assert np.allclose(A.T @ Q @ A, Q, atol=1e-8)
         assert np.linalg.det(Q) == pytest.approx(1.0, abs=1e-8)
 
@@ -77,3 +78,38 @@ class TestUnitPlaneBasis:
     def test_rejects_high_dimension(self):
         with pytest.raises(LinalgError):
             unit_plane_basis(np.eye(3))
+
+
+class TestInvariantBasis:
+    def test_near_unit_stable_eigenvalue_stays_stable(self):
+        # 1 - 5e-8 lies outside UNIT_TOL of the circle: analyze counts the
+        # rotation plane alone, and so does the split.
+        A = np.zeros((3, 3))
+        A[:2, :2] = rotation_matrix(np.pi / 4)
+        A[2, 2] = 1.0 - 5e-8
+        T, report = invariant_basis(A)
+        assert report.dim_EA == 2
+        assert np.all(T[2, :2] == 0.0) and np.all(T[:2, 2] == 0.0)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        st.floats(min_value=0.1, max_value=3.0),
+        st.floats(min_value=-12.0, max_value=-1.0),
+        st.integers(min_value=0, max_value=10_000),
+    )
+    def test_unit_part_is_what_analyze_counts(self, theta, log_gap, seed):
+        # A conjugated rotation plus one real eigenvalue 10^log_gap inside the
+        # circle, on either side of UNIT_TOL: the unit columns are always
+        # dim_EA, and they span an A-invariant subspace.
+        rng = np.random.default_rng(seed)
+        J = np.zeros((3, 3))
+        J[:2, :2] = rotation_matrix(theta)
+        J[2, 2] = 1.0 - 10.0**log_gap
+        P = np.eye(3) + 0.3 * rng.standard_normal((3, 3))
+        A = P @ J @ np.linalg.inv(P)
+        T, report = invariant_basis(A)
+        nu = report.dim_EA
+        assert nu in (2, 3)
+        U = T[:, :nu]
+        coeffs, *_ = np.linalg.lstsq(U, A @ U, rcond=None)
+        assert np.allclose(U @ coeffs, A @ U, atol=1e-6)
