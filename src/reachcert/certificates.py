@@ -33,7 +33,7 @@ from .linalg import (
 )
 from .spectral import invariant_basis, unit_plane_basis
 from .systems import LinearSystem, TargetBall, _number, step_batch
-from .verify import _ellipsoid_shell_proposal, drift_expectation
+from .verify import LevelOverflowError, _ellipsoid_shell_proposal, drift_expectation
 
 __all__ = [
     "QuadraticCertificate",
@@ -164,7 +164,7 @@ def _star_bound(level: float) -> float:
     try:
         return math.exp(2.0 * level * level)
     except OverflowError:
-        raise ValueError(f"level {level} is too large: {{V <= r}} reaches past the float range") from None
+        raise LevelOverflowError(f"level {level} is too large: {{V <= r}} reaches past the float range") from None
 
 
 def _log_drift_values(X, Q_star) -> np.ndarray:
@@ -195,15 +195,12 @@ class LogCertificate:
         # Euclidean radius covering {||x||_* <= compact_radius_star}
         return self.compact_radius_star / math.sqrt(float(np.linalg.eigvalsh(self.Q_star).min()))
 
-    def star_norms(self, X) -> np.ndarray:
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        return np.sqrt(np.maximum(quadratic_form(X, self.Q_star), 0.0))
-
     def drift_values(self, X) -> np.ndarray:
         return _log_drift_values(X, self.Q_star)
 
     def variant_values(self, X) -> np.ndarray:
-        return self.star_norms(X) ** 2 - self.variant_b
+        X = np.atleast_2d(np.asarray(X, dtype=float))
+        return np.sqrt(np.maximum(quadratic_form(X, self.Q_star), 0.0)) ** 2 - self.variant_b
 
     def h_bound(self, r: float) -> float:
         return math.exp(2.0 * r * r) - self.variant_b

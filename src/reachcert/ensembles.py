@@ -16,9 +16,9 @@ dimension, and a decay fit keeps only each batch's ball counts at the
 grid steps, so an ensemble's memory depends on neither its trajectory
 count nor its grid.  Neither length changes any trajectory: a chunked
 ensemble replays exactly the stream of a single-trajectory simulation.
-A factor A or B that is exactly the identity is not multiplied, so the
-random walk x + Bw pays for its additions only; the states keep the bits
-of step_batch.
+A factor A or B that is exactly the identity is not multiplied, as in
+step_batch, so the random walk x + Bw pays for its additions only; the
+states keep the bits of step_batch.
 """
 
 from __future__ import annotations
@@ -131,31 +131,21 @@ class DecayFit:
         }
 
 
-def _factors(system):
-    """(A', B') of a linear system, each None where the factor is exactly
-    the identity, or None for a system that step_batch steps."""
-    if not isinstance(system, LinearSystem):
-        return None
-    return tuple(None if np.array_equal(M, np.eye(M.shape[0])) else M.T for M in (system.A, system.B))
-
-
-def _advance(system, factors, X, W):
+def _advance(system, X, W):
     """(s, rows, n) states after each step of the (s, rows, m) noise block W
-    from X; ``factors`` is ``_factors(system)``."""
+    from X."""
     out = np.empty((W.shape[0],) + X.shape)
-    if factors is None:
+    if not isinstance(system, LinearSystem):
         for t in range(W.shape[0]):
             X = out[t] = step_batch(system, X, W[t])
         return out
     # The products of step_batch (X A' + W B') with the same shapes, so
-    # the same BLAS paths; the sum runs in the other order, which IEEE
-    # addition makes exact.  A product by an identity factor is skipped,
-    # which keeps every bit: x*1 = x and x*0 = +-0, so for finite states
-    # the product equals its input up to the sign of a zero.  (Where a
-    # coordinate is infinite the product fills its row with NaN; either
-    # way the state is past OVERFLOW_GUARD, which ends a simulated or
-    # hitting trajectory.)
-    AT, BT = factors
+    # the same BLAS paths, and the same identity factors skipped; the sum
+    # runs in the other order, which IEEE addition makes exact.  (Where a
+    # coordinate is infinite a skipped product would have filled its row
+    # with NaN; either way the state is past OVERFLOW_GUARD, which ends a
+    # simulated or hitting trajectory.)
+    AT, BT = system.factors
     WB = W if BT is None else np.matmul(W, BT, out=out)
     AX = np.empty_like(X)
     for t in range(W.shape[0]):
@@ -181,7 +171,6 @@ def _run(system, X, rngs, horizon, observe):
     """
     live = np.arange(X.shape[0])
     k = 0
-    factors = _factors(system)
     # One noise buffer for every chunk, so no chunk pays for a fresh
     # allocation and its page faults; a chunk's noise lives until the next
     # chunk overwrites it.
@@ -197,7 +186,7 @@ def _run(system, X, rngs, horizon, observe):
             t = 0
             while t < length and live.size:
                 s = min(steps, length - t)
-                S = _advance(system, factors, X, W[t : t + s] if cols.size == W.shape[1] else W[t : t + s, cols])
+                S = _advance(system, X, W[t : t + s] if cols.size == W.shape[1] else W[t : t + s, cols])
                 X = S[-1]
                 stop = observe(k + t, live, S)
                 if stop is not None and stop.any():

@@ -6,13 +6,15 @@ The dynamics are ``x_{k+1} = f(x_k, w_k)`` with i.i.d. zero-mean noise
 are the rows of an (N, n) array, both for `step_batch` and for
 `contains`, whose target is an open ball (Euclidean or weighted by a PD
 matrix) or a callable row mask.  The noise law lives in `NoiseModel`,
-which alone draws noise and builds its Gauss rules; all noise sampling
-is driven by explicit per-trajectory seeds so ensembles are reproducible
-regardless of execution order.
+which alone draws noise and builds its Gauss rules (from unit rules built
+once); all noise sampling is driven by explicit per-trajectory seeds so
+ensembles are reproducible regardless of execution order.  Every linear
+step skips a factor that is exactly the identity (`LinearSystem.factors`).
 """
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 
@@ -63,6 +65,18 @@ def _scale_uniform(u, h):
     u *= 2.0
     u -= 1.0
     u *= h
+
+
+@functools.lru_cache(maxsize=64)
+def _unit_gauss_rule(family: str, order: int, m: int):
+    """Tensor rule of ``order`` per axis over m axes for the standard law of
+    ``family`` ("hermite" or "legendre"), built once and kept read-only."""
+    x, w = (np.polynomial.hermite_e.hermegauss if family == "hermite" else np.polynomial.legendre.leggauss)(order)
+    w = w / w.sum()
+    nodes = np.stack([g.reshape(-1) for g in np.meshgrid(*([x] * m), indexing="ij")], axis=1)
+    weights = np.prod(np.meshgrid(*([w] * m), indexing="ij"), axis=0).reshape(-1)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
 
 
 @dataclass(frozen=True)
@@ -183,19 +197,12 @@ class NoiseModel:
         Gauss-Legendre scaled by the half-widths for the uniform kinds;
         probabilists' Gauss-Hermite mapped through the Cholesky factor of
         the covariance for Gaussian noise.  Exact for polynomials of degree
-        below 2 * order in each noise coordinate.
+        below 2 * order in each noise coordinate.  The nodes are a fresh
+        array; the weights are the cached unit rule's, read-only.
         """
-        m = self.dimension
-        if self.kind == "gaussian":
-            x, w = np.polynomial.hermite_e.hermegauss(order)
-        else:
-            x, w = np.polynomial.legendre.leggauss(order)
-        w = w / w.sum()
-        nodes = np.stack([g.reshape(-1) for g in np.meshgrid(*([x] * m), indexing="ij")], axis=1)
-        weights = np.prod(np.meshgrid(*([w] * m), indexing="ij"), axis=0).reshape(-1)
-        if self.kind == "gaussian":
-            return nodes @ self._chol.T, weights
-        return nodes * self.half_widths, weights
+        gaussian = self.kind == "gaussian"
+        nodes, weights = _unit_gauss_rule("hermite" if gaussian else "legendre", order, self.dimension)
+        return (nodes @ self._chol.T if gaussian else nodes * self.half_widths), weights
 
     def to_dict(self) -> dict:
         if self.kind == "gaussian":
@@ -222,11 +229,13 @@ class NoiseModel:
 
 @dataclass(frozen=True)
 class LinearSystem:
-    """x_{k+1} = A x_k + B w_k with additive zero-mean noise."""
+    """x_{k+1} = A x_k + B w_k with additive zero-mean noise; ``factors``
+    is (A', B'), each None where that factor is exactly the identity."""
 
     A: np.ndarray
     B: np.ndarray
     noise: NoiseModel
+    factors: tuple = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         A = np.atleast_2d(np.asarray(self.A, dtype=float))
@@ -243,6 +252,7 @@ class LinearSystem:
             raise ValueError("system matrices must be finite")
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "B", B)
+        object.__setattr__(self, "factors", tuple(None if np.array_equal(M, np.eye(len(M))) else M.T for M in (A, B)))
 
     @property
     def dimension(self) -> int:
@@ -383,13 +393,18 @@ def step_batch(system, X, W) -> np.ndarray:
 
     Returns the (N, n) array of successors.  Non-finite outputs are
     returned as-is; callers doing long simulations mask them (overflow
-    handling is a per-trajectory policy, not an exception).
+    handling is a per-trajectory policy, not an exception).  A linear step
+    skips the products by identity factors: x*1 = x and x*0 = +-0, so on
+    finite inputs it keeps the bits of X A' + W B' up to the sign of a zero.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     W = np.atleast_2d(np.asarray(W, dtype=float))
-    if isinstance(system, LinearSystem):
-        return X @ system.A.T + W @ system.B.T
-    return system._transition_batch(X, W)
+    if not isinstance(system, LinearSystem):
+        return system._transition_batch(X, W)
+    if X.shape[1] != system.dimension or W.shape[1] != system.noise_dimension:
+        raise ValueError(f"states of shape {X.shape} and noise of shape {W.shape} do not fit A and B")
+    AT, BT = system.factors
+    return (X if AT is None else X @ AT) + (W if BT is None else W @ BT)
 
 
 def contains(target, X: np.ndarray) -> np.ndarray:

@@ -9,10 +9,14 @@ Every check takes states as the rows of an (N, n) array.  Quadratic
 drifts on linear systems are checked with the exact closed-form
 expectation.  Other drifts are estimated on seeded shells by
 `drift_expectation`, as in certificate synthesis: with tensor Gauss rules
-when the noise has at most three dimensions (reporting the gap between two
-rule orders as the error), otherwise by seeded Monte Carlo (reporting a
-3-sigma half-width).  Either way the result is a numerical check with an
-error estimate, never a proof.
+(each unit rule built once) when the noise has at most three dimensions
+(reporting the gap between two rule orders as the error), otherwise by
+seeded Monte Carlo (reporting a 3-sigma half-width).  Steps go through
+`step_batch`, which skips identity factors.  Level-set sampling evaluates
+V once per proposal (and U, unless U = V - b as for a quadratic); a level
+whose {V <= r} passes the float range fails unsampled, and `verify` exits
+with 1.  Either way the result is a numerical check with an error
+estimate, never a proof.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ from .linalg import is_symmetric_positive_definite, quadratic_form
 from .systems import LinearSystem, TrajectorySeed, contains, step_batch
 
 __all__ = [
+    "LevelOverflowError",
     "ShellPlan",
     "DriftViolation",
     "DriftReport",
@@ -47,6 +52,10 @@ MIN_ACCEPT_RATE = 1e-6
 CUBATURE_ORDERS = {1: (32, 16), 2: (16, 8), 3: (8, 4)}
 # Point x node rows evaluated at once, which bounds peak memory.
 CUBATURE_ROWS = 2**16
+
+
+class LevelOverflowError(ValueError):
+    """A level r whose set {V <= r} reaches past the float range."""
 
 
 @dataclass(frozen=True)
@@ -200,7 +209,10 @@ def _sphere_points(n: int, count: int, radius: float, rng) -> np.ndarray:
     z = rng.standard_normal(size=(count, n))
     norms = np.linalg.norm(z, axis=1, keepdims=True)
     norms[norms == 0.0] = 1.0
-    return radius * z / norms
+    if radius != 1.0:
+        z *= radius
+    z /= norms
+    return z
 
 
 def cubature_drift(system, V, X, orders):
@@ -320,20 +332,22 @@ def _ellipsoid_shell_proposal(Q, b, level, n, rng):
     def propose(missing):
         u = _sphere_points(n, missing, 1.0, rng)
         v = 1.0 - rng.random(missing)
-        rho = np.sqrt(level * (t + v * (1.0 - t)) ** (2.0 / n))
-        return scipy.linalg.solve_triangular(L, (rho[:, None] * u).T, trans="T", lower=True).T
+        u *= np.sqrt(level * (t + v * (1.0 - t)) ** (2.0 / n))[:, None]
+        return scipy.linalg.solve_triangular(L, u.T, trans="T", lower=True, overwrite_b=True).T
 
     return propose
 
 
 def _sample_level_region(certificate, n, level, count, rng):
-    """Sample count points uniformly from {V <= level, U > 0}.
+    """(points, U at the points): count points uniform on {V <= level, U > 0}.
 
     The certificate's ``level_proposal`` draws uniformly from a superset
     (the region itself for quadratic and logarithmic certificates), and
-    every proposal is tested.  Raises once (accepted + 3) / tried falls
-    below MIN_ACCEPT_RATE (3 / tried bounds the rate at 95 % when none of
-    the draws so far was accepted).
+    every proposal is tested, with one drift evaluation per proposal; a
+    quadratic certificate's U is that V minus b, the bits of
+    ``variant_values``.  Raises once (accepted + 3) / tried falls below
+    MIN_ACCEPT_RATE (3 / tried bounds the rate at 95 % when none of the
+    draws so far was accepted).
     """
     propose = certificate.level_proposal(n, level, rng)
     accepted = []
@@ -342,19 +356,20 @@ def _sample_level_region(certificate, n, level, count, rng):
     while got < count:
         pts = propose(count - got)
         tried += len(pts)
-        ok = (np.asarray(certificate.drift_values(pts)) <= level) & (
-            np.asarray(certificate.variant_values(pts)) > 0.0
-        )
-        sel = pts[ok]
-        if sel.size:
-            accepted.append(sel[: count - got])
-            got += len(accepted[-1])
+        v = np.asarray(certificate.drift_values(pts))
+        u = v - certificate.variant_b if certificate.kind == "quadratic" else certificate.variant_values(pts)
+        ok = (v <= level) & (u > 0.0)
+        if not ok.all():
+            pts, u = pts[ok], u[ok]
+        if len(pts):
+            accepted.append((pts[: count - got], u[: count - got]))
+            got += len(accepted[-1][0])
         if (got + 3) / tried < MIN_ACCEPT_RATE:
             raise ValueError(
                 f"rejection sampling acceptance rate below {MIN_ACCEPT_RATE} at level {level}"
                 f" ({got} of {tried} proposals accepted)"
             )
-    return np.concatenate(accepted, axis=0)
+    return tuple(part[0] if len(part) == 1 else np.concatenate(part) for part in zip(*accepted))
 
 
 def verify_variant(
@@ -375,7 +390,8 @@ def verify_variant(
     Exact checks: U(x) <= H(r) on all samples, and random points of
     {U = 0} belong to the target.  Passes iff every level's probability
     estimate is separated from 0 by 3 sigma, delta is positive, and the
-    exact checks have no violations.
+    exact checks have no violations.  A level that raises
+    LevelOverflowError fails with no samples and epsilon_hat 0.
     """
     n = system.dimension
     delta = float(certificate.delta)
@@ -388,10 +404,13 @@ def verify_variant(
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(0x7A21,)))
     level_rows = []
     for r in levels:
-        pts = _sample_level_region(certificate, n, r, samples, rng)
+        try:
+            pts, u_pts = _sample_level_region(certificate, n, r, samples, rng)
+        except LevelOverflowError:
+            level_rows.append(VariantLevel(r, delta, 0.0, 0.0, samples=0, h_violations=0))
+            continue
         W = system.noise.draw([rng], len(pts))[:, 0]
         succ = step_batch(system, pts, W)
-        u_pts = np.asarray(certificate.variant_values(pts))
         dU = np.asarray(certificate.variant_values(succ)) - u_pts
         eps_hat = float(np.mean(dU <= -delta))
         eps_hw = float(3.0 * np.sqrt(max(eps_hat * (1.0 - eps_hat), 1.0 / len(pts)) / len(pts)))

@@ -377,6 +377,53 @@ def test_mixed_spectrum_certify_and_verify_complete(tmp_path):
     assert json.loads((out / "verify.json").read_text())["passed"] == (code == 0)
 
 
+def _mixed_a(stable_eigenvalue):
+    A = np.zeros((3, 3))
+    A[:2, :2] = rotation_matrix(np.pi / 4)
+    A[2, 2] = stable_eigenvalue
+    return A.tolist()
+
+
+@pytest.mark.parametrize(
+    "A, kind",
+    [
+        ([[0.5, 0.1], [0.0, 0.3]], "quadratic"),
+        (rotation_matrix(np.pi / 3).tolist(), "logarithmic"),
+        (_mixed_a(0.5), "composite"),
+    ],
+    ids=["quadratic", "logarithmic", "composite"],
+)
+def test_equal_seed_reports_match(A, kind, tmp_path):
+    """certify then verify, twice in one process: the reports agree outside
+    `timings`, so no cache (Gauss rules, identity factors) carries state
+    from one command into the next."""
+    n = len(A)
+    system = _write_system(
+        tmp_path,
+        "system.json",
+        {
+            "A": A,
+            "B": np.eye(n).tolist(),
+            "noise": _law("uniform", n),
+            "target": {"center": [0.0] * n, "radius": 1.0, "norm": "euclidean"},
+        },
+    )
+    out = tmp_path / "out"
+    cert = str(out / "certificate.json")
+    reports = []
+    for _ in range(2):
+        codes = (
+            run(["certify", "--system", system, "--out", str(out), "--samples", "1000"]),
+            run(["verify", "--system", system, "--certificate", cert, "--out", str(out), "--samples", "1000"]),
+        )
+        pair = [json.loads((out / name).read_text()) for name in ("certify.json", "verify.json")]
+        for report in pair:
+            report.pop("timings")
+        reports.append((codes, pair))
+    assert reports[0][1][0]["certificate"]["kind"] == kind
+    assert reports[0] == reports[1]
+
+
 @pytest.mark.parametrize("value", ["0", "-5"])
 @pytest.mark.parametrize("command", ["certify", "verify", "repro"])
 def test_samples_must_be_positive(command, value, stable_file, tmp_path, capsys):
@@ -415,7 +462,8 @@ def test_simulate_counts_are_checked_by_the_parser(flag, value, expected, random
 def test_near_unit_stable_part_certifies_past_the_split(tmp_path, capsys):
     """rotation(pi/4) (+) (1 - 5e-8): classify counts a unit dimension of 2,
     and certify splits along it, so the composite candidate is built and
-    flagged unverified rather than failing to split."""
+    flagged unverified rather than failing to split; verify on the file it
+    writes fails the check (exit 1)."""
     A = np.zeros((3, 3))
     A[:2, :2] = rotation_matrix(np.pi / 4)
     A[2, 2] = 1.0 - 5e-8
@@ -437,10 +485,16 @@ def test_near_unit_stable_part_certifies_past_the_split(tmp_path, capsys):
     assert report["certificate"]["unit_dim"] == 2
     assert report["certificate"]["verified"] is False
     # Its default variant levels add the stable part's b (about 1e7), past
-    # what exp(2 r^2) can hold: verify names the level instead of overflowing.
+    # what exp(2 r^2) can hold: each such level fails unsampled, so verify
+    # gives the failed verdict (exit 1) rather than a usage error.
     argv = ["verify", "--system", system, "--certificate", str(out / "certificate.json")]
-    assert run([*argv, "--out", str(out), "--samples", "1000"]) == 2
-    assert "is too large" in capsys.readouterr().err
+    assert run([*argv, "--out", str(out), "--samples", "1000"]) == 1
+    assert "error" not in capsys.readouterr().err
+    report = json.loads((out / "verify.json").read_text())
+    assert report["passed"] is False and report["variant"]["passed"] is False
+    levels = report["variant"]["levels"]
+    assert [(lv["samples"], lv["epsilon_hat"]) for lv in levels] == [(0, 0.0)] * 3
+    assert all(lv["level"] > 1e6 for lv in levels)
 
 
 @pytest.mark.parametrize("flag", ["--unit-tol", "--rank-tol"])

@@ -25,6 +25,7 @@ from reachcert.systems import (
     step_batch,
     system_to_dict,
 )
+from reachcert.verify import CUBATURE_ORDERS
 
 
 class TestNoiseModel:
@@ -122,6 +123,34 @@ class TestNoiseStreams:
         if order >= 2:  # exact for the first two moments
             assert np.allclose(weights @ nodes, 0.0, atol=1e-12)
             assert np.allclose(nodes.T @ (weights[:, None] * nodes), noise.covariance)
+
+
+@pytest.mark.parametrize("kind", ["uniform", "gaussian"])
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_cached_gauss_rule_is_a_fresh_rule(kind, m):
+    """gauss_rule maps a unit rule cached per (family, order, m): every order
+    of CUBATURE_ORDERS gives the bits of a rule built afresh, and writing to
+    what one call returns cannot change a later call."""
+    if kind == "uniform":
+        noise, family = NoiseModel.uniform([0.7, 1.3, 2.0][:m]), "legendre"
+    else:
+        C = np.random.default_rng(m).standard_normal((m, m))
+        noise, family = NoiseModel.gaussian(C @ C.T + m * np.eye(m)), "hermite"
+    for order in sorted({o for pair in CUBATURE_ORDERS.values() for o in pair}):
+        fresh_nodes, fresh_weights = systems._unit_gauss_rule.__wrapped__(family, order, m)
+        if kind == "uniform":
+            fresh_nodes = fresh_nodes * noise.half_widths
+        else:
+            fresh_nodes = fresh_nodes @ np.linalg.cholesky(noise.cov).T
+        nodes, weights = noise.gauss_rule(order)
+        assert nodes.tobytes() == fresh_nodes.tobytes()
+        assert weights.tobytes() == fresh_weights.tobytes()
+        nodes[:] = 0.0
+        with pytest.raises(ValueError):
+            weights[:] = 0.0
+        again_nodes, again_weights = noise.gauss_rule(order)
+        assert again_nodes.tobytes() == fresh_nodes.tobytes()
+        assert again_weights.tobytes() == fresh_weights.tobytes()
 
 
 @pytest.mark.parametrize("law", LAWS)
@@ -322,6 +351,20 @@ class TestStep:
         with np.errstate(over="ignore"):
             (x,) = step_batch(system, [[1e200]], [[0.0]])
         assert np.isinf(x[0])
+
+    @pytest.mark.parametrize("identity", ["A", "B", "both"])
+    @pytest.mark.parametrize("rows", [1, 40])
+    def test_identity_factors_keep_the_full_products(self, identity, rows):
+        # Skipping X I' and W I' gives the bits of X A' + W B' on finite inputs.
+        rng = np.random.default_rng(rows)
+        n = 3
+        A = np.eye(n) if identity in ("A", "both") else rng.standard_normal((n, n))
+        B = np.eye(n) if identity in ("B", "both") else rng.standard_normal((n, 2))
+        system = LinearSystem(A=A, B=B, noise=NoiseModel.uniform([1.0] * B.shape[1]))
+        assert [f is None for f in system.factors] == [identity in ("A", "both"), identity in ("B", "both")]
+        X = rng.standard_normal((rows, n))
+        W = rng.standard_normal((rows, B.shape[1]))
+        assert step_batch(system, X, W).tobytes() == (X @ A.T + W @ B.T).tobytes()
 
     def test_dimension_mismatch(self, random_walk):
         with pytest.raises(ValueError):

@@ -601,7 +601,7 @@ class TestExactLevelSampler:
             form, r = cert.Q_star, cert.default_levels()[0]
             top = math.exp(2.0 * r * r)
         b = cert.variant_b
-        pts = _sample_level_region(cert, n, r, 4000, rng)
+        pts, _ = _sample_level_region(cert, n, r, 4000, rng)
         q = quadratic_form(pts, form)
         assert pts.shape == (4000, n)
         assert np.all((q > b) & (q <= top))
@@ -613,7 +613,7 @@ class TestExactLevelSampler:
         cert, level = _mixed_composite(), 1.6
         want, acceptance = _box_rejection(cert, level, 3000, np.random.default_rng(1))
         assert acceptance >= 0.005
-        got = _sample_level_region(cert, 3, level, 3000, np.random.default_rng(2))
+        got, _ = _sample_level_region(cert, 3, level, 3000, np.random.default_rng(2))
         assert got.shape == (3000, 3)
         # The cylinder holds the whole region, so every box sample lies in it.
         y = want @ cert.transform_inv.T
@@ -659,6 +659,34 @@ class TestExactLevelSampler:
         assert all(lv["samples"] == 20_000 for lv in report["variant"]["levels"])
 
 
+def _level_region_case(kind):
+    """(certificate, n, level) whose level region takes several proposal rounds
+    or, for the ellipsoidal shells, one large round."""
+    rng = np.random.default_rng(11)
+    if kind in ("quadratic-2", "quadratic-3"):
+        n = int(kind[-1])
+        system = LinearSystem(A=random_stable_matrix(n, rng, rho=0.7), B=np.eye(n), noise=NoiseModel.uniform([1.0] * n))
+        cert = synthesize_quadratic(system, TargetBall(center=np.zeros(n), radius=1.0))
+        return cert, n, 4.0 * cert.variant_b
+    if kind == "logarithmic":
+        system = LinearSystem(A=rotation_matrix(np.pi / 4), B=np.eye(2), noise=NoiseModel.uniform([1.0, 1.0]))
+        cert = synthesize_logarithmic(system, TargetBall(center=np.zeros(2), radius=1.0), seed=0)
+        return cert, 2, cert.default_levels()[0]
+    if kind == "composite":
+        return _mixed_composite(), 3, 1.6
+    return cx.example1_log_certificate(), 2, 4.0
+
+
+@pytest.mark.parametrize("kind", ["quadratic-2", "quadratic-3", "logarithmic", "composite", "custom"])
+def test_level_region_hands_back_the_variant_values(kind):
+    """The U that accepted each point is variant_values at that point, bit
+    for bit, whether it was derived from V (quadratic) or evaluated."""
+    cert, n, level = _level_region_case(kind)
+    pts, u = _sample_level_region(cert, n, level, 3000, np.random.default_rng(7))
+    assert pts.shape == (3000, n)
+    assert u.tobytes() == np.asarray(cert.variant_values(pts)).tobytes()
+
+
 def _sparse_box_certificate(variant):
     """1-D custom certificate V = |x| whose box [-1e4 r, 1e4 r] is about 1e4
     times wider than {V <= r}."""
@@ -677,7 +705,7 @@ class TestRejectionAbort:
         # Accepts about 1e-4 of its draws: slow, but far above the 1e-6
         # floor, so it must not abort after the first zero-acceptance rounds.
         cert = _sparse_box_certificate(lambda X: np.abs(np.atleast_2d(X)[:, 0]))
-        pts = _sample_level_region(cert, 1, 1.0, 50, np.random.default_rng(4))
+        pts, _ = _sample_level_region(cert, 1, 1.0, 50, np.random.default_rng(4))
         assert pts.shape == (50, 1)
         assert np.all(np.abs(pts) <= 1.0)
 
