@@ -52,7 +52,7 @@ def main():
     print(f"  Q* = identity (rotation preserves the Euclidean norm): "
           f"{np.allclose(log_cert.Q_star, np.eye(2))}")
     print(f"  compact radius {log_cert.compact_radius_star:.3f},"
-          f" delta {log_cert.delta:.4f}, epsilon {log_cert.epsilon:.4f}")
+          f" delta {log_cert.delta:.4f}")
     x_far = np.array([np.exp(10.0), 0.1])
     (mean,), (err,) = drift_expectation(rot, log_cert.drift_values, x_far[None], samples=100_000, seed=3)
     print(f"  drift at ||x|| = e^10: {mean:.3e} +- {err:.1e} (Gauss rule order gap)")

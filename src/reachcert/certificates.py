@@ -13,14 +13,15 @@ Three templates are produced, matching the three reachable regimes:
 
 All constants (compact radii, sublevel bound b, decrease delta, the
 contraction factor r0) are materialized so every certificate can be
-re-checked independently.
+re-checked independently.  Every kind follows the one protocol of
+`Certificate`, so verification and file I/O never ask for its type.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -33,9 +34,10 @@ from .linalg import (
 )
 from .spectral import invariant_basis, unit_plane_basis
 from .systems import LinearSystem, TargetBall, _number, step_batch
-from .verify import LevelOverflowError, _ellipsoid_shell_proposal, drift_expectation
+from .verify import LevelOverflowError, _ellipsoid_shell_proposal, drift_expectation, exact_quadratic_drift
 
 __all__ = [
+    "Certificate",
     "QuadraticCertificate",
     "LogCertificate",
     "CompositeCertificate",
@@ -48,6 +50,7 @@ __all__ = [
     "certificate_from_dict",
     "load_certificate",
     "save_certificate",
+    "CERTIFICATE_KINDS",
     "DOMAIN_THRESHOLD",
 ]
 
@@ -77,12 +80,51 @@ def _sublevel_b(Q, target: TargetBall) -> float:
     return 0.5 * R * R / lam_max
 
 
+def _spd(d: dict, key: str) -> np.ndarray:
+    Q = np.asarray(d[key], dtype=float)
+    if not is_symmetric_positive_definite(Q):
+        raise ValueError(f"certificate {key} is not symmetric positive definite")
+    return Q
+
+
+def _require_constant(d: dict, key: str, value: float):
+    """Reject a file whose ``key`` is not ``value``: the checks assume that
+    constant, so a file stating another would verify as if it said ``value``."""
+    if _number(d, key, value) != value:
+        raise ValueError(f"certificate {key} must be {value!r}, got {d[key]!r}")
+
+
+class Certificate:
+    """The protocol of every certificate kind, with the defaults of a kind
+    that has no closed form.
+
+    A kind has ``drift_values(X)`` and ``variant_values(X)`` (V and U at
+    the rows of X), ``h_bound(r)``, ``level_proposal(n, level, rng)``,
+    ``default_levels()``, ``compact_radius`` and ``delta``.  A kind that
+    files can hold also has a ``kind`` name, ``to_dict()`` and the
+    classmethod ``from_dict(d)``, and an entry in CERTIFICATE_KINDS.
+    """
+
+    positive_quadrant = False  # drift shells and inclusion rays fold onto x >= 0
+
+    def exact_drift(self, system, X):
+        """The exact E[V(f(x,w))] - V(x) at the rows of X, or None if unknown."""
+        return None
+
+    def level_values(self, X):
+        """(V, U) at the rows of X, with one drift evaluation."""
+        return self.drift_values(X), self.variant_values(X)
+
+    def to_dict(self) -> dict:
+        raise TypeError(f"cannot serialize certificate of type {type(self).__name__}")
+
+
 # ---------------------------------------------------------------------------
 # Quadratic certificates (stable spectrum)
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class QuadraticCertificate:
+class QuadraticCertificate(Certificate):
     """V(x) = x'Qx, U(x) = x'Qx - b, compact set {x'x <= compact_radius_sq}."""
 
     Q: np.ndarray
@@ -90,7 +132,6 @@ class QuadraticCertificate:
     r0: float
     variant_b: float
     delta: float
-    noise_set_bound: float
 
     kind = "quadratic"
 
@@ -105,6 +146,13 @@ class QuadraticCertificate:
     def variant_values(self, X) -> np.ndarray:
         return self.drift_values(X) - self.variant_b
 
+    def level_values(self, X):
+        v = self.drift_values(X)
+        return v, v - self.variant_b
+
+    def exact_drift(self, system, X):
+        return exact_quadratic_drift(system, self.Q, X) if isinstance(system, LinearSystem) else None
+
     def h_bound(self, r: float) -> float:
         return r - self.variant_b
 
@@ -114,6 +162,16 @@ class QuadraticCertificate:
 
     def default_levels(self):
         return (2.0 * self.variant_b, 4.0 * self.variant_b, 8.0 * self.variant_b)
+
+    def to_dict(self) -> dict:
+        return {"kind": self.kind, "Q": self.Q.tolist(), "alpha": 1.0, "compact_radius_sq": self.compact_radius_sq,
+                "r0": self.r0, "b": self.variant_b, "delta": self.delta}
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "QuadraticCertificate":
+        _require_constant(d, "alpha", 1.0)
+        return cls(Q=_spd(d, "Q"), compact_radius_sq=_number(d, "compact_radius_sq"), r0=_number(d, "r0"),
+                   variant_b=_number(d, "b"), delta=_number(d, "delta"))
 
 
 def synthesize_quadratic(system: LinearSystem, target: TargetBall) -> QuadraticCertificate:
@@ -135,21 +193,8 @@ def synthesize_quadratic(system: LinearSystem, target: TargetBall) -> QuadraticC
     b = _sublevel_b(Q, target)
     if b <= 0:
         raise SynthesisError("target too small: sublevel bound b is non-positive")
-    delta = (1.0 - r0) * b
-    # ||B||_Q^2: worst-case Q-norm gain of B (Euclidean norm on the noise
-    # side unless n == m, where the Q-weighted norm applies as well).
-    if B.shape[0] == B.shape[1]:
-        gain = max_generalized_eigenvalue(B.T @ Q @ B, Q)
-    else:
-        gain = float(np.linalg.eigvalsh(B.T @ Q @ B).max())
-    noise_set_bound = delta / gain if gain > 0 else math.inf
     return QuadraticCertificate(
-        Q=Q,
-        compact_radius_sq=compact_radius_sq,
-        r0=r0,
-        variant_b=b,
-        delta=delta,
-        noise_set_bound=noise_set_bound,
+        Q=Q, compact_radius_sq=compact_radius_sq, r0=r0, variant_b=b, delta=(1.0 - r0) * b
     )
 
 
@@ -174,7 +219,7 @@ def _log_drift_values(X, Q_star) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class LogCertificate:
+class LogCertificate(Certificate):
     """V(x) = sqrt(ln ||x||_*), U(x) = ||x||_*^2 - b, H(r) = exp(2 r^2) - b.
 
     ||x||_* is the Q_star-weighted norm preserved by A.  V is clamped to
@@ -186,7 +231,6 @@ class LogCertificate:
     compact_radius_star: float
     variant_b: float
     delta: float
-    epsilon: float
 
     kind = "logarithmic"
 
@@ -212,6 +256,16 @@ class LogCertificate:
     def default_levels(self):
         base = max(math.sqrt(math.log(max(self.compact_radius_star, math.e))), 1.0)
         return (base + 0.5, base + 1.0, base + 1.5)
+
+    def to_dict(self) -> dict:
+        return {"kind": self.kind, "Q_star": self.Q_star.tolist(), "domain_threshold": DOMAIN_THRESHOLD,
+                "compact_radius_star": self.compact_radius_star, "b": self.variant_b, "delta": self.delta}
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "LogCertificate":
+        _require_constant(d, "domain_threshold", DOMAIN_THRESHOLD)
+        return cls(Q_star=_spd(d, "Q_star"), compact_radius_star=_number(d, "compact_radius_star"),
+                   variant_b=_number(d, "b"), delta=_number(d, "delta"))
 
 
 def _second_order_log_drift(system: LinearSystem, Q_star, X) -> np.ndarray:
@@ -262,8 +316,9 @@ def _scan_compact_radius(system: LinearSystem, Q_star, seed: int, radius_cap: fl
     )
 
 
-def _estimate_delta_epsilon(system: LinearSystem, certificate, b: float, seed: int, samples=20_000):
-    """Monte Carlo estimate of the variant decrease (delta, epsilon) near U = 0."""
+def _estimate_delta(system: LinearSystem, certificate, b: float, seed: int, samples=20_000):
+    """Monte Carlo estimate of the variant decrease delta near U = 0: the
+    median decrease over the sampled boundary shell."""
     n = system.dimension
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(0xDE17A,)))
     z = rng.standard_normal(size=(samples, n))
@@ -277,9 +332,7 @@ def _estimate_delta_epsilon(system: LinearSystem, certificate, b: float, seed: i
     neg = -dU[dU < 0.0]
     if neg.size == 0:
         raise SynthesisError("variant never decreases at the sampled boundary shell")
-    delta = float(np.quantile(neg, 0.5))
-    epsilon = float(np.mean(dU <= -delta))
-    return delta, epsilon
+    return float(np.quantile(neg, 0.5))
 
 
 def synthesize_logarithmic(
@@ -301,15 +354,8 @@ def synthesize_logarithmic(
     if b <= 0:
         raise SynthesisError("target too small: sublevel bound b is non-positive")
     compact = _scan_compact_radius(system, Q_star, seed, radius_cap)
-    cert = LogCertificate(
-        Q_star=Q_star,
-        compact_radius_star=compact,
-        variant_b=b,
-        delta=1.0,  # placeholder until estimated
-        epsilon=0.0,
-    )
-    delta, epsilon = _estimate_delta_epsilon(system, cert, b, seed)
-    return replace(cert, delta=delta, epsilon=epsilon)
+    cert = LogCertificate(Q_star=Q_star, compact_radius_star=compact, variant_b=b, delta=1.0)  # delta estimated below
+    return replace(cert, delta=_estimate_delta(system, cert, b, seed))
 
 
 # ---------------------------------------------------------------------------
@@ -317,7 +363,7 @@ def synthesize_logarithmic(
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class CompositeCertificate:
+class CompositeCertificate(Certificate):
     """Additive candidate V(x) = V_log(x_u) + V_quad(x_s) on split coordinates.
 
     The state is mapped by transform_inv into (unit part, stable part)
@@ -372,6 +418,31 @@ class CompositeCertificate:
         base = self.unit_cert.default_levels()
         return tuple(r + float(self.stable_cert.variant_b) for r in base)
 
+    def to_dict(self) -> dict:
+        return {"kind": self.kind, "transform": self.transform.tolist(), "unit_dim": self.unit_dim,
+                "unit": self.unit_cert.to_dict(), "stable": self.stable_cert.to_dict(), "M": self.M.tolist(),
+                "b": self.variant_b, "delta": self.delta, "verified": self.verified}
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "CompositeCertificate":
+        T, M = np.asarray(d["transform"], dtype=float), np.asarray(d["M"], dtype=float)
+        unit, stable = _part(d, "unit", LogCertificate), _part(d, "stable", QuadraticCertificate)
+        dims = (len(unit.Q_star), len(stable.Q))
+        nu, n = int(_number(d, "unit_dim")), sum(dims)
+        for key, got, want in (("unit_dim", nu, dims[0]), ("transform", T.shape, (n, n)), ("M", M.shape, (n, n))):
+            if got != want:
+                raise ValueError(f"composite {key} is {got}; unit and stable parts of dimensions {dims} need {want}")
+        return cls(transform=T, transform_inv=np.linalg.inv(T), unit_dim=nu, unit_cert=unit, stable_cert=stable,
+                   M=0.5 * (M + M.T), variant_b=_number(d, "b"), delta=_number(d, "delta"),
+                   verified=bool(d.get("verified", False)))
+
+
+def _part(d: dict, key: str, cls):
+    """The composite's ``key`` part, which must be a ``cls`` certificate."""
+    if _registered(d[key]) is not cls:
+        raise ValueError(f"composite {key} part must be a {cls.kind} certificate, got kind {d[key]['kind']!r}")
+    return cls.from_dict(d[key])
+
 
 def synthesize_composite(
     system: LinearSystem, target: TargetBall, seed: int = 0
@@ -425,8 +496,7 @@ def synthesize_composite(
         delta=1.0,
         verified=False,
     )
-    delta, _ = _estimate_delta_epsilon(system, cert, b, seed)
-    return replace(cert, delta=delta)
+    return replace(cert, delta=_estimate_delta(system, cert, b, seed))
 
 
 # ---------------------------------------------------------------------------
@@ -434,7 +504,7 @@ def synthesize_composite(
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class CustomCertificate:
+class CustomCertificate(Certificate):
     """Hand-written certificate: callables plus the constants the checks need.
 
     ``drift`` and ``variant`` take an (N, n) array of states and return N
@@ -480,92 +550,25 @@ class CustomCertificate:
 # Serialization (certificate files)
 # ---------------------------------------------------------------------------
 
+CERTIFICATE_KINDS = {cls.kind: cls for cls in (QuadraticCertificate, LogCertificate, CompositeCertificate)}
+
+
 def certificate_to_dict(cert) -> dict:
-    if isinstance(cert, QuadraticCertificate):
-        return {
-            "kind": "quadratic",
-            "Q": cert.Q.tolist(),
-            "alpha": 1.0,
-            "compact_radius_sq": cert.compact_radius_sq,
-            "r0": cert.r0,
-            "b": cert.variant_b,
-            "delta": cert.delta,
-            "noise_set_bound": cert.noise_set_bound,
-        }
-    if isinstance(cert, LogCertificate):
-        return {
-            "kind": "logarithmic",
-            "Q_star": cert.Q_star.tolist(),
-            "domain_threshold": DOMAIN_THRESHOLD,
-            "compact_radius_star": cert.compact_radius_star,
-            "b": cert.variant_b,
-            "delta": cert.delta,
-            "epsilon": cert.epsilon,
-        }
-    if isinstance(cert, CompositeCertificate):
-        return {
-            "kind": "composite",
-            "transform": cert.transform.tolist(),
-            "unit_dim": cert.unit_dim,
-            "unit": certificate_to_dict(cert.unit_cert),
-            "stable": certificate_to_dict(cert.stable_cert),
-            "M": cert.M.tolist(),
-            "b": cert.variant_b,
-            "delta": cert.delta,
-            "verified": cert.verified,
-        }
-    raise TypeError(f"cannot serialize certificate of type {type(cert).__name__}")
+    return cert.to_dict()
 
 
-def _require_constant(d: dict, key: str, value: float):
-    """Reject a file whose ``key`` is not ``value``: the checks assume that
-    constant, so a file stating another would verify as if it said ``value``."""
-    if _number(d, key, value) != value:
-        raise ValueError(f"certificate {key} must be {value!r}, got {d[key]!r}")
+def _registered(d):
+    """The class registered under the kind that the JSON object ``d`` names."""
+    if not isinstance(d, dict):
+        raise ValueError(f"a certificate must be a JSON object, got {type(d).__name__}")
+    kind = d.get("kind")
+    if not isinstance(kind, str) or kind not in CERTIFICATE_KINDS:
+        raise ValueError(f"unknown certificate kind {kind!r}")
+    return CERTIFICATE_KINDS[kind]
 
 
 def certificate_from_dict(d: dict):
-    kind = d.get("kind")
-    if kind == "quadratic":
-        _require_constant(d, "alpha", 1.0)
-        Q = np.asarray(d["Q"], dtype=float)
-        if not is_symmetric_positive_definite(Q):
-            raise ValueError("certificate Q is not symmetric positive definite")
-        return QuadraticCertificate(
-            Q=Q,
-            compact_radius_sq=_number(d, "compact_radius_sq"),
-            r0=_number(d, "r0"),
-            variant_b=_number(d, "b"),
-            delta=_number(d, "delta"),
-            noise_set_bound=_number(d, "noise_set_bound", 0.0),
-        )
-    if kind == "logarithmic":
-        _require_constant(d, "domain_threshold", DOMAIN_THRESHOLD)
-        Q_star = np.asarray(d["Q_star"], dtype=float)
-        if not is_symmetric_positive_definite(Q_star):
-            raise ValueError("certificate Q_star is not symmetric positive definite")
-        return LogCertificate(
-            Q_star=Q_star,
-            compact_radius_star=_number(d, "compact_radius_star"),
-            variant_b=_number(d, "b"),
-            delta=_number(d, "delta"),
-            epsilon=_number(d, "epsilon", 0.0),
-        )
-    if kind == "composite":
-        T = np.asarray(d["transform"], dtype=float)
-        M = np.asarray(d["M"], dtype=float)
-        return CompositeCertificate(
-            transform=T,
-            transform_inv=np.linalg.inv(T),
-            unit_dim=int(_number(d, "unit_dim")),
-            unit_cert=certificate_from_dict(d["unit"]),
-            stable_cert=certificate_from_dict(d["stable"]),
-            M=0.5 * (M + M.T),
-            variant_b=_number(d, "b"),
-            delta=_number(d, "delta"),
-            verified=bool(d.get("verified", False)),
-        )
-    raise ValueError(f"unknown certificate kind {kind!r}")
+    return _registered(d).from_dict(d)
 
 
 def save_certificate(cert, path):

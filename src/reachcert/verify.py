@@ -5,18 +5,19 @@ non-positive outside a compact set; the variant condition asks that U
 decreases by at least delta with positive probability on each V-sublevel
 set, stays below H(r) there, and that the set {U <= 0} lies inside the
 target G, a TargetBall or a callable row mask (see `systems.contains`).
-Every check takes states as the rows of an (N, n) array.  Quadratic
-drifts on linear systems are checked with the exact closed-form
-expectation.  Other drifts are estimated on seeded shells by
-`drift_expectation`, as in certificate synthesis: with tensor Gauss rules
-(each unit rule built once) when the noise has at most three dimensions
-(reporting the gap between two rule orders as the error), otherwise by
-seeded Monte Carlo (reporting a 3-sigma half-width).  Steps go through
-`step_batch`, which skips identity factors.  Level-set sampling evaluates
-V once per proposal (and U, unless U = V - b as for a quadratic); a level
-whose {V <= r} passes the float range fails unsampled, and `verify` exits
-with 1.  Either way the result is a numerical check with an error
-estimate, never a proof.
+Every check takes states as the rows of an (N, n) array and asks the
+certificate only what its protocol (`certificates.Certificate`) answers.
+A certificate with an exact drift (a quadratic on a linear system) is
+checked with that closed form.  Other drifts are estimated on seeded
+shells by `drift_expectation`, as in certificate synthesis: with tensor
+Gauss rules (each unit rule built once) when the noise has at most three
+dimensions (reporting the gap between two rule orders as the error),
+otherwise by seeded Monte Carlo (reporting a 3-sigma half-width).  Steps
+go through `step_batch`, which skips identity factors.  Level-set
+sampling takes V and U of each proposal from one `level_values` call; a
+level whose {V <= r} passes the float range fails unsampled, and
+`verify` exits with 1.  Either way the result is a numerical check with
+an error estimate, never a proof.
 """
 
 from __future__ import annotations
@@ -260,11 +261,11 @@ def drift_expectation(system, V, X, samples: int, seed: int):
 def verify_drift(system, certificate, plan: ShellPlan | None = None, seed: int = 0) -> DriftReport:
     """Check the drift condition on shells outside the compact set.
 
-    Quadratic certificates on linear systems use the exact expectation
-    (no error).  Other drifts are estimated by `drift_expectation`, one
-    call per shell with seed ``plan.seed + 7919 j`` for shell j.  A point
-    fails only if its estimate minus its error (the rule-order gap, or the
-    3-sigma half-width) lies above ``1e-9 * (1 + |V(x)|)``.
+    A certificate's ``exact_drift`` (no error) is used where it has one.
+    Other drifts are estimated by `drift_expectation`, one call per shell
+    with seed ``plan.seed + 7919 j`` for shell j.  A point fails only if
+    its estimate minus its error (the rule-order gap, or the 3-sigma
+    half-width) lies above ``1e-9 * (1 + |V(x)|)``.
     """
     n = system.dimension
     if plan is None:
@@ -274,20 +275,18 @@ def verify_drift(system, certificate, plan: ShellPlan | None = None, seed: int =
         if r < compact * (1.0 - 1e-12):
             raise ValueError(f"shell radius {r} lies inside the compact set (radius {compact})")
 
-    if certificate.kind == "quadratic" and isinstance(system, LinearSystem):
-        method, orders = "exact", ()
-    else:
-        orders = CUBATURE_ORDERS.get(system.noise_dimension, ())
-        method = "cubature" if orders else "monte-carlo"
+    orders = CUBATURE_ORDERS.get(system.noise_dimension, ())
     rng = np.random.default_rng(np.random.SeedSequence(entropy=plan.seed, spawn_key=(0xD21F7,)))
     shell_worst = []
     violations = []
+    exact = False
     for j, radius in enumerate(plan.radii):
         pts = _sphere_points(n, plan.points_per_shell, radius, rng)
-        if getattr(certificate, "positive_quadrant", False):
+        if certificate.positive_quadrant:
             pts = np.abs(pts)
-        if method == "exact":
-            est = exact_quadratic_drift(system, certificate.Q, pts)
+        est = certificate.exact_drift(system, pts)
+        exact = est is not None
+        if exact:
             hws = np.zeros_like(est)
         else:
             est, hws = drift_expectation(
@@ -306,8 +305,8 @@ def verify_drift(system, certificate, plan: ShellPlan | None = None, seed: int =
             )
     return DriftReport(
         plan=plan,
-        method=method,
-        rule_orders=orders,
+        method="exact" if exact else "cubature" if orders else "monte-carlo",
+        rule_orders=() if exact else orders,
         shell_worst=tuple(shell_worst),
         violations=tuple(violations),
         passed=not violations,
@@ -343,10 +342,9 @@ def _sample_level_region(certificate, n, level, count, rng):
 
     The certificate's ``level_proposal`` draws uniformly from a superset
     (the region itself for quadratic and logarithmic certificates), and
-    every proposal is tested, with one drift evaluation per proposal; a
-    quadratic certificate's U is that V minus b, the bits of
-    ``variant_values``.  Raises once (accepted + 3) / tried falls below
-    MIN_ACCEPT_RATE (3 / tried bounds the rate at 95 % when none of the
+    every proposal is tested on the certificate's ``level_values``, one
+    drift evaluation per proposal.  Raises once (accepted + 3) / tried
+    falls below MIN_ACCEPT_RATE (3 / tried bounds the rate at 95 % when none of the
     draws so far was accepted).
     """
     propose = certificate.level_proposal(n, level, rng)
@@ -356,8 +354,7 @@ def _sample_level_region(certificate, n, level, count, rng):
     while got < count:
         pts = propose(count - got)
         tried += len(pts)
-        v = np.asarray(certificate.drift_values(pts))
-        u = v - certificate.variant_b if certificate.kind == "quadratic" else certificate.variant_values(pts)
+        v, u = certificate.level_values(pts)
         ok = (v <= level) & (u > 0.0)
         if not ok.all():
             pts, u = pts[ok], u[ok]
@@ -426,8 +423,7 @@ def verify_variant(
             )
         )
 
-    positive_quadrant = getattr(certificate, "positive_quadrant", False)
-    inclusion_bad = _check_inclusion(certificate, target, n, boundary_points, rng, positive_quadrant)
+    inclusion_bad = _check_inclusion(certificate, target, n, boundary_points, rng, certificate.positive_quadrant)
     passed = (
         delta > 0.0
         and all(lv.epsilon_hat - lv.epsilon_half_width > 0.0 for lv in level_rows)

@@ -5,7 +5,9 @@ import pytest
 import scipy.linalg
 
 from reachcert import (
+    CustomCertificate,
     LinearSystem,
+    LogCertificate,
     NoiseModel,
     SynthesisError,
     TargetBall,
@@ -18,6 +20,7 @@ from reachcert import (
     synthesize_logarithmic,
     synthesize_quadratic,
 )
+from reachcert.certificates import CERTIFICATE_KINDS
 from reachcert.verify import exact_quadratic_drift
 
 from conftest import random_stable_matrix, rotation_matrix
@@ -78,7 +81,6 @@ class TestLogarithmic:
         assert np.allclose(cert.Q_star, np.eye(2), atol=1e-10)
         assert cert.compact_radius_star >= np.e
         assert cert.delta > 0.0
-        assert 0.0 < cert.epsilon <= 1.0
 
     def test_random_walk(self, random_walk):
         cert = synthesize_logarithmic(random_walk, TargetBall(center=[0.0], radius=2.0), seed=0)
@@ -105,7 +107,6 @@ class TestLogarithmic:
         b = synthesize_logarithmic(rotation_system, unit_ball_2d, seed=5)
         assert a.compact_radius_star == b.compact_radius_star
         assert a.delta == b.delta
-        assert a.epsilon == b.epsilon
 
     @pytest.mark.parametrize("case", ["rotation", "walk"])
     @pytest.mark.parametrize("seed", [0, 1, 90210])
@@ -248,3 +249,109 @@ class TestSerialization:
         again = certificate_from_dict(certificate_to_dict(cert))
         assert again.r0 == cert.r0
         assert again.variant_b == cert.variant_b
+
+
+# ---------------------------------------------------------------------------
+# The certificate protocol
+# ---------------------------------------------------------------------------
+
+def _protocol_case(kind, n):
+    """(system, certificate) of one kind in dimension n."""
+    rng = np.random.default_rng(n)
+    system = LinearSystem(A=random_stable_matrix(n, rng, rho=0.7), B=np.eye(n), noise=NoiseModel.uniform([1.0] * n))
+    if kind == "quadratic":
+        return system, synthesize_quadratic(system, TargetBall(center=np.zeros(n), radius=1.0))
+    if kind == "logarithmic":
+        G = rng.standard_normal((n, n))
+        return system, LogCertificate(Q_star=G @ G.T + n * np.eye(n), compact_radius_star=4.0, variant_b=0.5, delta=0.1)
+    if kind == "composite":
+        # A unit part of dimension n - 1 (the walk, or a rotation) and a stable 0.5.
+        A = np.diag([1.0] * (n - 1) + [0.5])
+        if n == 3:
+            A[:2, :2] = rotation_matrix(np.pi / 4)
+        mixed = LinearSystem(A=A, B=np.eye(n), noise=NoiseModel.uniform([1.0] * n))
+        return mixed, synthesize_composite(mixed, TargetBall(center=np.zeros(n), radius=1.0))
+    return system, CustomCertificate(
+        drift=lambda X: np.linalg.norm(X, axis=1),
+        variant=lambda X: np.einsum("ij,ij->i", X, X) - 1.0,
+        h=lambda r: r * r,
+        delta=0.1,
+        compact_radius=1.0,
+        level_radius=lambda r: r,
+    )
+
+
+PROTOCOL_CASES = [
+    pytest.param(kind, n, id=f"{kind}-{n}")
+    for kind in ("quadratic", "logarithmic", "composite", "custom")
+    for n in (2, 3)
+] + [pytest.param("quadratic", n, id=f"quadratic-{n}") for n in (20, 40)]
+
+
+@pytest.mark.parametrize("kind, n", PROTOCOL_CASES)
+def test_level_values_are_drift_and_variant_values(kind, n):
+    """level_values gives the bits of drift_values and variant_values, so
+    level-set sampling accepts the same points whichever it calls."""
+    _, cert = _protocol_case(kind, n)
+    X = np.random.default_rng(100 + n).standard_normal((500, n)) * 5.0
+    v, u = cert.level_values(X)
+    assert cert.kind == kind
+    assert v.tobytes() == np.asarray(cert.drift_values(X)).tobytes()
+    assert u.tobytes() == np.asarray(cert.variant_values(X)).tobytes()
+
+
+@pytest.mark.parametrize("kind, n", PROTOCOL_CASES)
+def test_exact_drift_only_for_quadratics(kind, n):
+    system, cert = _protocol_case(kind, n)
+    X = np.random.default_rng(200 + n).standard_normal((64, n)) * 3.0
+    got = cert.exact_drift(system, X)
+    if kind == "quadratic":
+        assert got.tobytes() == exact_quadratic_drift(system, cert.Q, X).tobytes()
+    else:
+        assert got is None
+    assert cert.positive_quadrant is False
+
+
+def test_custom_certificate_cannot_be_serialized():
+    _, cert = _protocol_case("custom", 2)
+    with pytest.raises(TypeError, match="CustomCertificate"):
+        certificate_to_dict(cert)
+
+
+@pytest.mark.parametrize(
+    "d, message",
+    [
+        ({"kind": "custom"}, "unknown certificate kind 'custom'"),
+        ({"kind": ["quadratic"]}, "unknown certificate kind"),
+        ([1, 2], "must be a JSON object, got list"),
+    ],
+    ids=["custom", "list-kind", "list"],
+)
+def test_unknown_kind_rejected(d, message):
+    with pytest.raises(ValueError, match=message):
+        certificate_from_dict(d)
+
+
+@pytest.mark.parametrize("kind", ["quadratic", "logarithmic", "composite"])
+def test_registry_round_trip(kind):
+    _, cert = _protocol_case(kind, 3 if kind == "composite" else 2)
+    assert CERTIFICATE_KINDS[kind] is type(cert)
+    d = certificate_to_dict(cert)
+    assert certificate_to_dict(certificate_from_dict(d)) == d
+    assert "noise_set_bound" not in d and "epsilon" not in d
+
+
+@pytest.mark.parametrize(
+    "d, legacy",
+    [
+        ({"kind": "quadratic", "Q": [[2.0, 0.0], [0.0, 1.0]], "alpha": 1.0, "compact_radius_sq": 1.0, "r0": 0.5,
+          "b": 0.1, "delta": 0.05}, {"noise_set_bound": 0.3}),
+        ({"kind": "logarithmic", "Q_star": [[1.0, 0.0], [0.0, 1.0]], "domain_threshold": math.e,
+          "compact_radius_star": 4.0, "b": 0.5, "delta": 0.1}, {"epsilon": 0.4}),
+    ],
+    ids=["quadratic", "logarithmic"],
+)
+def test_dropped_keys_are_ignored(d, legacy):
+    """Files written before noise_set_bound and epsilon were dropped still
+    load, to the certificate of the same file without them."""
+    assert certificate_to_dict(certificate_from_dict(dict(d, **legacy))) == d

@@ -548,3 +548,73 @@ def test_null_target_radius_is_a_usage_error(tmp_path, capsys):
     )
     assert run(["classify", "--system", system, "--out", str(tmp_path)]) == 2
     assert "radius must be a number, got None" in capsys.readouterr().err
+
+
+def _mixed_system_file(tmp_path):
+    return _write_system(
+        tmp_path,
+        "mixed.json",
+        {
+            "A": _mixed_a(0.5),
+            "B": np.eye(3).tolist(),
+            "noise": _law("uniform", 3),
+            "target": {"center": [0.0] * 3, "radius": 1.0, "norm": "euclidean"},
+        },
+    )
+
+
+def _swap_parts(d):
+    d["unit"], d["stable"] = d["stable"], d["unit"]
+
+
+def _quadratic_unit(d):
+    d["unit"] = {"kind": "quadratic", "Q": np.eye(2).tolist(), "compact_radius_sq": 1.0, "r0": 0.5, "b": 0.1,
+                 "delta": 0.05}
+
+
+@pytest.mark.parametrize(
+    "mutate, field",
+    [
+        (_swap_parts, "composite unit"),
+        (_quadratic_unit, "composite unit"),
+        (lambda d: d.update(unit_dim=5), "composite unit_dim"),
+        (lambda d: d.update(stable=3.0), "certificate must be a JSON object"),
+    ],
+    ids=["swapped-parts", "quadratic-unit", "unit-dim-5", "number-part"],
+)
+def test_miskinded_composite_is_a_usage_error(mutate, field, tmp_path, capsys):
+    """A composite file whose parts do not fit its kinds or its unit_dim
+    exits 2 naming the field; a quadratic unit part of the right shape used
+    to load and then crash verify with an AttributeError."""
+    system = _mixed_system_file(tmp_path)
+    out = tmp_path / "out"
+    assert run(["certify", "--system", system, "--out", str(out), "--samples", "1000"]) in (0, 1)
+    d = json.loads((out / "certificate.json").read_text())
+    mutate(d)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(d))
+    capsys.readouterr()
+    assert run(["verify", "--system", system, "--certificate", str(bad), "--out", str(out)]) == 2
+    assert field in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind, legacy", [("quadratic", "noise_set_bound"), ("logarithmic", "epsilon")])
+def test_files_with_dropped_keys_verify_the_same(kind, legacy, stable_file, random_walk_file, tmp_path):
+    """A certificate file that still carries a dropped key (noise_set_bound,
+    epsilon) loads, and verify reports on it as on the file without it."""
+    system = stable_file if kind == "quadratic" else random_walk_file
+    assert run(["certify", "--system", system, "--out", str(tmp_path / "cert")]) == 0
+    plain = tmp_path / "cert" / "certificate.json"
+    d = json.loads(plain.read_text())
+    assert d["kind"] == kind and legacy not in d
+    old = tmp_path / "old.json"
+    old.write_text(json.dumps(dict(d, **{legacy: 0.25})))
+    reports = []
+    for name, cert in (("plain", plain), ("old", old)):
+        out = tmp_path / name
+        argv = ["verify", "--system", system, "--certificate", str(cert), "--samples", "2000", "--out", str(out)]
+        assert run(argv) == 0
+        report = json.loads((out / "verify.json").read_text())
+        report.pop("timings"), report.pop("certificate_input")
+        reports.append(report)
+    assert reports[0] == reports[1]

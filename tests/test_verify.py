@@ -231,7 +231,6 @@ class TestVerifyDrift:
             r0=0.99,
             variant_b=0.25,
             delta=0.01,
-            noise_set_bound=1.0,
         )
         report = verify_drift(rw, bad, plan=ShellPlan(radii=(2.0, 4.0), points_per_shell=8))
         assert not report.passed
