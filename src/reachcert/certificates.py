@@ -33,7 +33,7 @@ from .linalg import (
     solve_discrete_lyapunov,
 )
 from .spectral import invariant_basis, unit_plane_basis
-from .systems import LinearSystem, TargetBall, _number, step_batch
+from .systems import LinearSystem, TargetBall, _matrix, _number, step_batch
 from .verify import LevelOverflowError, _ellipsoid_shell_proposal, drift_expectation, exact_quadratic_drift
 
 __all__ = [
@@ -81,7 +81,7 @@ def _sublevel_b(Q, target: TargetBall) -> float:
 
 
 def _spd(d: dict, key: str) -> np.ndarray:
-    Q = np.asarray(d[key], dtype=float)
+    Q = _matrix(d, key)
     if not is_symmetric_positive_definite(Q):
         raise ValueError(f"certificate {key} is not symmetric positive definite")
     return Q
@@ -425,7 +425,7 @@ class CompositeCertificate(Certificate):
 
     @classmethod
     def from_dict(cls, d: dict) -> "CompositeCertificate":
-        T, M = np.asarray(d["transform"], dtype=float), np.asarray(d["M"], dtype=float)
+        T, M = _matrix(d, "transform"), _matrix(d, "M")
         unit, stable = _part(d, "unit", LogCertificate), _part(d, "stable", QuadraticCertificate)
         dims = (len(unit.Q_star), len(stable.Q))
         nu, n = int(_number(d, "unit_dim")), sum(dims)

@@ -69,26 +69,26 @@ def classify(system: LinearSystem, target: TargetBall) -> Verdict:
     warnings = []
     if report.ambiguous_clustering:
         warnings.append("eigenvalue clusters closer than 10x the clustering tolerance")
+    outcome, advice = _decide(system, report, trace, warnings)
+    return Verdict(
+        outcome=outcome,
+        certificate_advice=advice,
+        branch_trace=tuple(trace),
+        spectral=report,
+        warnings=tuple(warnings),
+    )
 
+
+def _decide(system: LinearSystem, report: SpectralReport, trace: list, warnings: list):
+    """Walk the decision tree, appending each test to ``trace`` and each
+    caveat to ``warnings``; returns (outcome, certificate advice)."""
     rho = report.rho
     if rho < 1.0 - UNIT_TOL:
         trace.append(("spectral_radius", rho, f"< 1 - {UNIT_TOL:g}: stable"))
-        return Verdict(
-            outcome=Outcome.REACHABLE_STABLE,
-            certificate_advice="quadratic",
-            branch_trace=tuple(trace),
-            spectral=report,
-            warnings=tuple(warnings),
-        )
+        return Outcome.REACHABLE_STABLE, "quadratic"
     if rho > 1.0 + UNIT_TOL:
         trace.append(("spectral_radius", rho, f"> 1 + {UNIT_TOL:g}: unstable"))
-        return Verdict(
-            outcome=Outcome.NOT_REACHABLE_UNSTABLE,
-            certificate_advice="none",
-            branch_trace=tuple(trace),
-            spectral=report,
-            warnings=tuple(warnings),
-        )
+        return Outcome.NOT_REACHABLE_UNSTABLE, "none"
 
     trace.append(("spectral_radius", rho, "within the critical band around 1"))
     if abs(rho - 1.0) > 0.1 * UNIT_TOL:
@@ -96,13 +96,7 @@ def classify(system: LinearSystem, target: TargetBall) -> Verdict:
 
     if report.d_max_unit >= 2:
         trace.append(("largest_unit_jordan_block", report.d_max_unit, ">= 2: polynomial growth"))
-        return Verdict(
-            outcome=Outcome.NOT_REACHABLE_JORDAN,
-            certificate_advice="none",
-            branch_trace=tuple(trace),
-            spectral=report,
-            warnings=tuple(warnings),
-        )
+        return Outcome.NOT_REACHABLE_JORDAN, "none"
     trace.append(("largest_unit_jordan_block", report.d_max_unit, "diagonalizable unit part"))
 
     n, m = system.dimension, system.noise_dimension
@@ -116,33 +110,14 @@ def classify(system: LinearSystem, target: TargetBall) -> Verdict:
         )
     )
     if not full_excitation:
-        return Verdict(
-            outcome=Outcome.INCONCLUSIVE_ASSUMPTION,
-            certificate_advice="none",
-            branch_trace=tuple(trace),
-            spectral=report,
-            warnings=tuple(warnings),
-        )
+        return Outcome.INCONCLUSIVE_ASSUMPTION, "none"
 
-    if report.dim_EA <= 2:
-        has_stable_part = report.stable_part_rho > 0.0 or report.dim_EA < n
-        advice = "composite" if has_stable_part else "logarithmic"
-        trace.append(("dim_unit_subspace", report.dim_EA, "<= 2: critical recurrence"))
-        if advice == "composite":
-            warnings.append("composite certificate is a candidate only; verify numerically")
-        return Verdict(
-            outcome=Outcome.REACHABLE_CRITICAL,
-            certificate_advice=advice,
-            branch_trace=tuple(trace),
-            spectral=report,
-            warnings=tuple(warnings),
-        )
-
-    trace.append(("dim_unit_subspace", report.dim_EA, "> 2: transience"))
-    return Verdict(
-        outcome=Outcome.NOT_REACHABLE_DIMENSION,
-        certificate_advice="none",
-        branch_trace=tuple(trace),
-        spectral=report,
-        warnings=tuple(warnings),
-    )
+    if report.dim_EA > 2:
+        trace.append(("dim_unit_subspace", report.dim_EA, "> 2: transience"))
+        return Outcome.NOT_REACHABLE_DIMENSION, "none"
+    trace.append(("dim_unit_subspace", report.dim_EA, "<= 2: critical recurrence"))
+    # Any eigenvalue off the unit circle leaves the unit subspace smaller than n.
+    if report.dim_EA < n:
+        warnings.append("composite certificate is a candidate only; verify numerically")
+        return Outcome.REACHABLE_CRITICAL, "composite"
+    return Outcome.REACHABLE_CRITICAL, "logarithmic"

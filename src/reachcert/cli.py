@@ -103,6 +103,13 @@ def _base_report(args) -> dict:
     return report
 
 
+def _drift_plan(args, cert, system):
+    """The drift check's shell plan, with ``--samples`` noise draws per point
+    on the Monte Carlo path: certify's ``verified`` flag and verify's drift
+    report come from the same check."""
+    return replace(default_shell_plan(cert, system.dimension, seed=args.seed), noise_samples=args.samples)
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -137,9 +144,8 @@ def _cmd_certify(args) -> int:
         # A failed drift check settles the flag, so the variant check (whose
         # level sets may be past sampling, as for a near-critical stable part)
         # runs only after a pass.
-        verified = verify_drift(system, cert, seed=args.seed).passed and verify_variant(
-            system, cert, target, samples=args.samples, seed=args.seed
-        ).passed
+        drift = verify_drift(system, cert, plan=_drift_plan(args, cert, system), seed=args.seed)
+        verified = drift.passed and verify_variant(system, cert, target, samples=args.samples, seed=args.seed).passed
         cert = replace(cert, verified=verified)
         if not cert.verified:
             exit_code = 1
@@ -162,8 +168,7 @@ def _cmd_verify(args) -> int:
     system, file_target = load_system(args.system)
     target = _resolve_target(args, file_target, system.dimension)
     cert = certs.load_certificate(args.certificate)
-    plan = replace(default_shell_plan(cert, system.dimension, seed=args.seed), noise_samples=args.samples)
-    drift = verify_drift(system, cert, plan=plan, seed=args.seed)
+    drift = verify_drift(system, cert, plan=_drift_plan(args, cert, system), seed=args.seed)
     variant = verify_variant(system, cert, target, samples=args.samples, seed=args.seed)
     report = _base_report(args)
     report["certificate_input"] = {"path": args.certificate, "sha256": _sha256(args.certificate)}

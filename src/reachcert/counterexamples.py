@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .certificates import CustomCertificate
-from .systems import LinearSystem, NoiseModel, PolynomialSystem, TargetBall, TrajectorySeed, step_batch
+from .systems import LinearSystem, NoiseModel, PolynomialSystem, TargetBall, TrajectorySeed
 from .verify import DriftReport, ShellPlan, VariantReport, drift_expectation, verify_drift, verify_variant
 
 __all__ = [
@@ -116,16 +116,12 @@ def example1_simulate_log2(instance: Example1Instance, w_seq):
 
     Usable while 2^{i(i+3)/2} stays inside double range (i up to ~40).
     """
-    system = example1_system()
     w = np.asarray(w_seq, dtype=float).reshape(-1)
-    x = instance.x0.copy()
-    log2_xi = [math.log2(x[0])]
-    eta = [x[1]]
-    for k in range(instance.k_star):
-        x = step_batch(system, x[None], w[None, k : k + 1])[0]
-        log2_xi.append(math.log2(x[0]))
-        eta.append(x[1])
-    return np.asarray(log2_xi), np.asarray(eta)
+    if w.size < instance.k_star:
+        raise ValueError(f"need at least {instance.k_star} noise values")
+    x0 = instance.x0[None]
+    states = np.concatenate([x0, example1_system().advance(x0, w[: instance.k_star, None, None])[:, 0]])
+    return np.array([math.log2(x) for x in states[:, 0]]), states[:, 1]
 
 
 def example1_bounds_hold(instance: Example1Instance, n_sequences: int, seed: int = 0):

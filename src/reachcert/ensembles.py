@@ -16,9 +16,8 @@ dimension, and a decay fit keeps only each batch's ball counts at the
 grid steps, so an ensemble's memory depends on neither its trajectory
 count nor its grid.  Neither length changes any trajectory: a chunked
 ensemble replays exactly the stream of a single-trajectory simulation.
-A factor A or B that is exactly the identity is not multiplied, as in
-step_batch, so the random walk x + Bw pays for its additions only; the
-states keep the bits of step_batch.
+Every sub-block is one ``system.advance`` call, the stepping engine of
+`systems`, so the random walk x + Bw pays for its additions only.
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .systems import LinearSystem, TrajectorySeed, contains, step_batch
+from .systems import TrajectorySeed, contains
 
 __all__ = [
     "Trajectory",
@@ -131,30 +130,6 @@ class DecayFit:
         }
 
 
-def _advance(system, X, W):
-    """(s, rows, n) states after each step of the (s, rows, m) noise block W
-    from X."""
-    out = np.empty((W.shape[0],) + X.shape)
-    if not isinstance(system, LinearSystem):
-        for t in range(W.shape[0]):
-            X = out[t] = step_batch(system, X, W[t])
-        return out
-    # The products of step_batch (X A' + W B') with the same shapes, so
-    # the same BLAS paths, and the same identity factors skipped; the sum
-    # runs in the other order, which IEEE addition makes exact.  (Where a
-    # coordinate is infinite a skipped product would have filled its row
-    # with NaN; either way the state is past OVERFLOW_GUARD, which ends a
-    # simulated or hitting trajectory.)
-    AT, BT = system.factors
-    WB = W if BT is None else np.matmul(W, BT, out=out)
-    AX = np.empty_like(X)
-    for t in range(W.shape[0]):
-        if AT is not None:
-            X = np.matmul(X, AT, out=AX)
-        X = np.add(WB[t], X, out=out[t])
-    return out
-
-
 def _run(system, X, rngs, horizon, observe):
     """The stepping kernel behind simulate, hitting_stats and ensemble_states.
 
@@ -186,7 +161,7 @@ def _run(system, X, rngs, horizon, observe):
             t = 0
             while t < length and live.size:
                 s = min(steps, length - t)
-                S = _advance(system, X, W[t : t + s] if cols.size == W.shape[1] else W[t : t + s, cols])
+                S = system.advance(X, W[t : t + s] if cols.size == W.shape[1] else W[t : t + s, cols])
                 X = S[-1]
                 stop = observe(k + t, live, S)
                 if stop is not None and stop.any():

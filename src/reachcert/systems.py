@@ -2,14 +2,18 @@
 target balls, and seeded reproducible sampling.
 
 The dynamics are ``x_{k+1} = f(x_k, w_k)`` with i.i.d. zero-mean noise
-``w_k``.  The linear special case is ``f(x, w) = A x + B w``.  States
-are the rows of an (N, n) array, both for `step_batch` and for
-`contains`, whose target is an open ball (Euclidean or weighted by a PD
-matrix) or a callable row mask.  The noise law lives in `NoiseModel`,
-which alone draws noise and builds its Gauss rules (from unit rules built
-once); all noise sampling is driven by explicit per-trajectory seeds so
-ensembles are reproducible regardless of execution order.  Every linear
-step skips a factor that is exactly the identity (`LinearSystem.factors`).
+``w_k``.  The linear special case is ``f(x, w) = A x + B w``.  Each
+system kind applies its transition in one method, ``advance(X, W)``,
+which steps the (rows, n) states X through an (s, rows, m) noise block W;
+`step_batch` is its one-step form and the ensembles step whole blocks.
+A linear step skips a factor that is exactly the identity
+(`LinearSystem.factors`).  States are the rows of an (N, n) array, both
+for stepping and for `contains`, whose target is an open ball (Euclidean
+or weighted by a PD matrix) or a callable row mask.  The noise law lives
+in `NoiseModel`, which alone draws noise and builds its Gauss rules (from
+unit rules built once); all noise sampling is driven by explicit
+per-trajectory seeds so ensembles are reproducible regardless of
+execution order.
 """
 
 from __future__ import annotations
@@ -53,6 +57,15 @@ def _number(d: dict, key: str, default: float | None = None) -> float:
         return float(value)
     except (TypeError, ValueError):
         raise ValueError(f"{key} must be a number, got {value!r}") from None
+
+
+def _matrix(d: dict, key: str) -> np.ndarray:
+    """``d[key]`` as a float array; a value that is no (nested) list of
+    numbers raises ValueError naming the field rather than a TypeError."""
+    try:
+        return np.asarray(d[key], dtype=float)
+    except (TypeError, ValueError):
+        raise ValueError(f"{key} must be an array of numbers, got {d[key]!r}") from None
 
 
 def _scale_uniform(u, h):
@@ -213,9 +226,9 @@ class NoiseModel:
     def from_dict(d: dict) -> "NoiseModel":
         kind = d.get("kind")
         if kind == "gaussian":
-            return NoiseModel(kind="gaussian", cov=np.asarray(d["cov"], dtype=float))
+            return NoiseModel(kind="gaussian", cov=_matrix(d, "cov"))
         if kind in UNIFORM_KINDS:
-            return NoiseModel(kind=kind, half_widths=np.asarray(d["half_widths"], dtype=float))
+            return NoiseModel(kind=kind, half_widths=_matrix(d, "half_widths"))
         raise ValueError(f"unknown noise kind {kind!r}")
 
     @staticmethod
@@ -262,6 +275,26 @@ class LinearSystem:
     def noise_dimension(self) -> int:
         return self.B.shape[1]
 
+    def advance(self, X, W) -> np.ndarray:
+        """(s, rows, n) states after each step of the (s, rows, m) noise
+        block W from the (rows, n) states X: x A' + w B' per step, W B' as
+        one batched product.  A factor that is exactly the identity is not
+        multiplied: x*1 = x and x*0 = +-0, so finite states keep the bits of
+        X A' + W B' up to the sign of a zero (an infinite coordinate would
+        have made its row NaN)."""
+        out = np.empty((W.shape[0],) + X.shape)
+        AT, BT = self.factors
+        WB = W if BT is None else np.matmul(W, BT, out=out)
+        AX = None if AT is None else np.empty_like(X)
+        for t in range(W.shape[0]):
+            if AT is not None:
+                X = np.matmul(X, AT, out=AX)
+            X = np.add(WB[t], X, out=out[t])
+        return out
+
+    def to_dict(self) -> dict:
+        return {"A": self.A.tolist(), "B": self.B.tolist(), "noise": self.noise.to_dict()}
+
 
 def _compile_transition(exprs, n, m):
     import sympy  # only polynomial systems need it, and it is slow to import
@@ -276,17 +309,7 @@ def _compile_transition(exprs, n, m):
         if extra:
             raise ValueError(f"unknown symbols {sorted(map(str, extra))} in transition {text!r}")
         parsed.append(e)
-    fn = sympy.lambdify(list(xs) + list(ws), parsed, modules="numpy")
-
-    def transition_batch(X, W):
-        N = max(X.shape[0], W.shape[0])
-        args = [np.broadcast_to(X[:, i], (N,)) for i in range(X.shape[1])]
-        args += [np.broadcast_to(W[:, i], (N,)) for i in range(W.shape[1])]
-        out = fn(*args)
-        cols = [np.broadcast_to(np.asarray(c, dtype=float), (N,)) for c in out]
-        return np.column_stack(cols)
-
-    return transition_batch
+    return sympy.lambdify(list(xs) + list(ws), parsed, modules="numpy")
 
 
 @dataclass(frozen=True)
@@ -299,7 +322,7 @@ class PolynomialSystem:
 
     transition_exprs: tuple
     noise: NoiseModel
-    _transition_batch: object = field(default=None, repr=False, compare=False)
+    _transition: object = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         exprs = tuple(str(e) for e in self.transition_exprs)
@@ -307,7 +330,7 @@ class PolynomialSystem:
         n, m = len(exprs), self.noise.dimension
         if n == 0:
             raise ValueError("transition must have at least one coordinate")
-        object.__setattr__(self, "_transition_batch", _compile_transition(exprs, n, m))
+        object.__setattr__(self, "_transition", _compile_transition(exprs, n, m))
 
     @property
     def dimension(self) -> int:
@@ -316,6 +339,20 @@ class PolynomialSystem:
     @property
     def noise_dimension(self) -> int:
         return self.noise.dimension
+
+    def advance(self, X, W) -> np.ndarray:
+        """(s, rows, n) states after each step of the (s, rows, m) noise
+        block W from the (rows, n) states X, one transition call per step;
+        a constant coordinate fills its column."""
+        out = np.empty((W.shape[0],) + X.shape)
+        for t in range(W.shape[0]):
+            for j, col in enumerate(self._transition(*X.T, *W[t].T)):
+                out[t, :, j] = col
+            X = out[t]
+        return out
+
+    def to_dict(self) -> dict:
+        return {"transition": list(self.transition_exprs), "noise": self.noise.to_dict()}
 
 
 @dataclass(frozen=True)
@@ -356,11 +393,11 @@ class TargetBall:
         norm = d.get("norm", "euclidean")
         weight = None
         if isinstance(norm, dict):
-            weight = np.asarray(norm["weighted"], dtype=float)
+            weight = _matrix(norm, "weighted")
         elif norm != "euclidean":
             raise ValueError(f"unknown target norm {norm!r}")
         return TargetBall(
-            center=np.asarray(d["center"], dtype=float),
+            center=_matrix(d, "center"),
             radius=_number(d, "radius"),
             weight=weight,
         )
@@ -389,22 +426,21 @@ def sample_noise(noise: NoiseModel, seed: TrajectorySeed, count: int) -> np.ndar
 
 
 def step_batch(system, X, W) -> np.ndarray:
-    """Vectorized transitions: rows of X and W are states/noise vectors.
+    """One step of every row of X under the same row of W: the (N, n)
+    successors, the one-step form of ``system.advance``.
 
-    Returns the (N, n) array of successors.  Non-finite outputs are
-    returned as-is; callers doing long simulations mask them (overflow
-    handling is a per-trajectory policy, not an exception).  A linear step
-    skips the products by identity factors: x*1 = x and x*0 = +-0, so on
-    finite inputs it keeps the bits of X A' + W B' up to the sign of a zero.
+    Non-finite outputs are returned as-is; callers doing long simulations
+    mask them (overflow handling is a per-trajectory policy, not an
+    exception).
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     W = np.atleast_2d(np.asarray(W, dtype=float))
-    if not isinstance(system, LinearSystem):
-        return system._transition_batch(X, W)
-    if X.shape[1] != system.dimension or W.shape[1] != system.noise_dimension:
-        raise ValueError(f"states of shape {X.shape} and noise of shape {W.shape} do not fit A and B")
-    AT, BT = system.factors
-    return (X if AT is None else X @ AT) + (W if BT is None else W @ BT)
+    if X.shape[1] != system.dimension or W.shape[1] != system.noise_dimension or len(X) != len(W):
+        raise ValueError(
+            f"states of shape {X.shape} and noise of shape {W.shape} do not fit a system "
+            f"of dimension {system.dimension} and noise dimension {system.noise_dimension}"
+        )
+    return system.advance(X, W[None])[0]
 
 
 def contains(target, X: np.ndarray) -> np.ndarray:
@@ -428,17 +464,7 @@ def contains(target, X: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def system_to_dict(system, target: TargetBall | None = None) -> dict:
-    if isinstance(system, LinearSystem):
-        d = {
-            "A": system.A.tolist(),
-            "B": system.B.tolist(),
-            "noise": system.noise.to_dict(),
-        }
-    else:
-        d = {
-            "transition": list(system.transition_exprs),
-            "noise": system.noise.to_dict(),
-        }
+    d = system.to_dict()
     if target is not None:
         d["target"] = target.to_dict()
     return d
@@ -450,11 +476,7 @@ def _system_from_dict(d: dict):
         return PolynomialSystem(transition_exprs=tuple(d["transition"]), noise=noise)
     if "A" not in d or "B" not in d:
         raise ValueError("system file needs either 'A'/'B' or 'transition'")
-    return LinearSystem(
-        A=np.asarray(d["A"], dtype=float),
-        B=np.asarray(d["B"], dtype=float),
-        noise=noise,
-    )
+    return LinearSystem(A=_matrix(d, "A"), B=_matrix(d, "B"), noise=noise)
 
 
 def load_system(path):

@@ -13,9 +13,9 @@ shells by `drift_expectation`, as in certificate synthesis: with tensor
 Gauss rules (each unit rule built once) when the noise has at most three
 dimensions (reporting the gap between two rule orders as the error),
 otherwise by seeded Monte Carlo (reporting a 3-sigma half-width).  Steps
-go through `step_batch`, which skips identity factors.  Level-set
-sampling takes V and U of each proposal from one `level_values` call; a
-level whose {V <= r} passes the float range fails unsampled, and
+go through `step_batch`, the one-step form of the system's `advance`.
+Level-set sampling takes V and U of each proposal from one `level_values`
+call; a level whose {V <= r} passes the float range fails unsampled, and
 `verify` exits with 1.  Either way the result is a numerical check with
 an error estimate, never a proof.
 """

@@ -19,6 +19,15 @@ def reference_noise_draw(noise, rng, count):
     return rng.uniform(-1.0, 1.0, size=(count, m)) * noise.half_widths
 
 
+def explicit_step(system, X, W):
+    """One step of the rows of X under the rows of W, written out apart from
+    ``advance``: X A' + W B' with every product taken for a linear system,
+    else the system's compiled transition."""
+    if isinstance(system, LinearSystem):
+        return X @ system.A.T + W @ system.B.T
+    return np.column_stack([np.broadcast_to(c, len(X)) for c in system._transition(*X.T, *W.T)])
+
+
 def ball_mask(ball):
     """The row mask of a TargetBall written out by hand, as a callable
     target: q < R^2 with q the squared norm of x - center in the ball's

@@ -618,3 +618,92 @@ def test_files_with_dropped_keys_verify_the_same(kind, legacy, stable_file, rand
         report.pop("timings"), report.pop("certificate_input")
         reports.append(report)
     assert reports[0] == reports[1]
+
+
+@pytest.fixture(scope="module")
+def mixed_certificate(tmp_path_factory):
+    """(system file, certificate dict) of the composite that certify writes
+    for rotation(pi/4) (+) 0.5."""
+    tmp_path = tmp_path_factory.mktemp("mixed")
+    system = _mixed_system_file(tmp_path)
+    assert run(["certify", "--system", system, "--out", str(tmp_path), "--samples", "1000"]) in (0, 1)
+    return system, json.loads((tmp_path / "certificate.json").read_text())
+
+
+def _set(path, key):
+    """A mutation that puts a JSON object where ``path`` (keys into the
+    file) leads to ``key``."""
+
+    def mutate(d):
+        for step in path:
+            d = d[step]
+        d[key] = {"a": 1}
+
+    return mutate
+
+
+@pytest.mark.parametrize(
+    "file, mutate, key",
+    [
+        ("system", _set((), "A"), "A"),
+        ("system", _set((), "B"), "B"),
+        ("system", _set(("noise",), "half_widths"), "half_widths"),
+        ("gaussian-system", _set(("noise",), "cov"), "cov"),
+        ("system", _set(("target",), "center"), "center"),
+        ("system", _set(("target", "norm"), "weighted"), "weighted"),
+        ("quadratic", _set((), "Q"), "Q"),
+        ("composite", _set((), "transform"), "transform"),
+        ("composite", _set((), "M"), "M"),
+        ("composite", _set(("stable",), "Q"), "Q"),
+        ("composite", _set(("unit",), "Q_star"), "Q_star"),
+    ],
+    ids=["A", "B", "half_widths", "cov", "center", "weighted", "Q", "transform", "M", "stable-Q", "unit-Q_star"],
+)
+def test_matrix_field_given_as_object_is_a_usage_error(file, mutate, key, mixed_certificate, tmp_path, capsys):
+    """A JSON object where a system or certificate file needs an array of
+    numbers exits 2 and names the field, instead of a TypeError traceback."""
+    mixed_system, composite = mixed_certificate
+    system = {
+        "A": [[0.5, 0.1], [0.0, 0.3]],
+        "B": [[1.0, 0.0], [0.0, 1.0]],
+        "noise": {"kind": "uniform-box", "half_widths": [1.0, 1.0]},
+        "target": {"center": [0.0, 0.0], "radius": 1.0, "norm": {"weighted": [[1.0, 0.0], [0.0, 1.0]]}},
+    }
+    if file == "gaussian-system":
+        system["noise"] = _law("gaussian", 2)
+    quadratic = {"kind": "quadratic", "Q": np.eye(2).tolist(), "compact_radius_sq": 1.0, "r0": 0.5, "b": 0.1,
+                 "delta": 0.05}
+    if file in ("system", "gaussian-system"):
+        mutate(system)
+        path = _write_system(tmp_path, "bad-system.json", system)
+        argv = ["classify", "--system", path]
+    else:
+        cert = json.loads(json.dumps(composite)) if file == "composite" else quadratic
+        mutate(cert)
+        system_path = mixed_system if file == "composite" else _write_system(tmp_path, "system.json", system)
+        argv = ["verify", "--system", system_path, "--certificate", _write_system(tmp_path, "bad.json", cert)]
+    assert run([*argv, "--out", str(tmp_path / "out")]) == 2
+    assert f"{key} must be an array of numbers, got {{'a': 1}}" in capsys.readouterr().err
+
+
+def test_certify_and_verify_run_the_same_drift_check(tmp_path, monkeypatch):
+    """certify's verified flag on a composite comes from the drift check that
+    verify runs: both commands hand verify_drift the same ShellPlan."""
+    from reachcert import cli
+
+    plans = []
+
+    def recording(system, cert, plan=None, seed=0):
+        plans.append(plan)
+        return verify_drift(system, cert, plan=plan, seed=seed)
+
+    verify_drift = cli.verify_drift
+    monkeypatch.setattr(cli, "verify_drift", recording)
+    system = _mixed_system_file(tmp_path)
+    out = tmp_path / "out"
+    common = ["--system", system, "--out", str(out), "--samples", "3000", "--seed", "4"]
+    assert run(["certify", *common]) in (0, 1)
+    assert run(["verify", *common, "--certificate", str(out / "certificate.json")]) in (0, 1)
+    assert len(plans) == 2 and plans[0] is not None
+    assert plans[0] == plans[1]
+    assert plans[0].noise_samples == 3000 and plans[0].seed == 4

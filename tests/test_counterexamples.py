@@ -52,6 +52,22 @@ class TestClosedForm:
             assert np.max(np.abs(cf_xi - sim_xi)) <= 1e-8
             assert np.max(np.abs(cf_eta - sim_eta)) <= 1e-8
 
+    def test_simulation_is_the_one_step_loop(self):
+        # One advance call over the noise gives the bits of stepping one
+        # state at a time, and too few noise values are refused.
+        inst = Example1Instance(i=6, u=2.0)
+        w = np.random.default_rng(3).uniform(-1.0, 1.0, size=inst.k_star)
+        x = inst.x0
+        xs = [x]
+        for k in range(inst.k_star):
+            (x,) = step_batch(example1_system(), [x], w[k : k + 1, None])
+            xs.append(x)
+        sim_xi, sim_eta = example1_simulate_log2(inst, w)
+        assert sim_xi.tolist() == [math.log2(x[0]) for x in xs]
+        assert sim_eta.tolist() == [x[1] for x in xs]
+        with pytest.raises(ValueError, match="at least 6 noise values"):
+            example1_simulate_log2(inst, w[:-1])
+
     def test_zero_noise_bounds_i3(self):
         inst = Example1Instance(i=3, u=1.0)
         log2_xi, _ = example1_closed_form(inst, np.zeros(3))

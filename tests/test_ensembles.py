@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import ball_mask, reference_noise_draw, rotation_matrix
+from conftest import ball_mask, explicit_step, reference_noise_draw, rotation_matrix
 from reachcert import ensembles
 from reachcert import (
     LinearSystem,
@@ -46,7 +46,7 @@ def _reference_hitting_batch(system, target, x0, indices, horizon, base_seed, th
             cur = np.flatnonzero(live)
             if cur.size == 0:
                 break
-            Xa[cur] = step_batch(system, Xa[cur], W[cur, t])
+            Xa[cur] = explicit_step(system, Xa[cur], W[cur, t])
             bad = ~np.all(np.isfinite(Xa[cur]), axis=1) | (
                 np.max(np.abs(Xa[cur]), axis=1) > OVERFLOW_GUARD
             )
@@ -252,8 +252,9 @@ SNAPSHOT_CASES = {
 
 
 def _replay_snapshots(system, x0, ks, n_traj, base_seed):
-    """The snapshots of a per-step step_batch replay of every trajectory's
-    stream, drawn by reference_noise_draw: the oracle of the block kernel."""
+    """The snapshots of a per-step replay (explicit_step) of every
+    trajectory's stream, drawn by reference_noise_draw: the oracle of the
+    block kernel."""
     horizon = max(ks)
     W = np.stack(
         [reference_noise_draw(system.noise, TrajectorySeed(base_seed, i).rng(), horizon) for i in range(n_traj)],
@@ -262,7 +263,7 @@ def _replay_snapshots(system, x0, ks, n_traj, base_seed):
     X = np.tile(np.asarray(x0, dtype=float), (n_traj, 1))
     out = {0: X}
     for k in range(1, horizon + 1):
-        X = out[k] = step_batch(system, X, W[k - 1])
+        X = out[k] = explicit_step(system, X, W[k - 1])
     return {k: out[k] for k in ks}
 
 

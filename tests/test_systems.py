@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import reachcert
-from conftest import reference_noise_draw
+from conftest import explicit_step, reference_noise_draw
 from reachcert import systems
 from reachcert.ensembles import ensemble_states
 from reachcert.systems import (
@@ -369,6 +369,67 @@ class TestStep:
     def test_dimension_mismatch(self, random_walk):
         with pytest.raises(ValueError):
             step_batch(random_walk, [[1.0, 2.0]], [[0.0]])
+
+    def test_rejects_unequal_row_counts(self, random_walk):
+        with pytest.raises(ValueError, match="do not fit"):
+            step_batch(random_walk, [[1.0], [2.0]], [[0.0], [0.5], [1.0]])
+        with pytest.raises(ValueError, match="do not fit"):
+            step_batch(random_walk, [[1.0]], [[0.0], [0.5]])
+
+    def test_polynomial_rejects_wrong_noise_width(self):
+        system = PolynomialSystem(transition_exprs=("x1 + w1",), noise=NoiseModel.uniform([1.0]))
+        with pytest.raises(ValueError, match="noise dimension 1"):
+            step_batch(system, [[1.0]], [[0.0, 0.5]])
+
+
+class TestAdvance:
+    """``advance`` is the one stepping engine: it must give the bits of the
+    transition written out step by step."""
+
+    @pytest.mark.parametrize("steps", [1, 2, 65])
+    @pytest.mark.parametrize("n", [2, 3, 20])
+    @pytest.mark.parametrize("identity", ["neither", "A", "B", "both"])
+    def test_linear_matches_explicit_steps(self, identity, n, steps):
+        rng = np.random.default_rng(n * 100 + steps)
+        A = np.eye(n) if identity in ("A", "both") else 0.9 * rng.standard_normal((n, n)) / np.sqrt(n)
+        B = np.eye(n) if identity in ("B", "both") else rng.standard_normal((n, 2))
+        system = LinearSystem(A=A, B=B, noise=NoiseModel.uniform([1.0] * B.shape[1]))
+        assert [f is None for f in system.factors] == [identity in ("A", "both"), identity in ("B", "both")]
+        X = rng.standard_normal((40, n))
+        W = rng.standard_normal((steps, 40, B.shape[1]))
+        want = [X]
+        for w in W:
+            want.append(want[-1] @ A.T + w @ B.T)
+        assert system.advance(X, W).tobytes() == np.stack(want[1:]).tobytes()
+
+    def test_one_row_matches_explicit_steps(self, rotation_system):
+        # One row goes to gemv on both sides.
+        rng = np.random.default_rng(5)
+        X, W = rng.standard_normal((1, 2)), rng.standard_normal((30, 1, 2))
+        want = [X]
+        for w in W:
+            want.append(explicit_step(rotation_system, want[-1], w))
+        assert rotation_system.advance(X, W).tobytes() == np.stack(want[1:]).tobytes()
+
+    def test_polynomial_matches_rows(self):
+        # Each row against the transition evaluated at that point alone; the
+        # constant coordinate fills its column.
+        system = PolynomialSystem(
+            transition_exprs=("0.5*x1*(1 + x2 + w1)", "0.5*x2", "2"), noise=NoiseModel.uniform([1.0])
+        )
+        rng = np.random.default_rng(2)
+        X = rng.uniform(0.0, 4.0, size=(7, 3))
+        W = rng.uniform(-1.0, 1.0, size=(5, 7, 1))
+        got = system.advance(X, W)
+        assert got.shape == (5, 7, 3)
+        for i in range(7):
+            x = X[i]
+            for t in range(5):
+                x = np.array([0.5 * x[0] * (1 + x[1] + W[t, i, 0]), 0.5 * x[1], 2.0])
+                assert np.allclose(got[t, i], x, rtol=1e-14, atol=0.0)
+                # Each row alone keeps the bits of the block.
+                (alone,) = step_batch(system, got[t - 1, i : i + 1] if t else X[i : i + 1], W[t, i : i + 1])
+                assert alone.tobytes() == got[t, i].tobytes()
 
 
 def _assert_mask(target, X, expected):
