@@ -2,7 +2,10 @@
 occupancy-decay exponent estimate for critical systems.
 
 Every trajectory owns an independent RNG stream derived from
-(base_seed, trajectory_index), so results are reproducible and
+(base_seed, trajectory_index), ``TrajectorySeed(base_seed, i).rng()``; a
+batch builds all of its streams in one `systems.trajectory_rngs` call,
+which derives their Philox keys in one vectorized pass and gives each
+stream the same state.  So results are reproducible and
 independent of batching or thread scheduling (up to the last bit where a
 batch steps a single row through a factor that is not the identity: numpy
 sends a one-row product to gemv).
@@ -28,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .systems import TrajectorySeed, contains
+from .systems import TrajectorySeed, contains, trajectory_rngs
 
 __all__ = [
     "Trajectory",
@@ -235,7 +238,7 @@ def _hitting_batch(system, target, x0, indices, horizon, base_seed, threshold):
         overflowed[rows[(t_over < s) & ~hits]] = True
         return np.minimum(t_over, t_hit) < s
 
-    rngs = [TrajectorySeed(base_seed, indices[i]).rng() for i in start]
+    rngs = trajectory_rngs(base_seed, np.asarray(indices)[start])
     live, X = _run(system, X0[start], rngs, horizon, record)
 
     hit = hit_time >= 0
@@ -313,8 +316,7 @@ def _snapshot_batch(system, x0, indices, ks, base_seed, reduce):
             if k < kk <= k + len(S):
                 out[kk] = reduce(S[kk - k - 1])
 
-    rngs = [TrajectorySeed(base_seed, i).rng() for i in indices]
-    _run(system, X0, rngs, max(ks, default=0), record)
+    _run(system, X0, trajectory_rngs(base_seed, indices), max(ks, default=0), record)
     return out
 
 

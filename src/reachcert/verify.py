@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import is_symmetric_positive_definite, quadratic_form
-from .systems import LinearSystem, TrajectorySeed, contains, step_batch
+from .systems import LinearSystem, contains, step_batch, trajectory_rngs
 
 __all__ = [
     "LevelOverflowError",
@@ -176,7 +176,8 @@ def mc_drift(system, V, X, samples: int = 10_000, seed: int = 0):
 
     ``V`` must accept an (N, n) array of states and return N values.  Row i
     draws ``samples // 2`` noise vectors from the stream
-    ``TrajectorySeed(seed, i)``.  Every supported noise law is symmetric,
+    ``TrajectorySeed(seed, i)``, built with those of the other rows of its
+    group by `trajectory_rngs`.  Every supported noise law is symmetric,
     so each draw w is paired with -w (antithetic pairing), which cancels the
     first-order term of V and shrinks the variance by orders of magnitude
     for slowly varying drifts.  Returns the estimates and their 3-sigma
@@ -192,7 +193,7 @@ def mc_drift(system, V, X, samples: int = 10_000, seed: int = 0):
     stats = np.empty((2, len(X)))  # estimates, half-widths
     per = max(1, CUBATURE_ROWS // n_draws)
     for lo in range(0, len(X), per):
-        rngs = [TrajectorySeed(seed, i).rng() for i in range(lo, min(lo + per, len(X)))]
+        rngs = trajectory_rngs(seed, range(lo, min(lo + per, len(X))))
         W = np.empty((len(rngs), n_draws, system.noise_dimension))
         system.noise.draw(rngs, n_draws, out=W.transpose(1, 0, 2))  # each point's draws contiguous
         W = W.reshape(-1, W.shape[2])

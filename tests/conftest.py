@@ -9,6 +9,13 @@ def rotation_matrix(theta: float) -> np.ndarray:
     return np.array([[c, -s], [s, c]])
 
 
+def reference_rng(base, index):
+    """Trajectory ``index``'s stream of base seed ``base``, built by numpy's
+    own SeedSequence apart from the code under test: Philox keyed by
+    SeedSequence(entropy=base, spawn_key=(index,))."""
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=base, spawn_key=(index,))))
+
+
 def reference_noise_draw(noise, rng, count):
     """The noise law written out by hand, independent of NoiseModel.draw:
     standard normals mapped by the Cholesky factor of the covariance, or

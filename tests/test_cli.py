@@ -686,6 +686,25 @@ def test_matrix_field_given_as_object_is_a_usage_error(file, mutate, key, mixed_
     assert f"{key} must be an array of numbers, got {{'a': 1}}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "payload, field",
+    [
+        ({"A": [[1.0]], "B": [[1.0]], "noise": [1.0]}, "noise"),
+        ({"A": [[1.0]], "B": [[1.0]], "noise": {"kind": "uniform-box", "half_widths": [1.0]}, "target": 3}, "target"),
+        ({"transition": 5, "noise": {"kind": "uniform-box", "half_widths": [1.0]}}, "transition"),
+        ([1, 2], "a system file"),
+    ],
+    ids=["noise", "target", "transition", "top-level"],
+)
+def test_system_file_of_the_wrong_shape_is_a_usage_error(payload, field, tmp_path, capsys):
+    """A system file whose top level, noise or target is not a JSON object,
+    or whose transition is not a list, exits 2 naming the field instead of
+    an AttributeError or TypeError traceback."""
+    path = _write_system(tmp_path, "bad-system.json", payload)
+    assert run(["classify", "--system", path, "--out", str(tmp_path / "out")]) == 2
+    assert f"{field} must be a" in capsys.readouterr().err
+
+
 def test_certify_and_verify_run_the_same_drift_check(tmp_path, monkeypatch):
     """certify's verified flag on a composite comes from the drift check that
     verify runs: both commands hand verify_drift the same ShellPlan."""

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import ball_mask, explicit_step, reference_noise_draw, rotation_matrix
+from conftest import ball_mask, explicit_step, reference_noise_draw, reference_rng, rotation_matrix
 from reachcert import ensembles
 from reachcert import (
     LinearSystem,
@@ -24,9 +24,10 @@ def _reference_hitting_batch(system, target, x0, indices, horizon, base_seed, th
     """The per-step hitting loop the block kernel replaced, kept as its oracle.
 
     Every step it advances the live rows, drops the overflowed ones, and
-    then records the first hits among the rest.
+    then records the first hits among the rest.  Its streams come from
+    numpy's SeedSequence (reference_rng), not from the batch derivation.
     """
-    rngs = {i: TrajectorySeed(base_seed, i).rng() for i in indices}
+    rngs = {i: reference_rng(base_seed, i) for i in indices}
     nb = len(indices)
     X = np.tile(np.asarray(x0, dtype=float), (nb, 1))
     hit_time = np.full(nb, -1, dtype=np.int64)
@@ -253,11 +254,11 @@ SNAPSHOT_CASES = {
 
 def _replay_snapshots(system, x0, ks, n_traj, base_seed):
     """The snapshots of a per-step replay (explicit_step) of every
-    trajectory's stream, drawn by reference_noise_draw: the oracle of the
-    block kernel."""
+    trajectory's stream (reference_rng), drawn by reference_noise_draw: the
+    oracle of the block kernel."""
     horizon = max(ks)
     W = np.stack(
-        [reference_noise_draw(system.noise, TrajectorySeed(base_seed, i).rng(), horizon) for i in range(n_traj)],
+        [reference_noise_draw(system.noise, reference_rng(base_seed, i), horizon) for i in range(n_traj)],
         axis=1,
     )
     X = np.tile(np.asarray(x0, dtype=float), (n_traj, 1))

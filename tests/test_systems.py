@@ -8,9 +8,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import reachcert
-from conftest import explicit_step, reference_noise_draw
+from conftest import explicit_step, reference_noise_draw, reference_rng
 from reachcert import systems
 from reachcert.ensembles import ensemble_states
 from reachcert.systems import (
@@ -24,6 +26,7 @@ from reachcert.systems import (
     sample_noise,
     step_batch,
     system_to_dict,
+    trajectory_rngs,
 )
 from reachcert.verify import CUBATURE_ORDERS
 
@@ -263,6 +266,116 @@ def test_seeded_streams_are_pinned():
     states = ensemble_states(identity, [0.0, 0.0, 0.0], [0, 1, 1023, 1024, 1025, 1500], 300, base_seed=5)
     snapshots = np.concatenate([states[k] for k in sorted(states)])
     assert _sha256(snapshots) == "ee349efb8d181040a88131bfa3383fd68ae134711b2679903ae62ef33fc2f09d"
+
+
+def _same_state(a, b):
+    """Equal bit generator states: nested dicts of ints, names and arrays."""
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_same_state(a[k], b[k]) for k in a)
+    return np.array_equal(a, b)
+
+
+def _assert_numpys_streams(base, indices):
+    got = trajectory_rngs(base, indices)
+    assert len(got) == len(indices)
+    for i, rng in zip(indices, got):
+        want = reference_rng(base, i)
+        assert _same_state(rng.bit_generator.state, want.bit_generator.state), (base, i)
+        assert np.array_equal(rng.random(7), want.random(7))
+        assert np.array_equal(rng.standard_normal(5), want.standard_normal(5))
+
+
+class TestTrajectoryRngs:
+    """`trajectory_rngs` derives each stream's Philox key itself; numpy's
+    SeedSequence is the reference, state for state and draw for draw."""
+
+    @pytest.mark.parametrize("base", [0, 2**32 - 1, 2**32, 2**64 + 7, 2**128 + 5, 2**200 + 1])
+    def test_streams_are_numpys(self, base):
+        # One- and two-word indices, around the word edge; bases of one to
+        # seven words, below, at and above the pool's four.
+        _assert_numpys_streams(base, [0, 2**31, 2**32 - 1, 2**32, 2**40, 2**64 - 1])
+
+    def test_streams_are_trajectory_seeds(self):
+        indices = range(5, 5 + 300)
+        for i, rng in zip(indices, trajectory_rngs(11, indices)):
+            assert _same_state(rng.bit_generator.state, TrajectorySeed(11, i).rng().bit_generator.state)
+
+    def test_empty_index_list(self):
+        assert trajectory_rngs(3, []) == []
+        assert trajectory_rngs(3, np.arange(0)) == []
+
+    def test_numpy_integers(self):
+        _assert_numpys_streams(np.uint64(2**64 - 1), np.array([0, 2**40], dtype=np.uint64))
+        _assert_numpys_streams(np.int64(5), np.arange(3, 9, dtype=np.int32))
+        _assert_numpys_streams(7, [np.int64(2**33), np.uint32(2**32 - 1), np.int8(1)])
+
+    @pytest.mark.parametrize("indices", [[-1], np.array([4, -2]), [2**64], [0, 2**70]])
+    def test_indices_outside_64_bits_rejected(self, indices):
+        with pytest.raises(ValueError, match="indices"):
+            trajectory_rngs(1, indices)
+
+    def test_non_integer_index_rejected(self):
+        with pytest.raises(TypeError):
+            trajectory_rngs(1, [1.0])
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(min_value=0, max_value=2**260),
+        st.lists(st.integers(min_value=0, max_value=2**64 - 1), max_size=6),
+    )
+    def test_random_bases_and_index_sets(self, base, indices):
+        _assert_numpys_streams(base, indices)
+
+
+class _FixedUniforms:
+    """A stream whose raw uniforms are the given doubles, repeated."""
+
+    def __init__(self, values):
+        self.values = np.asarray(values, dtype=float)
+
+    def random(self, out):
+        out[...] = np.resize(self.values, out.shape)
+
+
+DBL_MAX = np.finfo(float).max
+# Half-widths that are not powers of two, subnormal, and up to DBL_MAX / 2,
+# the largest for which 2h is finite.
+UNIFORM_MAP_WIDTHS = {
+    "odd": [0.3, 1.7, 3.1e5, 0.7],
+    "subnormal": [5e-324, 1e-310, 2.2e-308, 3e-320],
+    "huge": [DBL_MAX / 2, 1e300, 8.9e307, 0.1],
+}
+
+
+@pytest.mark.parametrize("widths", UNIFORM_MAP_WIDTHS.values(), ids=list(UNIFORM_MAP_WIDTHS))
+class TestUniformMap:
+    """`draw` maps raw uniforms as (u - 0.5) * 2h in two passes, which must
+    give the bits of numpy's uniform(-1, 1) * h."""
+
+    def test_draws_are_numpys_uniform_times_h(self, widths):
+        length, m = 3000, len(widths)
+        got = NoiseModel.uniform(widths).draw([reference_rng(21, 4)], length)[:, 0]
+        want = reference_rng(21, 4).uniform(-1.0, 1.0, (length, m)) * np.asarray(widths)
+        assert got.tobytes() == want.tobytes()
+
+    def test_edge_uniforms(self, widths):
+        # numpy's uniform(-1, 1) of the raw double u is -1 + 2u.
+        ulp = 2.0**-53
+        u = np.array([0.0, ulp, 0.25, 0.5 - ulp, 0.5, 0.5 + ulp, 0.75, 1.0 - ulp])
+        length = len(u) * len(widths)
+        got = NoiseModel.uniform(widths).draw([_FixedUniforms(u)], length)[:, 0]
+        raw = np.resize(u, (length, len(widths)))
+        assert got.tobytes() == ((-1.0 + 2.0 * raw) * np.asarray(widths)).tobytes()
+
+
+@pytest.mark.parametrize("h", [np.nextafter(DBL_MAX / 2, np.inf), DBL_MAX, np.inf, np.nan, 0.0, -1.0])
+def test_half_widths_beyond_the_uniform_map_rejected(h):
+    """2h must be finite for the two-pass map, so half-widths above
+    DBL_MAX / 2 are refused along with non-positive and non-finite ones."""
+    with pytest.raises(ValueError, match="half_widths"):
+        NoiseModel.uniform([1.0, h])
+    with pytest.raises(ValueError, match="half_widths"):
+        NoiseModel.from_dict({"kind": "uniform-box", "half_widths": [h]})
 
 
 def test_sympy_is_imported_only_for_polynomial_systems():
