@@ -3,9 +3,10 @@
 The map (xi, eta) -> (xi (1 + eta + w) / 2, eta / 2) from (2^i, 2^i u)
 blows xi up to between u^i 2^{i(i+1)/2} and u^i 2^{i(i+3)/2} before eta
 decays, with crossing time k* = i.  Any polynomial drift would force
-V(state at k*) <= V(initial state); evaluating that inequality in signed
-log2-magnitude arithmetic finds a violating i for every radially
-unbounded candidate.  A logarithmic certificate, by contrast, verifies
+V(state at k*) <= V(initial state); evaluating that inequality in exact
+rational arithmetic finds a violating i for each candidate below.  (The
+paper proves that no polynomial drift exists; the refutation checks
+fixed candidates only.)  A logarithmic certificate, by contrast, verifies
 numerically, and simulation confirms the unit box is hit almost surely.
 """
 

@@ -12,7 +12,6 @@ from .certificates import (
     QuadraticCertificate,
     SynthesisError,
     certificate_from_dict,
-    certificate_to_dict,
     load_certificate,
     save_certificate,
     synthesize_composite,
@@ -68,7 +67,6 @@ __all__ = [
     "QuadraticCertificate",
     "SynthesisError",
     "certificate_from_dict",
-    "certificate_to_dict",
     "load_certificate",
     "save_certificate",
     "synthesize_composite",

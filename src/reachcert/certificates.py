@@ -46,7 +46,6 @@ __all__ = [
     "synthesize_logarithmic",
     "synthesize_composite",
     "SynthesisError",
-    "certificate_to_dict",
     "certificate_from_dict",
     "load_certificate",
     "save_certificate",
@@ -288,7 +287,7 @@ def _second_order_log_drift(system: LinearSystem, Q_star, X) -> np.ndarray:
     return 0.5 * (first + second)
 
 
-def _scan_compact_radius(system: LinearSystem, Q_star, seed: int, radius_cap: float) -> float:
+def _scan_compact_radius(system: LinearSystem, Q_star, seed: int) -> float:
     """Outward doubling scan for a radius beyond which the log-drift is negative.
 
     At each candidate star-radius, the second-order closed-form estimate
@@ -299,7 +298,7 @@ def _scan_compact_radius(system: LinearSystem, Q_star, seed: int, radius_cap: fl
     n = system.dimension
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(0x10C5,)))
     rho = DOMAIN_THRESHOLD
-    while rho <= radius_cap:
+    while rho <= SCAN_RADIUS_CAP:
         # Points with ||x||_* = rho.
         z = rng.standard_normal(size=(max(16 * n, 16), n))
         norms = np.sqrt(quadratic_form(z, Q_star))
@@ -312,7 +311,7 @@ def _scan_compact_radius(system: LinearSystem, Q_star, seed: int, radius_cap: fl
                 return rho
         rho *= 2.0
     raise SynthesisError(
-        f"log-drift scan exceeded the radius cap {radius_cap:g}; no compact set certified"
+        f"log-drift scan exceeded the radius cap {SCAN_RADIUS_CAP:g}; no compact set certified"
     )
 
 
@@ -335,12 +334,7 @@ def _estimate_delta(system: LinearSystem, certificate, b: float, seed: int, samp
     return float(np.quantile(neg, 0.5))
 
 
-def synthesize_logarithmic(
-    system: LinearSystem,
-    target: TargetBall,
-    seed: int = 0,
-    radius_cap: float = SCAN_RADIUS_CAP,
-) -> LogCertificate:
+def synthesize_logarithmic(system: LinearSystem, target: TargetBall, seed: int = 0) -> LogCertificate:
     """Logarithmic certificate for a fully critical system of dimension <= 2.
 
     Preconditions: all eigenvalues of A on the unit circle with Jordan
@@ -353,7 +347,7 @@ def synthesize_logarithmic(
     b = _sublevel_b(Q_star, target)
     if b <= 0:
         raise SynthesisError("target too small: sublevel bound b is non-positive")
-    compact = _scan_compact_radius(system, Q_star, seed, radius_cap)
+    compact = _scan_compact_radius(system, Q_star, seed)
     cert = LogCertificate(Q_star=Q_star, compact_radius_star=compact, variant_b=b, delta=1.0)  # delta estimated below
     return replace(cert, delta=_estimate_delta(system, cert, b, seed))
 
@@ -553,10 +547,6 @@ class CustomCertificate(Certificate):
 CERTIFICATE_KINDS = {cls.kind: cls for cls in (QuadraticCertificate, LogCertificate, CompositeCertificate)}
 
 
-def certificate_to_dict(cert) -> dict:
-    return cert.to_dict()
-
-
 def _registered(d):
     """The class registered under the kind that the JSON object ``d`` names."""
     if not isinstance(d, dict):
@@ -573,7 +563,7 @@ def certificate_from_dict(d: dict):
 
 def save_certificate(cert, path):
     with open(path, "w") as fh:
-        json.dump(certificate_to_dict(cert), fh, indent=2, sort_keys=True)
+        json.dump(cert.to_dict(), fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 

@@ -59,6 +59,8 @@ class Verdict:
 
 def classify(system: LinearSystem, target: TargetBall) -> Verdict:
     """Map (A, B, noise, target) to a reachability verdict with its trace."""
+    if not isinstance(system, LinearSystem):
+        raise ValueError(f"classify needs a linear system (A, B), got {type(system).__name__}")
     if target.dimension != system.dimension:
         raise ValueError("target dimension does not match the system")
     if not contains(target, np.zeros((1, target.dimension)))[0]:

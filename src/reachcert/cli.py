@@ -152,7 +152,7 @@ def _cmd_certify(args) -> int:
 
     report = _base_report(args)
     report["classify"] = verdict.to_dict()
-    report["certificate"] = certs.certificate_to_dict(cert)
+    report["certificate"] = cert.to_dict()
     cert_path = os.path.join(args.out, "certificate.json")
     os.makedirs(args.out, exist_ok=True)
     certs.save_certificate(cert, cert_path)
@@ -229,65 +229,8 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_repro(args) -> int:
     started = time.monotonic()
-    report = _base_report(args)
-    passed = True
-
-    if args.case == "example1-bounds":
-        rows = []
-        for i in (3, 4, 5):
-            for u in (1.0, 2.0):
-                inst = cx.Example1Instance(i=i, u=u)
-                frac, margin = cx.example1_bounds_hold(inst, args.samples, seed=args.seed)
-                rows.append(
-                    {
-                        "i": i,
-                        "u": u,
-                        "lower_log2": inst.log2_lower,
-                        "upper_log2": inst.log2_upper,
-                        "fraction_within_bounds": frac,
-                        "worst_margin_log2": margin,
-                    }
-                )
-                passed = passed and frac == 1.0
-        report["bounds"] = {"sequences_per_case": args.samples, "cases": rows}
-
-    elif args.case == "example1-certificate":
-        drift, variant = cx.example1_verify_log_certificate(samples=args.samples, seed=args.seed)
-        report["variant_offset"] = 0.5
-        report["drift"] = drift.to_dict()
-        report["variant"] = variant.to_dict()
-        passed = drift.passed and variant.passed
-
-    elif args.case == "example1-refute":
-        witnesses = []
-        for label, coeffs, d in (
-            ("xi", {(1, 0): 1.0}, 1),
-            ("xi^2+eta^2", {(2, 0): 1.0, (0, 2): 1.0}, 2),
-            ("xi^4-2*xi*eta+eta^2", {(4, 0): 1.0, (1, 1): -2.0, (0, 2): 1.0}, 4),
-        ):
-            cand = cx.PolyCandidate(degree=d, coeffs=coeffs)
-            w = cx.refute_polynomial_drift(cand, u=2.0, i_max=30)
-            witnesses.append({"candidate": label, "witness_i": w})
-            passed = passed and w is not None
-        report["refutations"] = witnesses
-
-    else:  # example2
-        result = cx.example2_quadratic_failure(samples=args.samples, seed=args.seed)
-        eps = result["abs_variant"].levels[0].epsilon_hat
-        report["example2"] = {
-            "quadratics": result["quadratics"],
-            "expected_epsilon": result["expected_epsilon"],
-            "abs_drift": result["abs_drift"].to_dict(),
-            "abs_variant": result["abs_variant"].to_dict(),
-        }
-        passed = (
-            result["abs_drift"].passed
-            and result["abs_variant"].passed
-            and abs(eps - result["expected_epsilon"]) <= 0.03
-            and all(row["delta_v"] > 0 for row in result["quadratics"])
-        )
-
-    report["passed"] = passed
+    fields, passed = cx.REPRO_CASES[args.case](args.samples, args.seed)
+    report = {**_base_report(args), **fields, "passed": passed}
     path = _write_report(args.out, f"repro-{args.case}.json", report, started)
     print(f"{args.case}: {'pass' if passed else 'FAIL'} -> {path}")
     return 0 if passed else 1
@@ -353,10 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("repro", help="reproduce the counterexample constructions")
-    p.add_argument(
-        "case",
-        choices=["example1-bounds", "example1-certificate", "example1-refute", "example2"],
-    )
+    p.add_argument("case", choices=list(cx.REPRO_CASES))
     p.add_argument("--samples", type=_positive_int, default=20_000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=".")

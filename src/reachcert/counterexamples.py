@@ -3,7 +3,7 @@
 First, a two-dimensional polynomial system whose state blows up to
 2^(i(i+3)/2) before re-entering the target region; it is almost surely
 reachable (with a logarithmic certificate) but admits no polynomial
-drift function.  The refutation evaluates, in signed log2-magnitude
+drift function.  The refutation evaluates, in exact rational
 arithmetic, the inequality any valid polynomial drift would have to
 satisfy between the state at the crossing time and the initial state,
 and reports the first exponent i where it is violated.
@@ -11,10 +11,15 @@ and reports the first exponent i where it is violated.
 Second, the one-dimensional random walk: every quadratic has constant
 positive expected increment a * E[w^2] = a/3, while V(x) = |x| with
 variant |x| - 1 certifies reachability.
+
+Each case of ``reachcert repro`` is one function here, registered in
+`REPRO_CASES`: it takes (samples, seed) and returns the report fields
+it adds and whether the case passed.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -37,6 +42,7 @@ __all__ = [
     "random_walk_system",
     "abs_certificate",
     "example2_quadratic_failure",
+    "REPRO_CASES",
 ]
 
 
@@ -46,6 +52,11 @@ __all__ = [
 
 # w ~ U[-1, 1]: drawn by the system and by the closed-form bound check alike.
 EXAMPLE1_NOISE = NoiseModel.uniform([1.0])
+# U = V - EXAMPLE1_VARIANT_OFFSET; any offset below ln 2 keeps {U <= 0} in the unit box.
+EXAMPLE1_VARIANT_OFFSET = 0.5
+# The doubling scan for the compact radius of Example 1's certificate.
+EXAMPLE1_SCAN_START = 2.0
+EXAMPLE1_SCAN_CAP = 1e6
 
 
 def example1_system() -> PolynomialSystem:
@@ -142,7 +153,7 @@ def example1_bounds_hold(instance: Example1Instance, n_sequences: int, seed: int
     return float(ok.mean()), margin
 
 
-# -- polynomial drift refutation (signed log2-domain arithmetic) ------------
+# -- polynomial drift refutation (exact rational arithmetic) ----------------
 
 @dataclass(frozen=True)
 class PolyCandidate:
@@ -161,50 +172,15 @@ class PolyCandidate:
         return any(l > 0 and a != 0 for (l, j), a in self.coeffs.items())
 
 
-def _signed_log2_sum(signs, mags):
-    """Sum of terms sign * 2^mag, returned as (sign, log2 magnitude)."""
-
-    def _accumulate(ms):
-        if not ms:
-            return None
-        top = max(ms)
-        return top + math.log2(sum(2.0 ** (m - top) for m in ms))
-
-    pos = _accumulate([m for s, m in zip(signs, mags) if s > 0])
-    neg = _accumulate([m for s, m in zip(signs, mags) if s < 0])
-    if pos is None and neg is None:
-        return 0, -math.inf
-    if neg is None:
-        return 1, pos
-    if pos is None:
-        return -1, neg
-    if abs(pos - neg) < 1e-12:
-        return 0, -math.inf
-    hi, lo, sign = (pos, neg, 1) if pos > neg else (neg, pos, -1)
-    return sign, hi + math.log2(1.0 - 2.0 ** (lo - hi))
-
-
-def _signed_log2_gt(a, b, slack=1e-9):
-    """Strict comparison of (sign, log2mag) pairs: a > b."""
-    sa, ma = a
-    sb, mb = b
-    if sa != sb:
-        return sa > sb
-    if sa == 0:
-        return False
-    if sa > 0:
-        return ma > mb + slack
-    return ma < mb - slack
-
-
 def refute_polynomial_drift(candidate: PolyCandidate, u: float, i_max: int = 30):
     """Smallest i violating the inequality a polynomial drift must satisfy.
 
     The inequality compares V at the lower bound of the crossing-time
     state, V(u^i 2^{i(i+1)/2}, u), against V at the initial state,
-    V(2^i, 2^i u); a valid drift forces the former to be no larger.  All
-    evaluation is in signed log2-magnitude space, so i up to the high
-    tens is exact enough despite states near 2^500.  Returns None if no
+    V(2^i, 2^i u); a valid drift forces the former to be no larger.  Both
+    sides are evaluated exactly, in rationals: every coefficient and u
+    (floats included) is the rational it stores, so the comparison is
+    exact at any i, states near 2^500 included.  Returns None if no
     violation is found by i_max.
     """
     if not candidate.radially_unbounded:
@@ -213,19 +189,15 @@ def refute_polynomial_drift(candidate: PolyCandidate, u: float, i_max: int = 30)
         )
     if u < 1.0:
         raise ValueError("u must be >= 1")
-    log2_u = math.log2(u)
-    items = [((l, j), a) for (l, j), a in candidate.coeffs.items() if a != 0]
+    from fractions import Fraction  # imported here: it loads decimal, which only the refutation needs
+
+    u = Fraction(u)
+    terms = [(l, j, Fraction(a)) for (l, j), a in candidate.coeffs.items() if a != 0]
     for i in range(1, i_max + 1):
-        xi_low = i * log2_u + 0.5 * i * (i + 1)  # log2 of u^i 2^{i(i+1)/2}
-        signs, left_mags, right_mags = [], [], []
-        for (l, j), a in items:
-            signs.append(1 if a > 0 else -1)
-            la = math.log2(abs(a))
-            left_mags.append(la + l * xi_low + j * log2_u)
-            right_mags.append(la + l * i + j * (i + log2_u))
-        left = _signed_log2_sum(signs, left_mags)
-        right = _signed_log2_sum(signs, right_mags)
-        if _signed_log2_gt(left, right):
+        xi_low = u**i * 2 ** (i * (i + 1) // 2)
+        left = sum(a * xi_low**l * u**j for l, j, a in terms)
+        right = sum(a * 2 ** (i * l) * (2**i * u) ** j for l, j, a in terms)
+        if left > right:
             return i
     return None
 
@@ -238,7 +210,7 @@ def _example1_drift(X):
 
 
 def example1_log_certificate(
-    variant_offset: float = 0.5, compact_radius: float = 8.0, delta: float = 0.05
+    variant_offset: float = EXAMPLE1_VARIANT_OFFSET, compact_radius: float = 8.0, delta: float = 0.05
 ) -> CustomCertificate:
     """V = ln(1 + xi) + eta^2 with U = V - variant_offset on the open quadrant.
 
@@ -261,23 +233,23 @@ def example1_log_certificate(
     )
 
 
-def example1_scan_compact_radius(seed: int = 0, start: float = 2.0, cap: float = 1e6) -> float:
+def example1_scan_compact_radius(seed: int = 0) -> float:
     """Doubling scan for a quadrant radius beyond which the drift is negative."""
     system = example1_system()
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(0xE1,)))
-    rho = start
-    while rho <= cap:
+    rho = EXAMPLE1_SCAN_START
+    while rho <= EXAMPLE1_SCAN_CAP:
         angles = rng.uniform(0.0, np.pi / 2.0, size=32)
         pts = rho * np.column_stack([np.cos(angles), np.sin(angles)])
         est, err = drift_expectation(system, _example1_drift, pts, 20_000, seed)
         if np.all(est + err <= 0.0):
             return rho
         rho *= 2.0
-    raise RuntimeError(f"drift scan exceeded the radius cap {cap:g}")
+    raise RuntimeError(f"drift scan exceeded the radius cap {EXAMPLE1_SCAN_CAP:g}")
 
 
 def example1_verify_log_certificate(
-    samples: int = 20_000, seed: int = 0, variant_offset: float = 0.5
+    samples: int = 20_000, seed: int = 0, variant_offset: float = EXAMPLE1_VARIANT_OFFSET
 ):
     """Drift and variant reports for the logarithmic certificate above.
 
@@ -289,21 +261,13 @@ def example1_verify_log_certificate(
     system = example1_system()
     compact = example1_scan_compact_radius(seed=seed)
     cert = example1_log_certificate(variant_offset=variant_offset, compact_radius=compact)
-    plan = ShellPlan(
-        radii=tuple(compact * 2.0**j for j in range(5)),
-        points_per_shell=32,
-        noise_samples=samples,
-        seed=seed,
-    )
+    plan = ShellPlan(tuple(compact * 2.0**j for j in range(5)), points_per_shell=32, noise_samples=samples, seed=seed)
     drift_report = verify_drift(system, cert, plan=plan)
 
     def in_unit_box(X):
         return np.all((X > 0.0) & (X < 1.0), axis=1)
 
-    variant_report = verify_variant(
-        system, cert, target=in_unit_box, samples=samples, seed=seed
-    )
-    return drift_report, variant_report
+    return drift_report, verify_variant(system, cert, target=in_unit_box, samples=samples, seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -337,13 +301,12 @@ def abs_certificate(delta: float = 0.5) -> CustomCertificate:
     )
 
 
-def example2_quadratic_failure(
-    a_grid=(0.5, 1.0, 2.0, 5.0),
-    bc_grid=((0.0, 0.0), (-5.0, 7.0), (3.0, -1.0)),
-    delta: float = 0.5,
-    samples: int = 100_000,
-    seed: int = 0,
-) -> dict:
+# The quadratics a x^2 + b x + c that Example 2 shows failing, every a with every (b, c).
+QUADRATIC_A_GRID = (0.5, 1.0, 2.0, 5.0)
+QUADRATIC_BC_GRID = ((0.0, 0.0), (-5.0, 7.0), (3.0, -1.0))
+
+
+def example2_quadratic_failure(delta: float = 0.5, samples: int = 100_000, seed: int = 0) -> dict:
     """Quadratics fail V1 on the random walk; |x| passes V1 and V2.
 
     Returns a report with the constant positive increment a/3 of each
@@ -351,12 +314,10 @@ def example2_quadratic_failure(
     certificate with the exact decrease probability (1 - delta) / 2.
     """
     system = random_walk_system()
-    quad_rows = []
-    for a in a_grid:
-        for b, c in bc_grid:
-            quad_rows.append(
-                {"a": a, "b": b, "c": c, "delta_v": quadratic_drift_on_random_walk(a, b, c)}
-            )
+    quad_rows = [
+        {"a": a, "b": b, "c": c, "delta_v": quadratic_drift_on_random_walk(a, b, c)}
+        for a in QUADRATIC_A_GRID for b, c in QUADRATIC_BC_GRID
+    ]
 
     cert = abs_certificate(delta=delta)
     plan = ShellPlan(radii=(2.0, 10.0, 100.0), points_per_shell=8, noise_samples=10_000, seed=seed)
@@ -369,3 +330,66 @@ def example2_quadratic_failure(
         "abs_drift": drift_report,
         "abs_variant": variant_report,
     }
+
+
+# ---------------------------------------------------------------------------
+# The cases of `reachcert repro`: (samples, seed) -> (report fields, passed)
+# ---------------------------------------------------------------------------
+
+# The fixed candidates that `repro example1-refute` refutes, with their labels.
+REFUTED_CANDIDATES = (
+    ("xi", PolyCandidate(1, {(1, 0): 1.0})),
+    ("xi^2+eta^2", PolyCandidate(2, {(2, 0): 1.0, (0, 2): 1.0})),
+    ("xi^4-2*xi*eta+eta^2", PolyCandidate(4, {(4, 0): 1.0, (1, 1): -2.0, (0, 2): 1.0})),
+)
+
+
+def _repro_example1_bounds(samples: int, seed: int):
+    """The excursion bounds hold on every sampled noise sequence."""
+    rows = []
+    for i, u in itertools.product((3, 4, 5), (1.0, 2.0)):
+        inst = Example1Instance(i=i, u=u)
+        frac, margin = example1_bounds_hold(inst, samples, seed=seed)
+        rows.append({"i": i, "u": u, "lower_log2": inst.log2_lower, "upper_log2": inst.log2_upper,
+                     "fraction_within_bounds": frac, "worst_margin_log2": margin})
+    passed = all(row["fraction_within_bounds"] == 1.0 for row in rows)
+    return {"bounds": {"sequences_per_case": samples, "cases": rows}}, passed
+
+
+def _repro_example1_certificate(samples: int, seed: int):
+    """The logarithmic certificate of Example 1 passes both checks."""
+    drift, variant = example1_verify_log_certificate(samples=samples, seed=seed)
+    fields = {"variant_offset": EXAMPLE1_VARIANT_OFFSET, "drift": drift.to_dict(), "variant": variant.to_dict()}
+    return fields, drift.passed and variant.passed
+
+
+def _repro_example1_refute(samples: int, seed: int):
+    """Each of REFUTED_CANDIDATES has a witness i <= 30 at u = 2 (exact)."""
+    rows = [
+        {"candidate": label, "witness_i": refute_polynomial_drift(candidate, u=2.0, i_max=30)}
+        for label, candidate in REFUTED_CANDIDATES
+    ]
+    return {"refutations": rows}, all(row["witness_i"] is not None for row in rows)
+
+
+def _repro_example2(samples: int, seed: int):
+    """Every quadratic has a positive increment, |x| passes both checks,
+    and the first level's decrease probability is within 0.03 of exact."""
+    result = example2_quadratic_failure(samples=samples, seed=seed)
+    drift, variant = result["abs_drift"], result["abs_variant"]
+    fields = {"example2": dict(result, abs_drift=drift.to_dict(), abs_variant=variant.to_dict())}
+    passed = (
+        drift.passed
+        and variant.passed
+        and abs(variant.levels[0].epsilon_hat - result["expected_epsilon"]) <= 0.03
+        and all(row["delta_v"] > 0 for row in result["quadratics"])
+    )
+    return fields, passed
+
+
+REPRO_CASES = {
+    "example1-bounds": _repro_example1_bounds,
+    "example1-certificate": _repro_example1_certificate,
+    "example1-refute": _repro_example1_refute,
+    "example2": _repro_example2,
+}

@@ -2,10 +2,10 @@
 occupancy-decay exponent estimate for critical systems.
 
 Every trajectory owns an independent RNG stream derived from
-(base_seed, trajectory_index), ``TrajectorySeed(base_seed, i).rng()``; a
-batch builds all of its streams in one `systems.trajectory_rngs` call,
-which derives their Philox keys in one vectorized pass and gives each
-stream the same state.  So results are reproducible and
+(base_seed, trajectory_index) by `systems.trajectory_rngs`, the one
+derivation: a batch builds all of its streams in one call, which derives
+their Philox keys in one vectorized pass, and ``TrajectorySeed(base_seed,
+i).rng()`` is the same call for one index.  So results are reproducible and
 independent of batching or thread scheduling (up to the last bit where a
 batch steps a single row through a factor that is not the identity: numpy
 sends a one-row product to gemv).

@@ -14,13 +14,15 @@ in `NoiseModel`, which alone draws noise and builds its Gauss rules (from
 unit rules built once); all noise sampling is driven by explicit
 per-trajectory seeds so ensembles are reproducible regardless of
 execution order.  Trajectory i of base seed b draws from the Philox
-stream ``TrajectorySeed(b, i).rng()``; `trajectory_rngs` builds the
-streams of a whole batch of indices with the same states, hashing the
-base once and every index's words together in one vectorized pass.
+stream that numpy's ``SeedSequence(entropy=b, spawn_key=(i,))`` keys;
+`trajectory_rngs` is the one derivation of those streams, hashing the
+base once and every index's words together in one vectorized pass, and
+``TrajectorySeed(b, i).rng()`` is its one-index form.
 """
 
 from __future__ import annotations
 
+import ast
 import functools
 import json
 import operator
@@ -45,7 +47,6 @@ __all__ = [
     "system_to_dict",
 ]
 
-UNIFORM_KINDS = ("uniform-box", "uniform-interval-product")
 # Bytes of the row-major stage that NoiseModel.draw fills one stream per
 # row before copying it into the time-major block: small enough to stay in
 # cache, large enough that each step's copy writes a run of many streams.
@@ -113,12 +114,12 @@ def _unit_gauss_rule(family: str, order: int, m: int):
 class NoiseModel:
     """Zero-mean i.i.d. noise law.
 
-    kind is "gaussian" (with covariance matrix ``cov``) or one of the
-    uniform kinds (independent per-coordinate uniforms on
-    ``[-h_i, h_i]`` given by ``half_widths``).  All supported kinds are
-    symmetric about the origin, have finite third absolute moments and
-    full support near the origin.  The law is read only through `draw`,
-    `gauss_rule` and the `covariance` moment.
+    kind is "gaussian" (with covariance matrix ``cov``) or "uniform-box"
+    (independent per-coordinate uniforms on ``[-h_i, h_i]`` given by
+    ``half_widths``).  Both kinds are symmetric about the origin, have
+    finite third absolute moments and full support near the origin.  The
+    law is read only through `draw`, `gauss_rule` and the `covariance`
+    moment.
     """
 
     kind: str
@@ -136,7 +137,7 @@ class NoiseModel:
             object.__setattr__(self, "cov", cov)
             object.__setattr__(self, "_chol", np.linalg.cholesky(cov))
             object.__setattr__(self, "half_widths", None)
-        elif self.kind in UNIFORM_KINDS:
+        elif self.kind == "uniform-box":
             if self.half_widths is None:
                 raise ValueError(f"{self.kind} noise requires half_widths")
             h = np.asarray(self.half_widths, dtype=float).reshape(-1)
@@ -156,7 +157,7 @@ class NoiseModel:
 
     @property
     def covariance(self) -> np.ndarray:
-        """Sigma_w of the law (derived for the uniform kinds)."""
+        """Sigma_w of the law (derived for uniform noise)."""
         if self.kind == "gaussian":
             return self.cov
         return np.diag(self.half_widths**2 / 3.0)
@@ -226,7 +227,7 @@ class NoiseModel:
     def gauss_rule(self, order: int):
         """Tensor Gauss rule for the law: (K, m) nodes and K weights summing to 1.
 
-        Gauss-Legendre scaled by the half-widths for the uniform kinds;
+        Gauss-Legendre scaled by the half-widths for uniform noise;
         probabilists' Gauss-Hermite mapped through the Cholesky factor of
         the covariance for Gaussian noise.  Exact for polynomials of degree
         below 2 * order in each noise coordinate.  The nodes are a fresh
@@ -246,7 +247,7 @@ class NoiseModel:
         kind = _object(d, "noise").get("kind")
         if kind == "gaussian":
             return NoiseModel(kind="gaussian", cov=_matrix(d, "cov"))
-        if kind in UNIFORM_KINDS:
+        if kind == "uniform-box":
             return NoiseModel(kind=kind, half_widths=_matrix(d, "half_widths"))
         raise ValueError(f"unknown noise kind {kind!r}")
 
@@ -315,19 +316,44 @@ class LinearSystem:
         return {"A": self.A.tolist(), "B": self.B.tolist(), "noise": self.noise.to_dict()}
 
 
+def _check_polynomial(text: str, names) -> str:
+    """``text`` with ``^`` as ``**``, once its syntax tree is a polynomial:
+    numeric constants, the given variable names, binary + - *, unary +-,
+    and ** to a non-negative integer constant.  Anything else (calls,
+    attributes, other names) raises ValueError before sympy, which
+    evaluates the text, ever sees it."""
+    source = text.replace("^", "**")
+    try:
+        tree = ast.parse(source, mode="eval")
+    except SyntaxError:
+        raise ValueError(f"transition {text!r} is not an expression") from None
+
+    def ok(node) -> bool:
+        if isinstance(node, ast.Constant):
+            return type(node.value) in (int, float)
+        if isinstance(node, ast.Name):
+            return node.id in names
+        if isinstance(node, ast.UnaryOp):
+            return isinstance(node.op, (ast.UAdd, ast.USub)) and ok(node.operand)
+        if not isinstance(node, ast.BinOp):
+            return False
+        if isinstance(node.op, ast.Pow):
+            # An int constant is never negative: -2 parses as a unary minus.
+            return ok(node.left) and isinstance(node.right, ast.Constant) and type(node.right.value) is int
+        return isinstance(node.op, (ast.Add, ast.Sub, ast.Mult)) and ok(node.left) and ok(node.right)
+
+    if not ok(tree.body):
+        raise ValueError(f"transition {text!r} is not a polynomial in {', '.join(names)}")
+    return source
+
+
 def _compile_transition(exprs, n, m):
     import sympy  # only polynomial systems need it, and it is slow to import
 
     xs = sympy.symbols(f"x1:{n + 1}")
     ws = sympy.symbols(f"w1:{m + 1}")
-    allowed = set(xs) | set(ws)
-    parsed = []
-    for text in exprs:
-        e = sympy.sympify(text.replace("^", "**"))
-        extra = e.free_symbols - allowed
-        if extra:
-            raise ValueError(f"unknown symbols {sorted(map(str, extra))} in transition {text!r}")
-        parsed.append(e)
+    names = [str(v) for v in xs + ws]
+    parsed = [sympy.sympify(_check_polynomial(text, names)) for text in exprs]
     return sympy.lambdify(list(xs) + list(ws), parsed, modules="numpy")
 
 
@@ -388,8 +414,10 @@ class TargetBall:
 
     def __post_init__(self):
         c = np.asarray(self.center, dtype=float).reshape(-1)
-        if self.radius <= 0:
-            raise ValueError("target radius must be positive")
+        if not (np.isfinite(self.radius) and self.radius > 0):
+            raise ValueError(f"target radius must be positive and finite, got {self.radius!r}")
+        if not np.all(np.isfinite(c)):
+            raise ValueError("target center must be finite")
         object.__setattr__(self, "center", c)
         if self.weight is not None:
             W = np.atleast_2d(np.asarray(self.weight, dtype=float))
@@ -430,8 +458,9 @@ class TrajectorySeed:
     index: int = 0
 
     def rng(self) -> np.random.Generator:
-        ss = np.random.SeedSequence(entropy=self.base, spawn_key=(self.index,))
-        return np.random.Generator(np.random.Philox(ss))
+        """Philox keyed as by numpy's ``SeedSequence(entropy=base,
+        spawn_key=(index,))``, built by `trajectory_rngs`."""
+        return trajectory_rngs(self.base, [self.index])[0]
 
 
 # numpy's SeedSequence hash (numpy/random/bit_generator.pyx): the multipliers
@@ -455,8 +484,9 @@ class _PhiloxKey(ISeedSequence):
 
 
 def trajectory_rngs(base: int, indices) -> list:
-    """The streams ``TrajectorySeed(base, i).rng()`` for every i in
-    ``indices`` (integers in [0, 2**64)), state for state.
+    """The stream of trajectory i of base seed ``base`` for every i in
+    ``indices`` (integers in [0, 2**64)): Philox with the state that numpy's
+    ``SeedSequence(entropy=base, spawn_key=(i,))`` gives it.
 
     That SeedSequence hashes the words of ``base`` into a pool of four
     32-bit words (padding the base with zeros to four words), then mixes
@@ -466,7 +496,8 @@ def trajectory_rngs(base: int, indices) -> list:
     first index word depends only on the base's word count; so the index
     words of every i are mixed in together in uint32 arithmetic, which
     wraps as numpy's C code does.  Each stream is then Philox on its key
-    through `_PhiloxKey`, about a third of the cost of ``rng()``.
+    through `_PhiloxKey`, about a third of the cost of building the
+    SeedSequence.
     """
     try:
         idx = np.fromiter(map(operator.index, indices), dtype=np.uint64)

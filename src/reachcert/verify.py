@@ -53,6 +53,8 @@ MIN_ACCEPT_RATE = 1e-6
 CUBATURE_ORDERS = {1: (32, 16), 2: (16, 8), 3: (8, 4)}
 # Point x node rows evaluated at once, which bounds peak memory.
 CUBATURE_ROWS = 2**16
+# Rays along which the inclusion check finds a point of {U = 0}.
+INCLUSION_POINTS = 256
 
 
 class LevelOverflowError(ValueError):
@@ -87,7 +89,6 @@ class DriftViolation:
     x: tuple
     estimate: float
     half_width: float
-    tolerance: float
 
 
 @dataclass(frozen=True)
@@ -175,9 +176,9 @@ def mc_drift(system, V, X, samples: int = 10_000, seed: int = 0):
     """Monte Carlo estimates of E[V(f(x,w))] - V(x) at every row x of X.
 
     ``V`` must accept an (N, n) array of states and return N values.  Row i
-    draws ``samples // 2`` noise vectors from the stream
-    ``TrajectorySeed(seed, i)``, built with those of the other rows of its
-    group by `trajectory_rngs`.  Every supported noise law is symmetric,
+    draws ``samples // 2`` noise vectors from trajectory i's stream of
+    base seed ``seed``, built with those of the other rows of its group by
+    `trajectory_rngs`.  Every supported noise law is symmetric,
     so each draw w is paired with -w (antithetic pairing), which cancels the
     first-order term of V and shrinks the variance by orders of magnitude
     for slowly varying drifts.  Returns the estimates and their 3-sigma
@@ -300,9 +301,7 @@ def verify_drift(system, certificate, plan: ShellPlan | None = None, seed: int =
         shell_worst.append((float(radius), float(est[worst]), float(hws[worst])))
         for i in np.flatnonzero(bad):
             violations.append(
-                DriftViolation(
-                    x=tuple(pts[i]), estimate=float(est[i]), half_width=float(hws[i]), tolerance=float(tols[i])
-                )
+                DriftViolation(x=tuple(pts[i]), estimate=float(est[i]), half_width=float(hws[i]))
             )
     return DriftReport(
         plan=plan,
@@ -377,7 +376,6 @@ def verify_variant(
     levels=None,
     samples: int = 20_000,
     seed: int = 0,
-    boundary_points: int = 256,
 ) -> VariantReport:
     """Check the variant condition per level plus the target inclusion.
 
@@ -424,7 +422,7 @@ def verify_variant(
             )
         )
 
-    inclusion_bad = _check_inclusion(certificate, target, n, boundary_points, rng, certificate.positive_quadrant)
+    inclusion_bad = _check_inclusion(certificate, target, n, INCLUSION_POINTS, rng, certificate.positive_quadrant)
     passed = (
         delta > 0.0
         and all(lv.epsilon_hat - lv.epsilon_half_width > 0.0 for lv in level_rows)

@@ -12,7 +12,6 @@ from reachcert import (
     SynthesisError,
     TargetBall,
     certificate_from_dict,
-    certificate_to_dict,
     classify,
     load_certificate,
     save_certificate,
@@ -246,7 +245,7 @@ class TestSerialization:
 
     def test_dict_round_trip_preserves_values(self, stable_2d, unit_ball_2d):
         cert = synthesize_quadratic(stable_2d, unit_ball_2d)
-        again = certificate_from_dict(certificate_to_dict(cert))
+        again = certificate_from_dict(cert.to_dict())
         assert again.r0 == cert.r0
         assert again.variant_b == cert.variant_b
 
@@ -315,7 +314,7 @@ def test_exact_drift_only_for_quadratics(kind, n):
 def test_custom_certificate_cannot_be_serialized():
     _, cert = _protocol_case("custom", 2)
     with pytest.raises(TypeError, match="CustomCertificate"):
-        certificate_to_dict(cert)
+        cert.to_dict()
 
 
 @pytest.mark.parametrize(
@@ -336,8 +335,8 @@ def test_unknown_kind_rejected(d, message):
 def test_registry_round_trip(kind):
     _, cert = _protocol_case(kind, 3 if kind == "composite" else 2)
     assert CERTIFICATE_KINDS[kind] is type(cert)
-    d = certificate_to_dict(cert)
-    assert certificate_to_dict(certificate_from_dict(d)) == d
+    d = cert.to_dict()
+    assert certificate_from_dict(d).to_dict() == d
     assert "noise_set_bound" not in d and "epsilon" not in d
 
 
@@ -354,4 +353,4 @@ def test_registry_round_trip(kind):
 def test_dropped_keys_are_ignored(d, legacy):
     """Files written before noise_set_bound and epsilon were dropped still
     load, to the certificate of the same file without them."""
-    assert certificate_to_dict(certificate_from_dict(dict(d, **legacy))) == d
+    assert certificate_from_dict(dict(d, **legacy)).to_dict() == d

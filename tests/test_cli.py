@@ -288,6 +288,21 @@ class TestReproCommand:
         assert report["variant"]["passed"] is True
 
 
+@pytest.mark.parametrize("case", list(counterexamples.REPRO_CASES))
+def test_repro_case_passes_and_repeats(case, tmp_path, capsys):
+    """Every registered repro case exits 0 at a small sample count, and two
+    runs in one process write reports equal outside ``timings``."""
+    reports = []
+    for run_dir in ("a", "b"):
+        out = tmp_path / run_dir
+        assert run(["repro", case, "--samples", "2000", "--seed", "3", "--out", str(out)]) == 0
+        report = json.loads((out / f"repro-{case}.json").read_text())
+        assert report.pop("timings")["wall_seconds"] >= 0.0
+        reports.append(report)
+    assert reports[0] == reports[1]
+    assert reports[0]["passed"] is True and reports[0]["seed"] == 3
+
+
 def _law(kind, m):
     if kind == "uniform":
         return {"kind": "uniform-box", "half_widths": [1.0] * m}
@@ -726,3 +741,62 @@ def test_certify_and_verify_run_the_same_drift_check(tmp_path, monkeypatch):
     assert len(plans) == 2 and plans[0] is not None
     assert plans[0] == plans[1]
     assert plans[0].noise_samples == 3000 and plans[0].seed == 4
+
+
+def test_transition_that_runs_code_is_a_usage_error(tmp_path, capsys):
+    """A transition is parsed as a polynomial before sympy sees it, so a
+    file whose transition would run Python exits 2 and writes nothing."""
+    marker = tmp_path / "pwned"
+    payload = {
+        "transition": [f"x1 + 0*__import__('pathlib').Path({str(marker)!r}).touch()"],
+        "noise": {"kind": "uniform-box", "half_widths": [1.0]},
+        "target": {"center": [0.0], "radius": 1.0},
+    }
+    path = _write_system(tmp_path, "evil.json", payload)
+    assert run(["classify", "--system", path, "--out", str(tmp_path / "out")]) == 2
+    assert "is not a polynomial in x1, w1" in capsys.readouterr().err
+    assert not marker.exists()
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["classify", "certify"])
+def test_polynomial_system_needs_a_linear_command(command, tmp_path, capsys):
+    """classify and certify decide linear systems only: a polynomial system
+    file exits 2 with a message, not an AttributeError traceback."""
+    payload = {
+        "transition": ["0.5*x1*(1 + x2 + w1)", "0.5*x2"],
+        "noise": {"kind": "uniform-box", "half_widths": [1.0]},
+        "target": {"center": [0.0, 0.0], "radius": 1.0},
+    }
+    path = _write_system(tmp_path, "poly.json", payload)
+    assert run([command, "--system", path, "--out", str(tmp_path / "out")]) == 2
+    assert "needs a linear system" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--target-radius", "nan", "--horizon", "10", "--trajectories", "10"],
+        ["certify", "--target-radius", "inf"],
+        ["classify", "--target-radius", "1", "--target-center", "nan"],
+    ],
+    ids=["simulate-nan-radius", "certify-inf-radius", "classify-nan-center"],
+)
+def test_non_finite_target_flag_is_a_usage_error(argv, random_walk_file, tmp_path, capsys):
+    assert run([*argv, "--system", random_walk_file, "--out", str(tmp_path / "out")]) == 2
+    assert "must be" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "target",
+    [{"center": [0.0], "radius": float("nan")}, {"center": [0.0], "radius": float("inf")}, {"center": [float("inf")], "radius": 1.0}],
+    ids=["nan-radius", "inf-radius", "inf-center"],
+)
+@pytest.mark.parametrize("command", ["classify", "certify", "simulate"])
+def test_non_finite_target_in_file_is_a_usage_error(command, target, tmp_path, capsys):
+    # json writes non-finite floats as NaN and Infinity, which json.load reads back.
+    payload = {"A": [[1.0]], "B": [[1.0]], "noise": {"kind": "uniform-box", "half_widths": [1.0]}, "target": target}
+    path = _write_system(tmp_path, "nonfinite.json", payload)
+    assert run([command, "--system", path, "--out", str(tmp_path / "out")]) == 2
+    assert "must be" in capsys.readouterr().err

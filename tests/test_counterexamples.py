@@ -152,6 +152,13 @@ class TestRefutation:
             tested += 1
         assert tested >= 250
 
+    def test_exact_past_cancellation(self):
+        # At u = 1 the xi^3 terms cancel exactly on the left, leaving
+        # 2^36 + 2 against 2^32 + 2^24 + 2^8 at i = 8; the remainder is
+        # 2^-72 of the cancelled terms, which float arithmetic cannot see.
+        cand = PolyCandidate(4, {(3, 0): 1.0, (3, 1): -1.0, (1, 0): 1.0, (0, 4): 2.0})
+        assert refute_polynomial_drift(cand, u=1.0) == 8
+
     def test_all_positive_monomials(self):
         for l, j in itertools.product(range(1, 5), range(4)):
             if l + j > 4:

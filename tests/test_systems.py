@@ -296,9 +296,13 @@ class TestTrajectoryRngs:
         _assert_numpys_streams(base, [0, 2**31, 2**32 - 1, 2**32, 2**40, 2**64 - 1])
 
     def test_streams_are_trajectory_seeds(self):
+        # TrajectorySeed.rng is the one-index form of trajectory_rngs, and
+        # numpy's SeedSequence stays the oracle for both.
         indices = range(5, 5 + 300)
         for i, rng in zip(indices, trajectory_rngs(11, indices)):
-            assert _same_state(rng.bit_generator.state, TrajectorySeed(11, i).rng().bit_generator.state)
+            one = TrajectorySeed(11, i).rng()
+            assert _same_state(rng.bit_generator.state, one.bit_generator.state)
+            assert _same_state(one.bit_generator.state, reference_rng(11, i).bit_generator.state)
 
     def test_empty_index_list(self):
         assert trajectory_rngs(3, []) == []
@@ -603,6 +607,16 @@ class TestTargetBall:
         with pytest.raises(ValueError):
             TargetBall(center=[0.0], radius=-1.0)
 
+    @pytest.mark.parametrize("radius", [float("nan"), float("inf")])
+    def test_non_finite_radius_rejected(self, radius):
+        with pytest.raises(ValueError, match="radius must be positive and finite"):
+            TargetBall(center=[0.0], radius=radius)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_center_rejected(self, value):
+        with pytest.raises(ValueError, match="center must be finite"):
+            TargetBall(center=[0.0, value], radius=1.0)
+
     def test_serialization_round_trip(self):
         ball = TargetBall(center=[1.0, 2.0], radius=0.5, weight=np.diag([2.0, 3.0]))
         again = TargetBall.from_dict(ball.to_dict())
@@ -640,6 +654,47 @@ class TestSystemFiles:
         )
         (x,) = step_batch(system, [[3.0, 1.0]], [[0.5]])
         assert x[0] == pytest.approx(9.5)
+
+    def test_unary_signs_and_float_constants_accepted(self):
+        # Example 1's map and caret powers are covered above.
+        system = PolynomialSystem(("-x1 + +2.5e-1*w1", "x2**0"), NoiseModel.uniform([1.0]))
+        (x,) = step_batch(system, [[2.0, 3.0]], [[4.0]])
+        assert x.tolist() == [-1.0, 1.0]
+
+    @pytest.mark.parametrize(
+        "expr",
+        [
+            "sin(x1)",
+            "x1 + 0*__import__('os').getcwd()",
+            "x1.conjugate()",
+            "x3 + w1",
+            "x1 + w2",
+            "pi*x1",
+            "x1**-1",
+            "x1**0.5",
+            "x1**x2",
+            "x1 / 2",
+            "x1 if w1 else 0",
+            "[x1]",
+            "'x1'",
+            "x1 +",
+        ],
+    )
+    def test_non_polynomial_transition_rejected(self, expr, monkeypatch):
+        """Only constants, x1..xn, w1..wm, + - *, unary +- and ** to a
+        non-negative int pass; the rest is refused before sympy parses it."""
+        import sympy
+
+        def never(*args, **kwargs):
+            raise AssertionError("sympify reached")
+
+        monkeypatch.setattr(sympy, "sympify", never)
+        with pytest.raises(ValueError, match="transition"):
+            PolynomialSystem((expr, "x2"), NoiseModel.uniform([1.0]))
+
+    def test_noise_kind_alias_removed(self):
+        with pytest.raises(ValueError, match="unknown noise kind"):
+            NoiseModel.from_dict({"kind": "uniform-interval-product", "half_widths": [1.0]})
 
     def test_unknown_noise_kind_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
