@@ -68,22 +68,20 @@ class SpectralReport:
         }
 
 
-def _block_size(A, lam):
-    """Largest Jordan block size for eigenvalue lam via rank stabilization.
+def _block_size(M, prev):
+    """Largest Jordan block size for the eigenvalue lam of M = A - lam I via
+    rank stabilization, given prev = rank(M) (which `analyze` computes).
 
     d is the smallest k with rank((A - lam I)^k) == rank((A - lam I)^{k+1}).
     """
-    n = A.shape[0]
-    M = A.astype(complex) - lam * np.eye(n)
-    prev = numerical_rank(M)
     power = M.copy()
-    for k in range(1, n + 1):
+    for k in range(1, len(M) + 1):
         power = power @ M
         cur = numerical_rank(power)
         if cur == prev:
             return k
         prev = cur
-    return n
+    return len(M)
 
 
 def analyze(A) -> SpectralReport:
@@ -108,10 +106,9 @@ def analyze(A) -> SpectralReport:
     for lam, a in zip(eigs, mults):
         if abs(abs(lam) - 1.0) <= UNIT_TOL:
             M = A.astype(complex) - lam * np.eye(n)
-            g = n - numerical_rank(M)
-            d = _block_size(A, lam)
+            rank = numerical_rank(M)
             unit_clusters.append(
-                UnitCluster(eigenvalue=complex(lam), algebraic=int(a), geometric=int(g), block_size=int(d))
+                UnitCluster(eigenvalue=complex(lam), algebraic=int(a), geometric=n - rank, block_size=_block_size(M, rank))
             )
         else:
             stable_moduli.append(abs(lam))

@@ -316,45 +316,49 @@ class LinearSystem:
         return {"A": self.A.tolist(), "B": self.B.tolist(), "noise": self.noise.to_dict()}
 
 
-def _check_polynomial(text: str, names) -> str:
-    """``text`` with ``^`` as ``**``, once its syntax tree is a polynomial:
-    numeric constants, the given variable names, binary + - *, unary +-,
-    and ** to a non-negative integer constant.  Anything else (calls,
-    attributes, other names) raises ValueError before sympy, which
-    evaluates the text, ever sees it."""
-    source = text.replace("^", "**")
-    try:
-        tree = ast.parse(source, mode="eval")
-    except SyntaxError:
-        raise ValueError(f"transition {text!r} is not an expression") from None
-
-    def ok(node) -> bool:
-        if isinstance(node, ast.Constant):
-            return type(node.value) in (int, float)
-        if isinstance(node, ast.Name):
-            return node.id in names
-        if isinstance(node, ast.UnaryOp):
-            return isinstance(node.op, (ast.UAdd, ast.USub)) and ok(node.operand)
-        if not isinstance(node, ast.BinOp):
-            return False
-        if isinstance(node.op, ast.Pow):
-            # An int constant is never negative: -2 parses as a unary minus.
-            return ok(node.left) and isinstance(node.right, ast.Constant) and type(node.right.value) is int
-        return isinstance(node.op, (ast.Add, ast.Sub, ast.Mult)) and ok(node.left) and ok(node.right)
-
-    if not ok(tree.body):
-        raise ValueError(f"transition {text!r} is not a polynomial in {', '.join(names)}")
-    return source
+MAX_POWER = 64  # the largest exponent that a polynomial transition may raise to
+_POLYNOMIAL_OPS = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul, ast.Pow: operator.pow,
+                   ast.UAdd: operator.pos, ast.USub: operator.neg}
 
 
-def _compile_transition(exprs, n, m):
-    import sympy  # only polynomial systems need it, and it is slow to import
+def _compile_transition(exprs, m):
+    """The step function ``f(x1, ..., xn, w1, ..., wm)`` of the n transition
+    strings ``exprs`` (``^`` read as ``**``), each evaluated as written.
+    Each must be a polynomial: constants, x1..xn, w1..wm, + - *, unary +-
+    and ** to an int constant of at most MAX_POWER, whose variable-free
+    parts (evaluated here as in every step) lie within the doubles, or a
+    ValueError names it.  Only checked trees compile; they run without builtins."""
+    names = [f"x{i}" for i in range(1, len(exprs) + 1)] + [f"w{j}" for j in range(1, m + 1)]
 
-    xs = sympy.symbols(f"x1:{n + 1}")
-    ws = sympy.symbols(f"w1:{m + 1}")
-    names = [str(v) for v in xs + ws]
-    parsed = [sympy.sympify(_check_polynomial(text, names)) for text in exprs]
-    return sympy.lambdify(list(xs) + list(ws), parsed, modules="numpy")
+    def value(node, text):
+        """The value of ``node``'s subtree, or None if it holds a variable."""
+        op = _POLYNOMIAL_OPS.get(type(getattr(node, "op", None)))
+        # An int constant is never negative: -2 parses as a unary minus.
+        int_exponent = isinstance(getattr(node, "right", None), ast.Constant) and type(node.right.value) is int
+        if isinstance(node, ast.Name) and node.id in names:
+            return None
+        if isinstance(node, ast.Constant) and type(node.value) in (int, float):
+            args, op = [node.value], operator.pos
+        elif op is None or (op is operator.pow and not (int_exponent and node.right.value <= MAX_POWER)):
+            raise ValueError(f"transition {text!r} is not a polynomial in {', '.join(names)} of powers at most {MAX_POWER}")
+        elif None in (args := [value(a, text) for a in ((node.operand,) if isinstance(node, ast.UnaryOp) else (node.left, node.right))]):
+            return None
+        if abs(result := op(*args)) > np.finfo(float).max:  # an int compares exactly
+            raise OverflowError  # as a float power beyond the doubles does
+        return result
+
+    bodies = []
+    for text in exprs:
+        try:
+            bodies.append(ast.parse(text.replace("^", "**"), mode="eval").body)
+            value(bodies[-1], text)
+        except SyntaxError:
+            raise ValueError(f"transition {text!r} is not an expression") from None
+        except OverflowError:
+            raise ValueError(f"transition {text!r} has a constant beyond the doubles") from None
+    step = ast.parse(f"lambda {', '.join(names)}: ()", mode="eval")
+    step.body.body.elts = bodies
+    return eval(compile(step, "<transition>", "eval"), {"__builtins__": {}})
 
 
 @dataclass(frozen=True)
@@ -371,11 +375,10 @@ class PolynomialSystem:
 
     def __post_init__(self):
         exprs = tuple(str(e) for e in self.transition_exprs)
-        object.__setattr__(self, "transition_exprs", exprs)
-        n, m = len(exprs), self.noise.dimension
-        if n == 0:
+        if not exprs:
             raise ValueError("transition must have at least one coordinate")
-        object.__setattr__(self, "_transition", _compile_transition(exprs, n, m))
+        object.__setattr__(self, "transition_exprs", exprs)
+        object.__setattr__(self, "_transition", _compile_transition(exprs, self.noise.dimension))
 
     @property
     def dimension(self) -> int:

@@ -744,8 +744,9 @@ def test_certify_and_verify_run_the_same_drift_check(tmp_path, monkeypatch):
 
 
 def test_transition_that_runs_code_is_a_usage_error(tmp_path, capsys):
-    """A transition is parsed as a polynomial before sympy sees it, so a
-    file whose transition would run Python exits 2 and writes nothing."""
+    """A transition is checked as a polynomial before anything of it is
+    compiled, so a file whose transition would run Python exits 2 and
+    writes nothing."""
     marker = tmp_path / "pwned"
     payload = {
         "transition": [f"x1 + 0*__import__('pathlib').Path({str(marker)!r}).touch()"],
@@ -756,6 +757,20 @@ def test_transition_that_runs_code_is_a_usage_error(tmp_path, capsys):
     assert run(["classify", "--system", path, "--out", str(tmp_path / "out")]) == 2
     assert "is not a polynomial in x1, w1" in capsys.readouterr().err
     assert not marker.exists()
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("expr", ["x1 + 9**99999999*w1", "x1 + " + "9" * 400 + "*w1"], ids=["power", "int-literal"])
+def test_transition_beyond_the_doubles_is_a_usage_error(expr, tmp_path, capsys):
+    """A power above MAX_POWER, which would build a huge int on every step,
+    and an int constant beyond the doubles exit 2 at once, naming the
+    transition, rather than hanging or failing with an OverflowError."""
+    payload = {"transition": [expr], "noise": {"kind": "uniform-box", "half_widths": [1.0]}}
+    path = _write_system(tmp_path, "huge.json", payload)
+    start = time.perf_counter()
+    code = run(["simulate", "--system", path, "--x0", "1", "--horizon", "10", "--trajectories", "10", "--out", str(tmp_path / "out")])
+    assert code == 2 and time.perf_counter() - start < 5.0
+    assert f"transition {expr!r}" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 import reachcert
 from conftest import explicit_step, reference_noise_draw, reference_rng
 from reachcert import systems
+from reachcert.counterexamples import example1_system
 from reachcert.ensembles import ensemble_states
 from reachcert.systems import (
     LinearSystem,
@@ -382,17 +383,20 @@ def test_half_widths_beyond_the_uniform_map_rejected(h):
         NoiseModel.from_dict({"kind": "uniform-box", "half_widths": [h]})
 
 
-def test_sympy_is_imported_only_for_polynomial_systems():
+def test_sympy_is_never_imported():
+    """Polynomial transitions compile from their own syntax trees, so sympy
+    stays out of the process, also after building and stepping Example 1."""
     src = os.path.dirname(os.path.dirname(reachcert.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     code = (
-        "import sys, reachcert, reachcert.cli\n"
-        "assert 'sympy' not in sys.modules, 'sympy imported with reachcert'\n"
+        "import sys, numpy as np, reachcert, reachcert.cli\n"
         "assert 'importlib.metadata' not in sys.modules, 'importlib.metadata imported with reachcert.cli'\n"
         "from reachcert.counterexamples import example1_system\n"
         "s = example1_system()\n"
         "from reachcert.systems import step_batch\n"
         "assert step_batch(s, [[2.0, 1.0]], [[0.0]]).tolist() == [[2.0, 0.5]]\n"
+        "assert s.advance(np.ones((5, 2)), np.zeros((3, 5, 1))).shape == (3, 5, 2)\n"
+        "assert 'sympy' not in sys.modules, 'sympy imported'\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
@@ -661,6 +665,33 @@ class TestSystemFiles:
         (x,) = step_batch(system, [[2.0, 3.0]], [[4.0]])
         assert x.tolist() == [-1.0, 1.0]
 
+    def test_transition_is_evaluated_as_written(self):
+        """Each coordinate is the numpy arithmetic of its string in the
+        written order, bit for bit; a constant coordinate fills its column."""
+        rng = np.random.default_rng(22)
+        X, W = rng.uniform(-3.0, 3.0, (2000, 2)), rng.uniform(-1.0, 1.0, (2000, 1))
+        (x1, x2), (w1,) = X.T, W.T
+        cases = [
+            (example1_system().transition_exprs, [0.5 * x1 * (1 + x2 + w1), 0.5 * x2]),
+            (("-x1*x2 + -w1", "x2^3 - 0.25*x1"), [-x1 * x2 + -w1, x2**3 - 0.25 * x1]),
+            (("3", "x1**2*(x2 - 1)**5"), [np.full(len(X), 3.0), x1**2 * (x2 - 1) ** 5]),
+        ]
+        for exprs, columns in cases:
+            system = PolynomialSystem(exprs, NoiseModel.uniform([1.0]))
+            assert step_batch(system, X, W).tobytes() == np.column_stack(columns).tobytes()
+        # A reordered sum rounds differently, so the comparison can tell the orders apart.
+        assert (0.5 * x1 * (w1 + x2 + 1)).tobytes() != (0.5 * x1 * (1 + x2 + w1)).tobytes()
+
+    @pytest.mark.parametrize(
+        "expr",
+        ["x1**65", "x1 + 9**99999999*w1", "9" * 400 + "*x1", "1e999*x1", "1e200**2*x1", "1e300*1e10 - x1", "(2**60)**20 - x1", "((9**64)**64)**64*x1"],
+    )
+    def test_transition_beyond_the_doubles_rejected(self, expr):
+        """Powers above MAX_POWER and variable-free parts beyond the doubles
+        are refused when the system is built, not hit on every step."""
+        with pytest.raises(ValueError, match="transition .*(of powers at most 64|beyond the doubles)"):
+            PolynomialSystem((expr, "x2"), NoiseModel.uniform([1.0]))
+
     @pytest.mark.parametrize(
         "expr",
         [
@@ -682,13 +713,15 @@ class TestSystemFiles:
     )
     def test_non_polynomial_transition_rejected(self, expr, monkeypatch):
         """Only constants, x1..xn, w1..wm, + - *, unary +- and ** to a
-        non-negative int pass; the rest is refused before sympy parses it."""
-        import sympy
+        non-negative int pass; the rest is refused before anything is
+        compiled or evaluated."""
 
         def never(*args, **kwargs):
-            raise AssertionError("sympify reached")
+            raise AssertionError("compile or eval reached")
 
-        monkeypatch.setattr(sympy, "sympify", never)
+        # Module globals shadow the builtins that systems calls by name.
+        monkeypatch.setattr(systems, "compile", never, raising=False)
+        monkeypatch.setattr(systems, "eval", never, raising=False)
         with pytest.raises(ValueError, match="transition"):
             PolynomialSystem((expr, "x2"), NoiseModel.uniform([1.0]))
 
