@@ -502,8 +502,10 @@ class CustomCertificate(Certificate):
     """Hand-written certificate: callables plus the constants the checks need.
 
     ``drift`` and ``variant`` take an (N, n) array of states and return N
-    values.  ``level_radius`` maps a drift level r to a Euclidean radius
-    bounding {V <= r}.
+    values.  ``level_radius`` maps a drift level r to the half-widths of
+    an origin-centred box that contains {V <= r}: one number for every
+    coordinate, or one per coordinate (broadcast to n).  The tighter the
+    box, the fewer of its proposals the level sampling rejects.
     """
 
     drift: object
@@ -527,9 +529,9 @@ class CustomCertificate(Certificate):
         return float(self.h(r))
 
     def level_proposal(self, n: int, level: float, rng):
-        """Uniform draws from the box [-R, R]^n with R = level_radius(level),
+        """Uniform draws from the box of half-widths level_radius(level),
         folded onto the positive quadrant if asked; rounds of at least 1024."""
-        bound = float(self.level_radius(level))
+        bound = np.broadcast_to(np.asarray(self.level_radius(level), dtype=float), (n,))
         fold = np.abs if self.positive_quadrant else (lambda pts: pts)
         return lambda missing: fold(rng.uniform(-bound, bound, size=(max(4 * missing, 1024), n)))
 

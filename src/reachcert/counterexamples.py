@@ -227,7 +227,8 @@ def example1_log_certificate(
         h=lambda r: r - variant_offset,
         delta=delta,
         compact_radius=compact_radius,
-        level_radius=lambda r: math.hypot(math.expm1(r), math.sqrt(max(r, 0.0))),
+        # V <= r bounds xi by expm1(r) and eta by sqrt(r).
+        level_radius=lambda r: (math.expm1(r), math.sqrt(max(r, 0.0))),
         levels=(3.0, 4.0, 5.0),
         positive_quadrant=True,
     )

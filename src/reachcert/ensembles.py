@@ -7,20 +7,26 @@ derivation: a batch builds all of its streams in one call, which derives
 their Philox keys in one vectorized pass, and ``TrajectorySeed(base_seed,
 i).rng()`` is the same call for one index.  So results are reproducible and
 independent of batching or thread scheduling (up to the last bit where a
-batch steps a single row through a factor that is not the identity: numpy
+batch steps a single row through an A that is not the identity: numpy
 sends a one-row product to gemv).
 `simulate`, `hitting_stats`, `ensemble_states` and `decay_exponent`
-observe one block kernel, `_run`: noise is drawn NOISE_CHUNK steps at a
-time per trajectory into one buffer per batch, and stepped in sub-blocks
-of about SUBBLOCK_BYTES of state, after each of which the observer finds
-first hits (`systems.contains`) and overflows with array operations.  A
-batch is sized by its noise buffer, NOISE_BYTES whatever the noise
-dimension, and a decay fit keeps only each batch's ball counts at the
-grid steps, so an ensemble's memory depends on neither its trajectory
-count nor its grid.  Neither length changes any trajectory: a chunked
-ensemble replays exactly the stream of a single-trajectory simulation.
-Every sub-block is one ``system.advance`` call, the stepping engine of
-`systems`, so the random walk x + Bw pays for its additions only.
+observe one block kernel, `_run`: noise is drawn a chunk of steps at a
+time for the live trajectories only, into a contiguous block at the
+front of one buffer per batch, and stepped in sub-blocks of about
+SUBBLOCK_BYTES of state, after each of which the observer finds first
+hits (`systems.contains`) and overflows with array operations.  Snapshot
+ensembles and `simulate` draw NOISE_CHUNK steps per chunk; a hitting
+batch starts with one sub-block of steps and doubles each chunk up to
+NOISE_CHUNK, since most of its trajectories stop early and a stopped
+trajectory's noise is waste.  A batch is sized by its noise buffer,
+NOISE_BYTES whatever the noise dimension, of which a hitting batch
+touches only what its live trajectories use, and a decay fit keeps only
+each batch's ball counts at the grid steps, so an ensemble's memory
+depends on neither its trajectory count nor its grid.  No chunk or
+sub-block length changes any trajectory: a chunked ensemble replays
+exactly the stream of a single-trajectory simulation.  Every sub-block
+is one ``system.advance`` call, the stepping engine of `systems`, so the
+random walk x + Bw pays for its additions only.
 """
 
 from __future__ import annotations
@@ -133,32 +139,44 @@ class DecayFit:
         }
 
 
-def _run(system, X, rngs, horizon, observe):
+def _run(system, X, rngs, horizon, observe, grow=False):
     """The stepping kernel behind simulate, hitting_stats and ensemble_states.
 
     Row i of X is a trajectory driven by the stream ``rngs[i]``.  Noise is
-    drawn NOISE_CHUNK steps at a time per live trajectory into the leading
-    rows of one buffer, and each chunk is stepped in sub-blocks of about
-    SUBBLOCK_BYTES of state.  After each sub-block, ``observe(k, live, S)``
-    sees the (s, len(live), n) states of the trajectories ``live`` (row
-    positions in X) at steps k+1 .. k+s.  It
-    returns a bool mask over ``live`` of the trajectories that stop there,
-    or None; a stopped trajectory is neither stepped nor drawn for again.
-    Returns the positions of the trajectories that never stopped and their
-    states at ``horizon``.
+    drawn a chunk of steps at a time for the live trajectories only, into
+    a contiguous (length, live, m) block at the front of one reused flat
+    buffer, and each chunk is stepped in sub-blocks of about
+    SUBBLOCK_BYTES of state.  A chunk is NOISE_CHUNK steps, except in a
+    run that ``grow``s (a hitting batch, whose trajectories stop): its
+    first chunk is one sub-block, and each later one doubles, up to
+    NOISE_CHUNK.  A chunk is then never longer than the steps before it
+    plus one sub-block, so a trajectory that stops after T steps has been
+    drawn for at most 2T steps and one sub-block.  No schedule changes a
+    trajectory, whose stream is drawn in order.
+    After each sub-block, ``observe(k, live, S)`` sees the (s, len(live), n)
+    states of the trajectories ``live`` (row positions in X) at steps
+    k+1 .. k+s.  It returns a bool mask over ``live`` of the trajectories
+    that stop there, or None; a stopped trajectory is neither stepped nor
+    drawn for again.  Returns the positions of the trajectories that never
+    stopped and their states at ``horizon``.
     """
     live = np.arange(X.shape[0])
+    m = system.noise.dimension
     k = 0
     # One noise buffer for every chunk, so no chunk pays for a fresh
     # allocation and its page faults; a chunk's noise lives until the next
-    # chunk overwrites it.
-    buf = np.empty((min(NOISE_CHUNK, horizon), X.shape[0], system.noise.dimension))
+    # chunk overwrites it, and pages that no chunk reaches are never touched.
+    buf = np.empty(min(NOISE_CHUNK, horizon) * X.shape[0] * m)
+    chunk = NOISE_CHUNK
+    if grow:  # one sub-block; X has no rows when every trajectory starts in the target
+        chunk = min(NOISE_CHUNK, max(1, SUBBLOCK_BYTES // max(1, X.nbytes)))
     # Overflow is a per-trajectory event that observers detect; stepping
     # on past it within a sub-block is harmless.
     with np.errstate(over="ignore", invalid="ignore"):
         while k < horizon and live.size:
-            length = min(NOISE_CHUNK, horizon - k)
-            W = system.noise.draw([rngs[i] for i in live], length, out=buf[:length, : live.size])
+            length = min(chunk, horizon - k)
+            W = buf[: length * live.size * m].reshape(length, live.size, m)
+            system.noise.draw([rngs[i] for i in live], length, out=W)
             steps = max(1, SUBBLOCK_BYTES // X.nbytes)
             cols = np.arange(live.size)  # columns of W still stepping
             t = 0
@@ -172,6 +190,7 @@ def _run(system, X, rngs, horizon, observe):
                     live, cols, X = live[keep], cols[keep], X[keep]
                 t += s
             k += length
+            chunk = min(2 * chunk, NOISE_CHUNK)
     return live, X
 
 
@@ -239,7 +258,7 @@ def _hitting_batch(system, target, x0, indices, horizon, base_seed, threshold):
         return np.minimum(t_over, t_hit) < s
 
     rngs = trajectory_rngs(base_seed, np.asarray(indices)[start])
-    live, X = _run(system, X0[start], rngs, horizon, record)
+    live, X = _run(system, X0[start], rngs, horizon, record, grow=True)
 
     hit = hit_time >= 0
     # Only trajectories that ran the whole horizon can diverge by norm.

@@ -205,12 +205,15 @@ class NoiseModel:
                 shape = (len(group), end - start, m)
                 block = stage[: len(group) * shape[1] * m].reshape(shape)
                 if gaussian:
-                    # One gemm per stream and piece, which together give the
-                    # bits of rng.standard_normal(size=(length, m)) @ L.T.
+                    # One gemm over every vector of the piece, also when it
+                    # is one step of many streams, so each stream gets the
+                    # bits of rng.standard_normal(size=(length, m)) @ L.T
+                    # however its steps are split between calls (only one
+                    # step of a lone stream is a one-row product, by gemv).
                     normals = z[: block.size].reshape(shape)
                     for row, rng in zip(normals, group):
                         rng.standard_normal(out=row)
-                    np.matmul(normals, self._chol.T, out=block)
+                    np.dot(normals.reshape(-1, m), self._chol.T, out=block.reshape(-1, m))
                 else:
                     # The uniform fill is sequential, so the pieces join bit for bit.
                     for row, rng in zip(block, group):
@@ -297,18 +300,28 @@ class LinearSystem:
 
     def advance(self, X, W) -> np.ndarray:
         """(s, rows, n) states after each step of the (s, rows, m) noise
-        block W from the (rows, n) states X: x A' + w B' per step, W B' as
-        one batched product.  A factor that is exactly the identity is not
-        multiplied: x*1 = x and x*0 = +-0, so finite states keep the bits of
-        X A' + W B' up to the sign of a zero (an infinite coordinate would
-        have made its row NaN)."""
+        block W from the (rows, n) states X: x A' + w B' per step.
+
+        W B' is one 2-D product over all s * rows noise vectors (W is
+        copied only when it is not contiguous), so a row's noise term has
+        the bits of a many-row product even when the block holds one row
+        (s > 1): numpy multiplies a lone row by gemv, which rounds
+        differently.  X A' is one ``np.dot`` per step, the BLAS call of
+        ``matmul`` with less dispatch.  A factor that is exactly the
+        identity is not multiplied: x*1 = x and x*0 = +-0, so finite states
+        keep the bits of X A' + W B' up to the sign of a zero (an infinite
+        coordinate would have made its row NaN)."""
         out = np.empty((W.shape[0],) + X.shape)
         AT, BT = self.factors
-        WB = W if BT is None else np.matmul(W, BT, out=out)
-        AX = None if AT is None else np.empty_like(X)
+        if BT is None:
+            WB = W
+        else:
+            WB = out
+            np.dot(W.reshape(-1, W.shape[-1]), BT, out=out.reshape(-1, X.shape[1]))
+        AX = None if AT is None else np.empty(X.shape)
         for t in range(W.shape[0]):
             if AT is not None:
-                X = np.matmul(X, AT, out=AX)
+                X = np.dot(X, AT, out=AX)
             X = np.add(WB[t], X, out=out[t])
         return out
 
@@ -326,8 +339,10 @@ def _compile_transition(exprs, m):
     strings ``exprs`` (``^`` read as ``**``), each evaluated as written.
     Each must be a polynomial: constants, x1..xn, w1..wm, + - *, unary +-
     and ** to an int constant of at most MAX_POWER, whose variable-free
-    parts (evaluated here as in every step) lie within the doubles, or a
-    ValueError names it.  Only checked trees compile; they run without builtins."""
+    parts (evaluated here as in every step) lie within the doubles, and
+    whose syntax tree is shallow enough for Python to parse, walk and
+    compile, or a ValueError names it.  Only checked trees compile; they
+    run without builtins."""
     names = [f"x{i}" for i in range(1, len(exprs) + 1)] + [f"w{j}" for j in range(1, m + 1)]
 
     def value(node, text):
@@ -356,9 +371,15 @@ def _compile_transition(exprs, m):
             raise ValueError(f"transition {text!r} is not an expression") from None
         except OverflowError:
             raise ValueError(f"transition {text!r} has a constant beyond the doubles") from None
+        except RecursionError:
+            raise ValueError(f"transition {text!r} is nested too deeply") from None
     step = ast.parse(f"lambda {', '.join(names)}: ()", mode="eval")
     step.body.body.elts = bodies
-    return eval(compile(step, "<transition>", "eval"), {"__builtins__": {}})
+    try:
+        code = compile(step, "<transition>", "eval")
+    except RecursionError:
+        raise ValueError(f"transitions {list(exprs)!r} are nested too deeply") from None
+    return eval(code, {"__builtins__": {}})
 
 
 @dataclass(frozen=True)

@@ -439,6 +439,32 @@ def test_equal_seed_reports_match(A, kind, tmp_path):
     assert reports[0] == reports[1]
 
 
+def test_equal_seed_simulate_matches(tmp_path):
+    """simulate --csv twice with one seed, in one process: the reports agree
+    outside `timings` and the trajectory CSVs are byte-identical."""
+    system = _write_system(
+        tmp_path,
+        "system.json",
+        {
+            "A": rotation_matrix(np.pi / 3).tolist(),
+            "B": [[1.0, 0.5], [0.0, 1.0]],
+            "noise": _law("gaussian", 2),
+            "target": {"center": [0.0, 0.0], "radius": 1.0, "norm": "euclidean"},
+        },
+    )
+    out = tmp_path / "out"
+    argv = ["simulate", "--system", system, "--x0", "3,1", "--horizon", "1500", "--trajectories", "40",
+            "--csv", "--csv-trajectories", "3", "--seed", "5", "--out", str(out)]
+    runs = []
+    for _ in range(2):
+        assert run(argv) == 0
+        report = json.loads((out / "simulate.json").read_text())
+        report.pop("timings")
+        runs.append((report, (out / "trajectories.csv").read_bytes()))
+    assert runs[0][0]["ensemble"]["hit_fraction"] > 0.0
+    assert runs[0] == runs[1]
+
+
 @pytest.mark.parametrize("value", ["0", "-5"])
 @pytest.mark.parametrize("command", ["certify", "verify", "repro"])
 def test_samples_must_be_positive(command, value, stable_file, tmp_path, capsys):
@@ -771,6 +797,20 @@ def test_transition_beyond_the_doubles_is_a_usage_error(expr, tmp_path, capsys):
     code = run(["simulate", "--system", path, "--x0", "1", "--horizon", "10", "--trajectories", "10", "--out", str(tmp_path / "out")])
     assert code == 2 and time.perf_counter() - start < 5.0
     assert f"transition {expr!r}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("terms", [1000, 5000])
+def test_deeply_nested_transition_is_a_usage_error(terms, tmp_path, capsys):
+    """A sum of many terms nests its syntax tree as deep as it is long.
+    Past what Python parses, walks or compiles it exits 2 naming the
+    transition, not with a RecursionError traceback."""
+    expr = "+".join(["x1"] * terms)
+    payload = {"transition": [expr], "noise": {"kind": "uniform-box", "half_widths": [1.0]}}
+    path = _write_system(tmp_path, "deep.json", payload)
+    code = run(["simulate", "--system", path, "--x0", "1", "--horizon", "10", "--trajectories", "10", "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert f"transition {expr!r} is nested too deeply" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

@@ -193,6 +193,17 @@ class TestLogCertificate:
         cert = example1_log_certificate(variant_offset=2.0)
         assert cert.variant_values(np.array([[0.5, 0.5]]))[0] < 0.0
 
+    def test_level_box_accepts_most_proposals(self):
+        # The box (expm1(r), sqrt(r)) is the bounding box of {V <= r} on the
+        # quadrant, of which the region takes about 40 % at every level.
+        cert = example1_log_certificate()
+        rng = np.random.default_rng(3)
+        for level in cert.default_levels():
+            pts = cert.level_proposal(2, level, rng)(50_000)
+            v, u = cert.level_values(pts)
+            assert np.all(pts >= 0.0)
+            assert np.mean((v <= level) & (u > 0.0)) >= 0.3, level
+
     def test_almost_sure_hitting(self):
         system = example1_system()
         unit_box = lambda X: np.all((X > 0.0) & (X < 1.0), axis=1)

@@ -119,6 +119,26 @@ ORACLE_CASES = {
 }
 
 
+# Cases in which, with the short chunks of
+# test_growing_chunks_match_per_step_reference, rows hit on both sides of
+# a chunk boundary.
+BOUNDARY_HIT_CASES = ("degenerate-b-walk", "gaussian-rotation", "walk-1d")
+
+
+def _recorded_draws(monkeypatch):
+    """The (streams, length) of every NoiseModel.draw call from now on, in
+    order, recorded by wrapping the method."""
+    draws = []
+    draw = NoiseModel.draw
+
+    def recording(self, rngs, length, out=None):
+        draws.append((len(rngs), length))
+        return draw(self, rngs, length, out)
+
+    monkeypatch.setattr(NoiseModel, "draw", recording)
+    return draws
+
+
 class TestSimulate:
     def test_reproducible(self, random_walk):
         a = simulate(random_walk, [0.0], 500, TrajectorySeed(1, 0))
@@ -137,6 +157,22 @@ class TestSimulate:
             x = step_batch(random_walk, x, W[k].reshape(1, -1))
             manual.append(x[0, 0])
         assert np.array_equal(traj.states[:, 0], np.array(manual))
+
+    def test_equals_ensemble_row(self):
+        # simulate steps its trajectory as a one-row batch.  W B' is one
+        # product over each sub-block's steps, so the noise term gets the
+        # bits of the ensemble's many-row product, not those of a one-row
+        # product (gemv); with A = I nothing else is multiplied.
+        system = LinearSystem(
+            A=np.eye(3), B=[[1.0, 0.5], [-0.3, 2.0], [0.7, -1.1]], noise=NoiseModel.uniform([1.0, 0.5])
+        )
+        x0 = [0.5, -1.0, 2.0]
+        ks = [1, 37, NOISE_CHUNK, NOISE_CHUNK + 100]
+        states = ensemble_states(system, x0, ks, 40, base_seed=12)
+        for i in range(40):
+            traj = simulate(system, x0, max(ks), TrajectorySeed(12, i))
+            for k in ks:
+                assert np.array_equal(traj.states[k], states[k][i]), (i, k)
 
     def test_overflow_truncates(self):
         system = LinearSystem(A=[[10.0]], B=[[1.0]], noise=NoiseModel.uniform([1.0]))
@@ -209,6 +245,44 @@ class TestBlockKernel:
         want = _reference_hitting_batch(system, target, x0, indices, horizon, 17, threshold)
         for name, g, w in zip(("hit_time", "divergent", "overflowed"), got, want):
             assert np.array_equal(g, w), name
+
+    @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+    def test_growing_chunks_match_per_step_reference(self, case, monkeypatch):
+        # A hitting batch's first chunk is one sub-block, here a step or a
+        # few, and each later one doubles up to NOISE_CHUNK = 64, so every
+        # case crosses many chunk boundaries while its rows stop.
+        monkeypatch.setattr(ensembles, "NOISE_CHUNK", 64)
+        monkeypatch.setattr(ensembles, "SUBBLOCK_BYTES", 4096)
+        draws = _recorded_draws(monkeypatch)
+        system, target, x0, n_traj, horizon, threshold = ORACLE_CASES[case]
+        indices = list(range(3, 3 + n_traj))
+        got = _hitting_batch(system, target, x0, indices, horizon, 17, threshold)
+        want = _reference_hitting_batch(system, target, x0, indices, horizon, 17, threshold)
+        for name, g, w in zip(("hit_time", "divergent", "overflowed"), got, want):
+            assert np.array_equal(g, w), name
+        if case in BOUNDARY_HIT_CASES:
+            # Some row stops on the last step of a chunk, and some on the
+            # first step of the next.
+            ends = np.cumsum([length for _, length in draws])
+            assert np.isin(ends, got[0]).any() and np.isin(ends + 1, got[0]).any()
+
+    def test_rows_that_stop_early_are_drawn_for_little_past_their_stop(self, monkeypatch):
+        # Every walk starts on the sphere of the target ball, and half of
+        # them hit at step 1.  A row is drawn for its first chunk (one
+        # sub-block), and then for chunks no longer than the steps it ran
+        # before each, so for at most 2 T + one sub-block values if it ran
+        # T steps; a whole first chunk would be n_traj * NOISE_CHUNK values.
+        draws = _recorded_draws(monkeypatch)
+        n_traj = 1000
+        hit_time, _, _ = _hitting_batch(
+            WALK, TargetBall(center=[0.0], radius=2.0), [2.0], range(n_traj), NOISE_CHUNK, 5, 1e6
+        )
+        first = ensembles.SUBBLOCK_BYTES // (8 * n_traj)
+        assert draws[0] == (n_traj, first)
+        steps = int(np.where(hit_time >= 0, hit_time, NOISE_CHUNK).sum())
+        values = sum(rows * length for rows, length in draws)
+        assert values <= 2 * steps + n_traj * first
+        assert values < n_traj * NOISE_CHUNK / 5
 
     def test_oracle_cases_cover_every_outcome(self):
         # Guards the case list: each event the kernel must get right occurs.

@@ -206,6 +206,19 @@ class TestStagedDraw:
         assert self._check(noise, seeds, length, out=view) is view
         assert np.isnan(buf[..., 1::2]).all()
 
+    @pytest.mark.parametrize("split", [(1, 4), (1, 1, 3), (2, 1, 2)])
+    def test_streams_join_across_calls(self, law, split):
+        # A hitting batch draws its streams in growing chunks, the first of
+        # which may be one step.  One step of many streams is still one
+        # many-row product, not a one-row product (gemv) per stream, so the
+        # pieces join into the bits of one draw.
+        noise = LAWS[law]
+        seeds = [TrajectorySeed(14, i) for i in range(40)]
+        rngs = [s.rng() for s in seeds]
+        block = np.concatenate([noise.draw(rngs, length) for length in split])
+        for j, s in enumerate(seeds):
+            assert np.array_equal(block[:, j], reference_noise_draw(noise, s.rng(), sum(split)))
+
     @pytest.mark.parametrize("length", [0, 1, 1041, 200_000])
     def test_lone_stream_into_contiguous_and_strided_out(self, law, length):
         # 200,000 steps is longer than one stage at every m.
