@@ -6,9 +6,12 @@ Every trajectory owns an independent RNG stream derived from
 derivation: a batch builds all of its streams in one call, which derives
 their Philox keys in one vectorized pass, and ``TrajectorySeed(base_seed,
 i).rng()`` is the same call for one index.  So results are reproducible and
-independent of batching or thread scheduling (up to the last bit where a
+independent of batching and of the workers (up to the last bit where a
 batch steps a single row through an A that is not the identity: numpy
-sends a one-row product to gemv).
+sends a one-row product to gemv).  Batches share no state, so
+`_map_batches` runs them on REACHCERT_THREADS workers: processes forked
+for the call on Linux, each with its own noise buffer (a 3-D decay fit's
+worker peaks near 81 MB), and threads where fork is unavailable or unsafe.
 `simulate`, `hitting_stats`, `ensemble_states` and `decay_exponent`
 observe one block kernel, `_run`: noise is drawn a chunk of steps at a
 time for the live trajectories only, into a contiguous block at the
@@ -32,7 +35,7 @@ random walk x + Bw pays for its additions only.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,16 +59,27 @@ NOISE_CHUNK = 1024
 # cache and off the peak RSS, large enough that the per-pass array calls
 # are paid once per ~65 steps of a 1000-trajectory, 2D ensemble.
 SUBBLOCK_BYTES = 1 << 20
-# Bytes of a batch's noise buffer, one per worker thread: a default batch
+# Bytes of a batch's noise buffer, one per worker: a default batch
 # is NOISE_BYTES // (NOISE_CHUNK * m * 8) trajectories, 2048 at m = 3.
 NOISE_BYTES = 48 << 20
 
 
+# Fork is the one start method that hands a worker the batch closure without
+# pickling it; where it is unavailable or unsafe (Windows, macOS), batches
+# run on threads.
+_FORK = sys.platform.startswith("linux")
+
+
 def _max_workers() -> int:
+    """Workers that REACHCERT_THREADS asks for (default 1)."""
+    value = os.environ.get("REACHCERT_THREADS", "1")
     try:
-        return max(1, int(os.environ.get("REACHCERT_THREADS", "1")))
+        workers = int(value)
     except ValueError:
-        return 1
+        workers = 0
+    if workers < 1:
+        raise ValueError(f"REACHCERT_THREADS must be a positive integer, got {value!r}")
+    return workers
 
 
 def _batch_rows(m: int) -> int:
@@ -74,19 +88,58 @@ def _batch_rows(m: int) -> int:
     return max(1, NOISE_BYTES // (NOISE_CHUNK * m * 8))
 
 
+# The batch closure of the pool that forked this worker process.
+_worker_run = None
+
+
+def _init_worker(run) -> None:
+    global _worker_run
+    _worker_run = run
+
+
+def _run_in_worker(batch):
+    return _worker_run(batch)
+
+
 def _map_batches(run, system, n_traj: int, batch_size: int | None) -> list:
     """``run`` on consecutive trajectory-index ranges of ``batch_size``
-    (default ``_batch_rows``), in order, on up to ``_max_workers()`` threads."""
+    (default ``_batch_rows``), results in order.
+
+    REACHCERT_THREADS counts the workers; more than one, and more than one
+    batch, run the batches on min(workers, batches, CPUs) of them.  On
+    Linux they are processes forked for the call, which inherit ``run``
+    through the pool's initializer, so only the index ranges and each
+    batch's results cross the pipe, and the pool is shut down before the
+    call returns.  Elsewhere they are threads, which pass the GIL between
+    a batch's short numpy calls.  Each worker holds its own NOISE_BYTES
+    noise buffer (a 3-D decay fit's worker process peaks near 81 MB).  A
+    pool costs about 20-25 ms to start and stop; Python >= 3.12 warns with
+    a DeprecationWarning when it forks while BLAS threads are alive.
+    """
     if batch_size is None:
         batch_size = _batch_rows(system.noise.dimension)
     elif batch_size < 1:
         raise ValueError(f"batch_size must be at least 1, got {batch_size}")
     batches = [range(s, min(s + batch_size, n_traj)) for s in range(0, n_traj, batch_size)]
-    workers = _max_workers()
-    if workers > 1 and len(batches) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(run, batches))
-    return [run(b) for b in batches]
+    workers = min(_max_workers(), len(batches), os.cpu_count() or 1)
+    if workers < 2:
+        return [run(b) for b in batches]
+    import concurrent.futures
+
+    if _FORK:
+        import multiprocessing
+
+        pool = concurrent.futures.ProcessPoolExecutor(
+            max_workers=workers,
+            mp_context=multiprocessing.get_context("fork"),
+            initializer=_init_worker,
+            initargs=(run,),
+        )
+        run = _run_in_worker
+    else:
+        pool = concurrent.futures.ThreadPoolExecutor(max_workers=workers)
+    with pool:
+        return list(pool.map(run, batches))
 
 
 @dataclass(frozen=True)

@@ -814,6 +814,17 @@ def test_deeply_nested_transition_is_a_usage_error(terms, tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("value", ["0", "many"])
+def test_bad_worker_count_is_a_usage_error(value, random_walk_file, tmp_path, monkeypatch, capsys):
+    """A REACHCERT_THREADS that is not a positive integer exits 2 naming the
+    variable, rather than running on one worker."""
+    monkeypatch.setenv("REACHCERT_THREADS", value)
+    code = run(["simulate", "--system", random_walk_file, "--horizon", "10", "--trajectories", "10", "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert "REACHCERT_THREADS must be a positive integer" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("command", ["classify", "certify"])
 def test_polynomial_system_needs_a_linear_command(command, tmp_path, capsys):
     """classify and certify decide linear systems only: a polynomial system

@@ -1,3 +1,7 @@
+import concurrent.futures
+import multiprocessing
+import os
+import sys
 import tracemalloc
 
 import numpy as np
@@ -18,6 +22,18 @@ from reachcert import (
 from reachcert.counterexamples import example1_system
 from reachcert.ensembles import NOISE_CHUNK, OVERFLOW_GUARD, _batch_rows, _hitting_batch
 from reachcert.systems import contains, sample_noise, step_batch
+
+
+# The executors that run multi-batch ensembles: forked processes where
+# fork is safe, else threads.
+EXECUTORS = ("process", "thread") if sys.platform.startswith("linux") else ("thread",)
+
+
+def _use_executor(monkeypatch, executor):
+    """Run multi-batch calls on forked processes or on the thread fallback,
+    on two workers whatever the host's CPU count."""
+    monkeypatch.setattr(ensembles, "_FORK", executor == "process")
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
 
 
 def _reference_hitting_batch(system, target, x0, indices, horizon, base_seed, threshold):
@@ -212,10 +228,12 @@ class TestHittingStats:
     def test_threads_invariant(self, random_walk, unit_ball_1d, monkeypatch):
         base = hitting_stats(random_walk, unit_ball_1d, [5.0], 300, 1500, base_seed=2, batch_size=50)
         monkeypatch.setenv("REACHCERT_THREADS", "4")
-        threaded = hitting_stats(
-            random_walk, unit_ball_1d, [5.0], 300, 1500, base_seed=2, batch_size=50
-        )
-        assert base.to_dict() == threaded.to_dict()
+        for executor in EXECUTORS:
+            _use_executor(monkeypatch, executor)
+            threaded = hitting_stats(
+                random_walk, unit_ball_1d, [5.0], 300, 1500, base_seed=2, batch_size=50
+            )
+            assert base.to_dict() == threaded.to_dict(), executor
 
     def test_rejects_negative_horizon(self, random_walk, unit_ball_1d):
         with pytest.raises(ValueError, match="horizon"):
@@ -388,14 +406,16 @@ class TestEnsembleStates:
         n_traj = default + 3
         ks = [0, 1, 37, 300]
         want = None
-        for threads in ("1", "2"):
+        for threads, executor in [("1", None)] + [("2", e) for e in EXECUTORS]:
             monkeypatch.setenv("REACHCERT_THREADS", threads)
+            if executor:
+                _use_executor(monkeypatch, executor)
             for batch_size in (7, None, 20_000):
                 got = ensemble_states(system, x0, ks, n_traj, base_seed=21, batch_size=batch_size)
                 if want is None:
                     want = got
                 for k in ks:
-                    assert np.array_equal(got[k], want[k]), (threads, batch_size, k)
+                    assert np.array_equal(got[k], want[k]), (threads, executor, batch_size, k)
 
     def test_noise_memory_is_bounded_by_the_batch(self, monkeypatch):
         # A default batch draws its noise into one (NOISE_CHUNK, batch, m)
@@ -496,9 +516,12 @@ class TestDecayCounts:
         monkeypatch.setattr(ensembles, "NOISE_BYTES", 37 * 16 * 8)
         monkeypatch.setenv("REACHCERT_THREADS", threads)
         assert 600 // _batch_rows(system.noise.dimension) >= 16
-        fit = decay_exponent(system, ball, k_grid=ks, n_traj=600, base_seed=5, x0=x0)
-        assert fit.p_hat == tuple(want_p) and fit.dropped == 0
-        assert fit.slope == want_slope
+        for executor in EXECUTORS if threads != "1" else (None,):
+            if executor:
+                _use_executor(monkeypatch, executor)
+            fit = decay_exponent(system, ball, k_grid=ks, n_traj=600, base_seed=5, x0=x0)
+            assert fit.p_hat == tuple(want_p) and fit.dropped == 0, executor
+            assert fit.slope == want_slope, executor
 
     def test_memory_does_not_grow_with_trajectories(self, monkeypatch):
         monkeypatch.setenv("REACHCERT_THREADS", "1")
@@ -513,6 +536,54 @@ class TestDecayCounts:
             finally:
                 tracemalloc.stop()
         assert peaks[1] < 1.1 * peaks[0], peaks
+
+
+class TestWorkers:
+    """_map_batches: the worker count, its cap, and errors inside workers."""
+
+    @pytest.mark.parametrize("value", ["0", "-2", "two", "1.5", ""])
+    def test_rejects_a_worker_count_that_is_not_a_positive_integer(self, value, random_walk, monkeypatch):
+        monkeypatch.setenv("REACHCERT_THREADS", value)
+        with pytest.raises(ValueError, match="REACHCERT_THREADS"):
+            ensemble_states(random_walk, [0.0], [1], 10, base_seed=0)
+
+    @pytest.mark.parametrize("executor", EXECUTORS)
+    def test_workers_are_capped_by_batches_and_cpus(self, executor, random_walk, monkeypatch):
+        # The pool class is replaced by a thread pool that records its size,
+        # so no process starts.
+        sizes = []
+
+        class Recorder(concurrent.futures.ThreadPoolExecutor):
+            def __init__(self, max_workers, mp_context=None, initializer=None, initargs=()):
+                sizes.append(max_workers)
+                super().__init__(max_workers, initializer=initializer, initargs=initargs)
+
+        pool_class = "ProcessPoolExecutor" if executor == "process" else "ThreadPoolExecutor"
+        monkeypatch.setattr(concurrent.futures, pool_class, Recorder)
+        # The initializer that a forked worker runs now sets this process's global.
+        monkeypatch.setattr(ensembles, "_worker_run", None)
+        monkeypatch.setattr(ensembles, "_FORK", executor == "process")
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        monkeypatch.setenv("REACHCERT_THREADS", "1000")
+        want = ensemble_states(random_walk, [0.0], [5], 30, base_seed=1, batch_size=30)
+        for batch_size in (10, 3):
+            got = ensemble_states(random_walk, [0.0], [5], 30, base_seed=1, batch_size=batch_size)
+            assert np.array_equal(got[5], want[5])
+        assert sizes == [3, 4]
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("executor", EXECUTORS)
+    def test_worker_error_reaches_the_caller(self, executor, random_walk, unit_ball_1d, monkeypatch):
+        def broken(X):
+            raise ValueError("target mask is broken")
+
+        monkeypatch.setenv("REACHCERT_THREADS", "2")
+        _use_executor(monkeypatch, executor)
+        hitting_stats(random_walk, unit_ball_1d, [5.0], 40, 100, base_seed=3, batch_size=10)
+        assert multiprocessing.active_children() == []
+        with pytest.raises(ValueError, match="target mask is broken"):
+            hitting_stats(random_walk, broken, [5.0], 40, 100, base_seed=3, batch_size=10)
+        assert multiprocessing.active_children() == []
 
 
 class TestCallableTarget:

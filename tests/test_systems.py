@@ -415,6 +415,20 @@ def test_sympy_is_never_imported():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_worker_pools_are_imported_only_when_used():
+    """Ensembles import multiprocessing and concurrent.futures inside the
+    call that starts a pool, so loading the CLI imports neither."""
+    src = os.path.dirname(os.path.dirname(reachcert.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = (
+        "import sys, reachcert, reachcert.cli\n"
+        "loaded = [m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules]\n"
+        "assert not loaded, loaded\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_scipy_is_imported_only_for_solves():
     # Classifying, simulating, the ensembles and the logarithmic scan need
     # no scipy; a Lyapunov solve loads it.
