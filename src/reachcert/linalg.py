@@ -3,8 +3,9 @@
 Eigenvalue clustering, spectral radius, a checked discrete Lyapunov solve,
 the largest generalized symmetric eigenvalue, SVD-based numerical rank,
 and row-wise quadratic forms.  Everything targets small dense matrices
-(desk scale, n up to a few dozen).  scipy is imported inside the two
-functions that need it, so that importing the package does not load it.
+(desk scale, n up to a few dozen) and needs numpy alone: the Lyapunov
+equation is solved by squared Smith iteration with one refinement step,
+and the generalized eigenvalue through a Cholesky reduction.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ CLUSTER_TOL = 1e-8  # eigenvalues within CLUSTER_TOL of each other (transitively
 RANK_TOL = 1e-10  # singular values up to RANK_TOL times the largest count as zero
 LYAPUNOV_RESIDUAL_TOL = 1e-9  # relative residual a Lyapunov solution must meet
 SYM_TOL = 1e-10  # relative asymmetry a positive definite matrix may show
+MAX_DOUBLINGS = 64  # squarings of A a Lyapunov series may take; rho = 1 - 1e-12 needs about 45
 
 
 class LinalgError(ValueError):
@@ -139,32 +141,51 @@ def spectral_radius(M) -> float:
     return float(spectrum.moduli().max())
 
 
+def _stein_series(A, C, rho):
+    """sum_k (A')^k C A^k by squared Smith iteration (R. A. Smith, 1968).
+
+    S <- S + A_j' S A_j and A_j <- A_j^2 from S = C and A_0 = A, so that j
+    doublings sum the first 2^j terms; stops at the first doubling that
+    leaves S unchanged, after about log2(1 / (1 - rho)) doublings.
+    """
+    S, Ak = C, A
+    for _ in range(MAX_DOUBLINGS):
+        with np.errstate(over="ignore", invalid="ignore"):
+            update = S + Ak.T @ S @ Ak
+        if not np.all(np.isfinite(update)):
+            raise LinalgError(f"Lyapunov iteration overflowed (rho={rho:.6g})")
+        if np.array_equal(update, S):
+            return S
+        S, Ak = update, Ak @ Ak
+    raise LinalgError(f"Lyapunov iteration did not settle in {MAX_DOUBLINGS} doublings (rho={rho:.6g})")
+
+
 def solve_discrete_lyapunov(A):
     """Solve ``A' Q A = Q - I`` for symmetric positive definite Q.
 
-    Requires ``spectral_radius(A) < 1``.  The equation is solved by
-    `scipy.linalg.solve_discrete_lyapunov`, which picks its method by size
-    (the direct Kronecker system below n = 10, a bilinear transformation
-    to a Sylvester equation above); the result is symmetrized.  Raises
-    LinalgError if the spectral radius precondition fails, if Q is not
+    Requires ``spectral_radius(A) < 1``.  The solution is the series
+    sum_k (A')^k A^k, summed by squared Smith iteration for every n; one
+    step of iterative refinement then adds the series of the residual,
+    which brings the residual to the level of a direct solve also for
+    rho close to 1.  The result is symmetrized.  Raises LinalgError if the
+    spectral radius precondition fails, if the iteration meets a
+    non-finite value or does not settle in MAX_DOUBLINGS, if Q is not
     positive definite, or if the residual ``||A'QA - Q + I||_F`` exceeds
     ``LYAPUNOV_RESIDUAL_TOL * (1 + ||Q||_F)``.
     """
-    import scipy.linalg  # slow to import; only commands that solve need it
-
     A = _as_square(A, "A")
     n = A.shape[0]
     rho = spectral_radius(A)
     if rho >= 1.0 - 1e-12:
         raise LinalgError(f"spectral radius {rho:.6g} >= 1; Lyapunov equation has no PD solution")
 
-    try:
-        Q = scipy.linalg.solve_discrete_lyapunov(A.T, np.eye(n))
-    except np.linalg.LinAlgError as exc:
-        raise LinalgError(f"Lyapunov system singular (rho={rho:.6g}): {exc}") from exc
+    eye = np.eye(n)
+    Q = _stein_series(A, eye, rho)
+    Q = 0.5 * (Q + Q.T)
+    Q = Q + _stein_series(A, A.T @ Q @ A - Q + eye, rho)
     Q = 0.5 * (Q + Q.T)
 
-    residual = np.linalg.norm(A.T @ Q @ A - Q + np.eye(n), "fro")
+    residual = np.linalg.norm(A.T @ Q @ A - Q + eye, "fro")
     if residual > LYAPUNOV_RESIDUAL_TOL * (1.0 + np.linalg.norm(Q, "fro")):
         raise LinalgError(
             f"Lyapunov residual {residual:.3e} exceeds tolerance; "
@@ -178,11 +199,12 @@ def solve_discrete_lyapunov(A):
 def max_generalized_eigenvalue(X, Q) -> float:
     """Largest lambda with X v = lambda Q v, for symmetric X and SPD Q.
 
-    That is the maximum of v'Xv / v'Qv over v != 0.
+    That is the maximum of v'Xv / v'Qv over v != 0, the largest eigenvalue
+    of L^-1 X L^-T with Q = L L'.
     """
-    import scipy.linalg
-
-    return float(scipy.linalg.eigh(X, Q, eigvals_only=True).max())
+    L = np.linalg.cholesky(Q)
+    M = np.linalg.solve(L, np.linalg.solve(L, X).T)
+    return float(np.linalg.eigvalsh(0.5 * (M + M.T)).max())
 
 
 def numerical_rank(M) -> int:

@@ -15,7 +15,9 @@ dimensions (reporting the gap between two rule orders as the error),
 otherwise by seeded Monte Carlo (reporting a 3-sigma half-width).  Steps
 go through `step_batch`, the one-step form of the system's `advance`.
 Level-set sampling takes V and U of each proposal from one `level_values`
-call; a level whose {V <= r} passes the float range fails unsampled, and
+call; quadratic and logarithmic levels propose exactly from an ellipsoid
+shell, mapped from the sphere by one product with L^-1 (Q = L L').  A
+level whose {V <= r} passes the float range fails unsampled, and
 `verify` exits with 1.  Either way the result is a numerical check with
 an error estimate, never a proof.
 """
@@ -319,20 +321,19 @@ def _ellipsoid_shell_proposal(Q, b, level, n, rng):
     x = L^-T (rho u) with Q = L L', u uniform on the unit sphere and rho
     of density proportional to rho^(n-1) on (sqrt(b), sqrt(level)]:
     rho^2 = level * (t + v (1 - t))^(2/n) with t = (b / level)^(n/2) and
-    v uniform on (0, 1], which cannot overflow for large n.
+    v uniform on (0, 1], which cannot overflow for large n.  The rows
+    are mapped by one product with L^-1, inverted once per proposal.
     """
     if not level > max(b, 0.0):
         raise ValueError(f"level {level} is not above the variant offset {b}: {{V <= r, U > 0}} is empty")
-    import scipy.linalg  # slow to import; only level sampling needs it
-
-    L = np.linalg.cholesky(Q)
+    L_inv = np.linalg.inv(np.linalg.cholesky(Q))
     t = (max(b, 0.0) / level) ** (0.5 * n)
 
     def propose(missing):
         u = _sphere_points(n, missing, 1.0, rng)
         v = 1.0 - rng.random(missing)
         u *= np.sqrt(level * (t + v * (1.0 - t)) ** (2.0 / n))[:, None]
-        return scipy.linalg.solve_triangular(L, u.T, trans="T", lower=True, overwrite_b=True).T
+        return u @ L_inv
 
     return propose
 

@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reachcert import linalg
 from reachcert.linalg import (
     LinalgError,
     eigen_decompose,
     is_symmetric_positive_definite,
+    max_generalized_eigenvalue,
     numerical_rank,
     solve_discrete_lyapunov,
     spectral_radius,
@@ -80,6 +83,69 @@ class TestLyapunov:
         Q = solve_discrete_lyapunov(A)
         resid = np.linalg.norm(A.T @ Q @ A - Q + np.eye(n))
         assert resid <= 1e-9 * (1.0 + np.linalg.norm(Q))
+
+
+def _lyapunov_residual(A, Q):
+    return np.linalg.norm(A.T @ Q @ A - Q + np.eye(len(A)))
+
+
+LYAPUNOV_ORACLE_CASES = {
+    **{
+        f"random-n{n}-rho{rho}": random_stable_matrix(n, np.random.default_rng(n), rho=rho)
+        for n in (2, 6, 20, 40)
+        for rho in (0.9, 0.999)
+    },
+    "jordan-3": 0.9 * np.eye(3) + np.eye(3, k=1),
+    "non-normal-2": np.array([[0.5, 100.0], [0.0, 0.5]]),
+    "rho-1-5e-8": random_stable_matrix(4, np.random.default_rng(3), rho=1.0 - 5e-8),
+}
+
+
+class TestAgainstScipy:
+    """The numpy solvers against scipy's, which only the tests import."""
+
+    @pytest.mark.parametrize("case", LYAPUNOV_ORACLE_CASES)
+    def test_lyapunov_matches_scipy(self, case):
+        A = LYAPUNOV_ORACLE_CASES[case]
+        n = len(A)
+        Q = solve_discrete_lyapunov(A)
+        want = scipy.linalg.solve_discrete_lyapunov(A.T, np.eye(n))
+        want = 0.5 * (want + want.T)
+        # The residual is at the rounding level of scipy's direct solve.
+        assert _lyapunov_residual(A, Q) <= _lyapunov_residual(A, want) + 1e-15 * (1.0 + np.linalg.norm(Q))
+        # The forward error is bounded by the condition of the equation.
+        cond = np.linalg.cond(np.eye(n * n) - np.kron(A.T, A.T), 1)
+        assert np.linalg.norm(Q - want) <= 1e-9 * cond * np.linalg.norm(want)
+
+    @pytest.mark.parametrize(
+        "A",
+        [
+            np.array([[1.0, 1.0], [0.0, 0.5]]),
+            np.array([[0.5, np.inf], [0.0, 0.5]]),
+            np.array([[0.5, np.nan], [0.0, 0.5]]),
+            np.array([[0.9, 1e200], [0.0, 0.9]]),
+        ],
+        ids=["rho-1", "inf", "nan", "overflow"],
+    )
+    def test_lyapunov_failures_raise(self, A):
+        with pytest.raises(LinalgError):
+            solve_discrete_lyapunov(A)
+
+    def test_lyapunov_that_does_not_settle_raises(self, monkeypatch):
+        # rho = 0.999 needs about 17 doublings; three cannot settle.
+        monkeypatch.setattr(linalg, "MAX_DOUBLINGS", 3)
+        with pytest.raises(LinalgError, match="did not settle in 3 doublings"):
+            solve_discrete_lyapunov(LYAPUNOV_ORACLE_CASES["random-n2-rho0.999"])
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 20])
+    def test_generalized_eigenvalue_matches_scipy(self, n):
+        rng = np.random.default_rng(n)
+        M = rng.standard_normal((n, n))
+        Q = M @ M.T + 0.1 * np.eye(n)
+        X = rng.standard_normal((n, n))
+        X = X + X.T
+        want = scipy.linalg.eigh(X, Q, eigvals_only=True).max()
+        assert max_generalized_eigenvalue(X, Q) == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
 class TestNumericalRank:

@@ -429,29 +429,49 @@ def test_worker_pools_are_imported_only_when_used():
     assert proc.returncode == 0, proc.stderr
 
 
-def test_scipy_is_imported_only_for_solves():
-    # Classifying, simulating, the ensembles and the logarithmic scan need
-    # no scipy; a Lyapunov solve loads it.
+def test_commands_run_with_scipy_blocked(tmp_path):
+    """reachcert needs numpy alone: with scipy made unimportable, certify
+    and verify of a quadratic, a logarithmic and a composite certificate
+    and every repro case reach a verdict (exit 0 or 1), and no scipy
+    module is loaded."""
     src = os.path.dirname(os.path.dirname(reachcert.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     code = (
-        "import sys, math, numpy as np, reachcert, reachcert.cli\n"
-        "from reachcert import LinearSystem, NoiseModel, TargetBall, classify, simulate\n"
-        "from reachcert import decay_exponent, hitting_stats, synthesize_logarithmic, synthesize_quadratic\n"
-        "c, s = math.cos(1.0), math.sin(1.0)\n"
-        "rot = LinearSystem(A=[[c, -s], [s, c]], B=np.eye(2), noise=NoiseModel.uniform([1.0, 1.0]))\n"
-        "ball = TargetBall(center=np.zeros(2), radius=1.0)\n"
-        "assert classify(rot, ball).outcome == 'ReachableCritical'\n"
-        "simulate(rot, [3.0, 0.0], 50, 0)\n"
-        "hitting_stats(rot, ball, [3.0, 0.0], 50, 100, base_seed=0)\n"
-        "decay_exponent(rot, ball, k_grid=[4, 8, 16, 32], n_traj=2000, base_seed=0)\n"
-        "synthesize_logarithmic(rot, ball, seed=0)\n"
-        "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if m.startswith('scipy'))[:5]\n"
-        "half = LinearSystem(A=[[0.5, 0.0], [0.0, 0.5]], B=np.eye(2), noise=NoiseModel.uniform([1.0, 1.0]))\n"
-        "assert abs(synthesize_quadratic(half, ball).r0 - 0.25) < 1e-12\n"
-        "assert 'scipy.linalg' in sys.modules\n"
+        "import json, os, sys\n"
+        "sys.modules['scipy'] = None\n"
+        "import numpy as np\n"
+        "from reachcert.cli import run\n"
+        "from reachcert.counterexamples import REPRO_CASES\n"
+        "out = sys.argv[1]\n"
+        "c, s = np.cos(np.pi / 4), np.sin(np.pi / 4)\n"
+        "systems = {\n"
+        "    'quadratic': [[0.5, 0.1], [0.0, 0.3]],\n"
+        "    'logarithmic': [[1.0]],\n"
+        "    'composite': [[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 0.5]],\n"
+        "}\n"
+        "for kind, A in systems.items():\n"
+        "    n = len(A)\n"
+        "    path = os.path.join(out, kind + '.json')\n"
+        "    noise = {'kind': 'uniform-box', 'half_widths': [1.0] * n}\n"
+        "    target = {'center': [0.0] * n, 'radius': 2.0 if n == 1 else 1.0}\n"
+        "    with open(path, 'w') as f:\n"
+        "        json.dump({'A': A, 'B': np.eye(n).tolist(), 'noise': noise, 'target': target}, f)\n"
+        "    d = os.path.join(out, kind)\n"
+        "    code = run(['certify', '--system', path, '--samples', '2000', '--out', d])\n"
+        "    assert code in (0, 1), (kind, code)\n"
+        "    cert = os.path.join(d, 'certificate.json')\n"
+        "    assert json.load(open(cert))['kind'] == kind, kind\n"
+        "    code = run(['verify', '--system', path, '--certificate', cert, '--samples', '2000', '--out', d])\n"
+        "    assert code in (0, 1), (kind, code)\n"
+        "for case in REPRO_CASES:\n"
+        "    code = run(['repro', case, '--samples', '2000', '--out', out])\n"
+        "    assert code in (0, 1), (case, code)\n"
+        "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy' and sys.modules[m] is not None)\n"
+        "assert not loaded, loaded\n"
     )
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(tmp_path)], env=env, capture_output=True, text=True
+    )
     assert proc.returncode == 0, proc.stderr
 
 
