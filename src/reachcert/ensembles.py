@@ -3,15 +3,16 @@ occupancy-decay exponent estimate for critical systems.
 
 Every trajectory owns an independent RNG stream derived from
 (base_seed, trajectory_index) by `systems.trajectory_rngs`, the one
-derivation: a batch builds all of its streams in one call, which derives
-their Philox keys in one vectorized pass, and ``TrajectorySeed(base_seed,
-i).rng()`` is the same call for one index.  So results are reproducible and
-independent of batching and of the workers (up to the last bit where a
-batch steps a single row through an A that is not the identity: numpy
-sends a one-row product to gemv).  Batches share no state, so
-`_map_batches` runs them on REACHCERT_THREADS workers: processes forked
-for the call on Linux, each with its own noise buffer (a 3-D decay fit's
-worker peaks near 81 MB), and threads where fork is unavailable or unsafe.
+derivation: Philox keyed by ``SeedSequence(base_seed)`` at counter block
+i.  A batch builds all of its streams in one call, which derives the key
+once, and ``TrajectorySeed(base_seed, i).rng()`` is the same call for one
+index.  So results are reproducible and independent of batching and of
+the workers (up to the last bit where a batch steps a single row through
+an A that is not the identity: numpy sends a one-row product to gemv).
+Batches share no state, so `_map_batches` runs them on REACHCERT_THREADS
+workers: processes forked for the call on Linux, each with its own noise
+buffer (a 3-D decay fit's worker peaks near 81 MB), and threads where
+fork is unavailable or unsafe.
 `simulate`, `hitting_stats`, `ensemble_states` and `decay_exponent`
 observe one block kernel, `_run`: noise is drawn a chunk of steps at a
 time for the live trajectories only, into a contiguous block at the
@@ -266,11 +267,15 @@ def _first_overflow(S):
 
 
 def simulate(system, x0, horizon: int, seed) -> Trajectory:
-    """Single trajectory of length horizon+1 from x0, or shorter on overflow."""
+    """Single trajectory of length horizon+1 from x0, or shorter on overflow.
+
+    ``seed`` is a TrajectorySeed or an integer base seed, whose trajectory 0
+    is drawn.
+    """
     if horizon < 0:
         raise ValueError("horizon must be non-negative")
-    if isinstance(seed, int):
-        seed = TrajectorySeed(seed, 0)
+    if not isinstance(seed, TrajectorySeed):
+        seed = TrajectorySeed(seed)
     x0 = np.asarray(x0, dtype=float).reshape(-1)
     states = np.empty((horizon + 1, x0.size))
     states[0] = x0

@@ -13,10 +13,10 @@ or weighted by a PD matrix) or a callable row mask.  The noise law lives
 in `NoiseModel`, which alone draws noise and builds its Gauss rules (from
 unit rules built once); all noise sampling is driven by explicit
 per-trajectory seeds so ensembles are reproducible regardless of
-execution order.  Trajectory i of base seed b draws from the Philox
-stream that numpy's ``SeedSequence(entropy=b, spawn_key=(i,))`` keys;
-`trajectory_rngs` is the one derivation of those streams, hashing the
-base once and every index's words together in one vectorized pass, and
+execution order.  Trajectory i of base seed b draws from Philox keyed by
+``SeedSequence(b)`` at counter block i, numpy's
+``Philox(SeedSequence(b)).jumped(i)``; `trajectory_rngs` is the one
+derivation of those streams, deriving the key once per call, and
 ``TrajectorySeed(b, i).rng()`` is its one-index form.
 """
 
@@ -476,27 +476,27 @@ class TargetBall:
 
 @dataclass(frozen=True)
 class TrajectorySeed:
-    """Derives an independent RNG stream from (base seed, trajectory index)."""
+    """Derives an independent RNG stream from (base seed, trajectory index),
+    both integers of any type that ``operator.index`` takes."""
 
     base: int
     index: int = 0
 
+    def __post_init__(self):
+        object.__setattr__(self, "base", operator.index(self.base))
+        object.__setattr__(self, "index", operator.index(self.index))
+
     def rng(self) -> np.random.Generator:
-        """Philox keyed as by numpy's ``SeedSequence(entropy=base,
-        spawn_key=(index,))``, built by `trajectory_rngs`."""
+        """Philox keyed by ``SeedSequence(base)`` at counter block
+        ``index``, numpy's ``Philox(SeedSequence(base)).jumped(index)``,
+        built by `trajectory_rngs`."""
         return trajectory_rngs(self.base, [self.index])[0]
-
-
-# numpy's SeedSequence hash (numpy/random/bit_generator.pyx): the multipliers
-# of the entropy hash (A) and of the output hash (B), and of the word mix.
-_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 
 
 class _PhiloxKey(ISeedSequence):
     """Seed sequence that hands Philox a key derived beforehand (Philox
-    asks it for two 64-bit words), so no SeedSequence is built, nor one
-    seeded from the OS as Philox(key=k) does."""
+    asks it for two 64-bit words), so no SeedSequence is built per stream,
+    nor one seeded from the OS as Philox(key=k) does."""
 
     __slots__ = ("key",)
 
@@ -509,47 +509,22 @@ class _PhiloxKey(ISeedSequence):
 
 def trajectory_rngs(base: int, indices) -> list:
     """The stream of trajectory i of base seed ``base`` for every i in
-    ``indices`` (integers in [0, 2**64)): Philox with the state that numpy's
-    ``SeedSequence(entropy=base, spawn_key=(i,))`` gives it.
+    ``indices`` (integers in [0, 2**64)): Philox with the key that
+    ``SeedSequence(base)`` gives it, at 256-bit counter ``[0, 0, i, 0]``.
 
-    That SeedSequence hashes the words of ``base`` into a pool of four
-    32-bit words (padding the base with zeros to four words), then mixes
-    each word of i into every pool word, and Philox's 128-bit key is the
-    pool's four output words.  The pool after the base, numpy's own
-    ``SeedSequence(base).pool``, is computed once; the hash constant at the
-    first index word depends only on the base's word count; so the index
-    words of every i are mixed in together in uint32 arithmetic, which
-    wraps as numpy's C code does.  Each stream is then Philox on its key
-    through `_PhiloxKey`, about a third of the cost of building the
-    SeedSequence.
+    That is numpy's ``Philox(SeedSequence(base)).jumped(i)``: one key per
+    base seed and one block of 2**128 counters per trajectory, the
+    key/counter split of Salmon et al. (SC'11).  The key is derived once
+    and handed to every stream through `_PhiloxKey`.
     """
     try:
         idx = np.fromiter(map(operator.index, indices), dtype=np.uint64)
     except OverflowError:
         raise ValueError("trajectory indices must lie in [0, 2**64)") from None
-    base_words = max(1, (int(base).bit_length() + 31) // 32)
-    # Hashes so far: one per pool word, 12 to mix the pool, four per base word past the fourth.
-    const = _INIT_A * pow(_MULT_A, 16 + 4 * max(0, base_words - 4), 1 << 32) & 0xFFFFFFFF
-    pool = np.repeat(np.random.SeedSequence(base).pool[:, None], idx.size, axis=1)
-    high = (idx >> np.uint64(32)).astype(np.uint32)
-    for word, rows in ((idx.astype(np.uint32), None), (high, high > 0)):  # an index below 2**32 is one word
-        for dst in range(4):
-            h = word ^ np.uint32(const)
-            const = const * _MULT_A & 0xFFFFFFFF
-            h *= np.uint32(const)
-            h ^= h >> 16
-            mixed = pool[dst] * np.uint32(_MIX_L) - h * np.uint32(_MIX_R)
-            mixed ^= mixed >> 16
-            pool[dst] = mixed if rows is None else np.where(rows, mixed, pool[dst])
-    const = _INIT_B
-    for dst in range(4):
-        pool[dst] ^= np.uint32(const)
-        const = const * _MULT_B & 0xFFFFFFFF
-        pool[dst] *= np.uint32(const)
-        pool[dst] ^= pool[dst] >> 16
-    key = pool.astype(np.uint64)
-    keys = np.stack([key[0] | key[1] << np.uint64(32), key[2] | key[3] << np.uint64(32)], axis=1).tolist()
-    return [np.random.Generator(np.random.Philox(_PhiloxKey(k))) for k in keys]
+    key = _PhiloxKey(np.random.SeedSequence(base).generate_state(2, np.uint64))
+    counters = np.zeros((idx.size, 4), dtype=np.uint64)
+    counters[:, 2] = idx
+    return [np.random.Generator(np.random.Philox(key, counter=c)) for c in counters]
 
 
 def sample_noise(noise: NoiseModel, seed: TrajectorySeed, count: int) -> np.ndarray:

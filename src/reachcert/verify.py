@@ -390,6 +390,8 @@ def verify_variant(
     exact checks have no violations.  A level that raises
     LevelOverflowError fails with no samples and epsilon_hat 0.
     """
+    if samples < 1:
+        raise ValueError(f"samples must be positive, got {samples}")
     n = system.dimension
     delta = float(certificate.delta)
     if levels is None:

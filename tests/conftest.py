@@ -11,9 +11,9 @@ def rotation_matrix(theta: float) -> np.ndarray:
 
 def reference_rng(base, index):
     """Trajectory ``index``'s stream of base seed ``base``, built by numpy's
-    own SeedSequence apart from the code under test: Philox keyed by
-    SeedSequence(entropy=base, spawn_key=(index,))."""
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=base, spawn_key=(index,))))
+    own public API apart from the code under test: Philox keyed by
+    SeedSequence(base), jumped ``index`` blocks of 2**128 counters."""
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(base)).jumped(int(index)))
 
 
 def reference_noise_draw(noise, rng, count):

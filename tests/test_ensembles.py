@@ -41,7 +41,7 @@ def _reference_hitting_batch(system, target, x0, indices, horizon, base_seed, th
 
     Every step it advances the live rows, drops the overflowed ones, and
     then records the first hits among the rest.  Its streams come from
-    numpy's SeedSequence (reference_rng), not from the batch derivation.
+    numpy's jumped Philox (reference_rng), not from the batch derivation.
     """
     rngs = {i: reference_rng(base_seed, i) for i in indices}
     nb = len(indices)
@@ -189,6 +189,14 @@ class TestSimulate:
             traj = simulate(system, x0, max(ks), TrajectorySeed(12, i))
             for k in ks:
                 assert np.array_equal(traj.states[k], states[k][i]), (i, k)
+
+    def test_integer_seeds_of_any_type(self, random_walk):
+        # An integer base seed draws its trajectory 0, whatever its type.
+        want = simulate(random_walk, [0.0], 200, TrajectorySeed(3, 0)).states
+        for seed in (3, np.int64(3), np.uint8(3)):
+            assert np.array_equal(simulate(random_walk, [0.0], 200, seed).states, want)
+        with pytest.raises(TypeError):
+            simulate(random_walk, [0.0], 200, 3.0)
 
     def test_overflow_truncates(self):
         system = LinearSystem(A=[[10.0]], B=[[1.0]], noise=NoiseModel.uniform([1.0]))

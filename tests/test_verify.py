@@ -139,9 +139,9 @@ def _single_state_cases():
 
 
 # sha256 of the JSON list of (mean, half-width) of the cases above, taken
-# when mc_drift estimated one state per call: a lone row keeps its stream
-# (seed, 0) and its bits now that mc_drift takes rows.
-PINNED_SINGLE_STATE_DIGEST = "61eee0645a3db9e1393db092a3ef4ae1d925cc348f2972f6fc6a8463c831a79e"
+# when trajectory streams became Philox counter blocks: a lone row draws
+# from its stream (seed, 0).
+PINNED_SINGLE_STATE_DIGEST = "c300d9599a4956f8184efbe94f7baba0433b05d548d46f3b00ef40534cc2dcf0"
 
 
 class TestMcDriftRows:
@@ -258,6 +258,12 @@ class TestVerifyVariant:
         for lv in report.levels:
             assert lv.epsilon_hat - lv.epsilon_half_width > 0.0
             assert lv.h_violations == 0
+
+    @pytest.mark.parametrize("samples", [0, -5])
+    def test_samples_must_be_positive(self, stable_2d, unit_ball_2d, samples):
+        cert = synthesize_quadratic(stable_2d, unit_ball_2d)
+        with pytest.raises(ValueError, match="samples"):
+            verify_variant(stable_2d, cert, unit_ball_2d, samples=samples)
 
     def test_inclusion_violation_detected(self, random_walk):
         # U = |x| - 3 has {U <= 0} = [-3, 3], not inside the unit ball.
