@@ -56,7 +56,7 @@ def main():
     x_far = np.array([np.exp(10.0), 0.1])
     (mean,), (err,) = drift_expectation(rot, log_cert.drift_values, x_far[None], samples=100_000, seed=3)
     print(f"  drift at ||x|| = e^10: {mean:.3e} +- {err:.1e} (Gauss rule order gap)")
-    drift = verify_drift(rot, log_cert, seed=0)
+    drift = verify_drift(rot, log_cert)
     print(f"  full shell check: {'pass' if drift.passed else 'FAIL'}")
 
     print("\n=== composite candidate (mixed spectrum) ===")
@@ -66,7 +66,7 @@ def main():
     mixed = LinearSystem(A=A, B=np.eye(3), noise=NoiseModel.uniform([1.0] * 3))
     ball_3d = TargetBall(center=np.zeros(3), radius=1.5)
     comp = synthesize_composite(mixed, ball_3d, seed=0)
-    drift = verify_drift(mixed, comp, seed=0)
+    drift = verify_drift(mixed, comp)
     print(f"  additive V_log(x_u) + V_quad(x_s): drift check"
           f" {'pass' if drift.passed else 'FAIL'} ({len(drift.violations)} violations)")
     variant = verify_variant(mixed, comp, ball_3d, samples=20_000, seed=0)

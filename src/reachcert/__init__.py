@@ -40,7 +40,6 @@ from .systems import (
     NoiseModel,
     PolynomialSystem,
     TargetBall,
-    TrajectorySeed,
     load_system,
     sample_noise,
     step_batch,
@@ -91,7 +90,6 @@ __all__ = [
     "NoiseModel",
     "PolynomialSystem",
     "TargetBall",
-    "TrajectorySeed",
     "load_system",
     "sample_noise",
     "step_batch",

@@ -33,7 +33,7 @@ from .linalg import (
     solve_discrete_lyapunov,
 )
 from .spectral import invariant_basis, unit_plane_basis
-from .systems import LinearSystem, TargetBall, _matrix, _number, step_batch
+from .systems import LinearSystem, TargetBall, _matrix, _number, step_batch, tagged_rng
 from .verify import LevelOverflowError, _ellipsoid_shell_proposal, drift_expectation, exact_quadratic_drift
 
 __all__ = [
@@ -296,7 +296,7 @@ def _scan_compact_radius(system: LinearSystem, Q_star, seed: int) -> float:
     that shell.
     """
     n = system.dimension
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(0x10C5,)))
+    rng = tagged_rng(seed, 0x10C5)
     rho = DOMAIN_THRESHOLD
     while rho <= SCAN_RADIUS_CAP:
         # Points with ||x||_* = rho.
@@ -319,7 +319,7 @@ def _estimate_delta(system: LinearSystem, certificate, b: float, seed: int, samp
     """Monte Carlo estimate of the variant decrease delta near U = 0: the
     median decrease over the sampled boundary shell."""
     n = system.dimension
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(0xDE17A,)))
+    rng = tagged_rng(seed, 0xDE17A)
     z = rng.standard_normal(size=(samples, n))
     u_vals = np.asarray(certificate.variant_values(z))
     # Scale points onto the shell where U = b (i.e. just outside {U <= 0}).

@@ -24,7 +24,7 @@ from . import certificates as certs
 from . import counterexamples as cx
 from .classify import Outcome, classify
 from .ensembles import decay_exponent, hitting_stats, simulate
-from .systems import TargetBall, TrajectorySeed, load_system
+from .systems import TargetBall, load_system
 from .verify import default_shell_plan, verify_drift, verify_variant
 
 __all__ = ["main", "run"]
@@ -144,7 +144,7 @@ def _cmd_certify(args) -> int:
         # A failed drift check settles the flag, so the variant check (whose
         # level sets may be past sampling, as for a near-critical stable part)
         # runs only after a pass.
-        drift = verify_drift(system, cert, plan=_drift_plan(args, cert, system), seed=args.seed)
+        drift = verify_drift(system, cert, plan=_drift_plan(args, cert, system))
         verified = drift.passed and verify_variant(system, cert, target, samples=args.samples, seed=args.seed).passed
         cert = replace(cert, verified=verified)
         if not cert.verified:
@@ -168,7 +168,7 @@ def _cmd_verify(args) -> int:
     system, file_target = load_system(args.system)
     target = _resolve_target(args, file_target, system.dimension)
     cert = certs.load_certificate(args.certificate)
-    drift = verify_drift(system, cert, plan=_drift_plan(args, cert, system), seed=args.seed)
+    drift = verify_drift(system, cert, plan=_drift_plan(args, cert, system))
     variant = verify_variant(system, cert, target, samples=args.samples, seed=args.seed)
     report = _base_report(args)
     report["certificate_input"] = {"path": args.certificate, "sha256": _sha256(args.certificate)}
@@ -202,7 +202,7 @@ def _cmd_simulate(args) -> int:
             writer = csv.writer(fh)
             writer.writerow(["trajectory_id", "k"] + [f"x{i+1}" for i in range(system.dimension)])
             for tid in range(n_dump):
-                traj = simulate(system, x0, args.horizon, TrajectorySeed(args.seed, tid))
+                traj = simulate(system, x0, args.horizon, args.seed, tid)
                 for k, state in enumerate(traj.states):
                     writer.writerow([tid, k] + [repr(float(v)) for v in state])
         report["trajectory_csv"] = traj_path
@@ -256,7 +256,7 @@ def _add_common(p):
     p.add_argument("--system", required=True, help="system description JSON file")
     p.add_argument("--target-radius", type=float, default=None)
     p.add_argument("--target-center", default=None, help="comma-separated coordinates")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_nonnegative_int, default=0)
     p.add_argument("--out", default=".", help="output directory for reports")
 
 
@@ -298,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("repro", help="reproduce the counterexample constructions")
     p.add_argument("case", choices=list(cx.REPRO_CASES))
     p.add_argument("--samples", type=_positive_int, default=20_000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_nonnegative_int, default=0)
     p.add_argument("--out", default=".")
     p.set_defaults(func=_cmd_repro)
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .certificates import CustomCertificate
-from .systems import LinearSystem, NoiseModel, PolynomialSystem, TargetBall, TrajectorySeed
+from .systems import LinearSystem, NoiseModel, PolynomialSystem, TargetBall, sample_noise, tagged_rng
 from .verify import DriftReport, ShellPlan, VariantReport, drift_expectation, verify_drift, verify_variant
 
 __all__ = [
@@ -142,8 +142,7 @@ def example1_bounds_hold(instance: Example1Instance, n_sequences: int, seed: int
     distance to either bound (negative means a violation).
     """
     i, u = instance.i, instance.u
-    rng = TrajectorySeed(seed, instance.i).rng()
-    W = EXAMPLE1_NOISE.draw([rng], n_sequences * i).reshape(n_sequences, i)
+    W = sample_noise(EXAMPLE1_NOISE, seed, i, n_sequences * i).reshape(n_sequences, i)
     ns = np.arange(i)
     args = 0.5 * (1.0 + u * 2.0 ** (i - ns)[None, :] + W)
     log2_xi = i + np.sum(np.log2(args), axis=1)
@@ -237,7 +236,7 @@ def example1_log_certificate(
 def example1_scan_compact_radius(seed: int = 0) -> float:
     """Doubling scan for a quadrant radius beyond which the drift is negative."""
     system = example1_system()
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(0xE1,)))
+    rng = tagged_rng(seed, 0xE1)
     rho = EXAMPLE1_SCAN_START
     while rho <= EXAMPLE1_SCAN_CAP:
         angles = rng.uniform(0.0, np.pi / 2.0, size=32)

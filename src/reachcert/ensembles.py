@@ -5,10 +5,10 @@ Every trajectory owns an independent RNG stream derived from
 (base_seed, trajectory_index) by `systems.trajectory_rngs`, the one
 derivation: Philox keyed by ``SeedSequence(base_seed)`` at counter block
 i.  A batch builds all of its streams in one call, which derives the key
-once, and ``TrajectorySeed(base_seed, i).rng()`` is the same call for one
-index.  So results are reproducible and independent of batching and of
-the workers (up to the last bit where a batch steps a single row through
-an A that is not the identity: numpy sends a one-row product to gemv).
+once, and `simulate` builds its one stream by the same call.  So results
+are reproducible and independent of batching and of the workers (up to
+the last bit where a batch steps a single row through an A that is not
+the identity: numpy sends a one-row product to gemv).
 Batches share no state, so `_map_batches` runs them on REACHCERT_THREADS
 workers: processes forked for the call on Linux, each with its own noise
 buffer (a 3-D decay fit's worker peaks near 81 MB), and threads where
@@ -35,13 +35,14 @@ random walk x + Bw pays for its additions only.
 
 from __future__ import annotations
 
+import operator
 import os
 import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .systems import TrajectorySeed, contains, trajectory_rngs
+from .systems import contains, trajectory_rngs
 
 __all__ = [
     "Trajectory",
@@ -102,9 +103,9 @@ def _run_in_worker(batch):
     return _worker_run(batch)
 
 
-def _map_batches(run, system, n_traj: int, batch_size: int | None) -> list:
-    """``run`` on consecutive trajectory-index ranges of ``batch_size``
-    (default ``_batch_rows``), results in order.
+def _map_batches(run, system, n_traj: int) -> list:
+    """``run`` on consecutive trajectory-index ranges of
+    ``_batch_rows(m)`` trajectories each, results in order.
 
     REACHCERT_THREADS counts the workers; more than one, and more than one
     batch, run the batches on min(workers, batches, CPUs) of them.  On
@@ -117,10 +118,7 @@ def _map_batches(run, system, n_traj: int, batch_size: int | None) -> list:
     pool costs about 20-25 ms to start and stop; Python >= 3.12 warns with
     a DeprecationWarning when it forks while BLAS threads are alive.
     """
-    if batch_size is None:
-        batch_size = _batch_rows(system.noise.dimension)
-    elif batch_size < 1:
-        raise ValueError(f"batch_size must be at least 1, got {batch_size}")
+    batch_size = _batch_rows(system.noise.dimension)
     batches = [range(s, min(s + batch_size, n_traj)) for s in range(0, n_traj, batch_size)]
     workers = min(_max_workers(), len(batches), os.cpu_count() or 1)
     if workers < 2:
@@ -266,16 +264,16 @@ def _first_overflow(S):
     return _first(~(np.abs(S) <= OVERFLOW_GUARD).all(axis=2))
 
 
-def simulate(system, x0, horizon: int, seed) -> Trajectory:
+def simulate(system, x0, horizon: int, base_seed: int, index: int = 0) -> Trajectory:
     """Single trajectory of length horizon+1 from x0, or shorter on overflow.
 
-    ``seed`` is a TrajectorySeed or an integer base seed, whose trajectory 0
-    is drawn.
+    It draws from trajectory ``index`` of ``base_seed``, the stream of row
+    ``index`` of an ensemble; both are integers of any type that
+    ``operator.index`` takes.
     """
+    horizon, base_seed = operator.index(horizon), operator.index(base_seed)
     if horizon < 0:
         raise ValueError("horizon must be non-negative")
-    if not isinstance(seed, TrajectorySeed):
-        seed = TrajectorySeed(seed)
     x0 = np.asarray(x0, dtype=float).reshape(-1)
     states = np.empty((horizon + 1, x0.size))
     states[0] = x0
@@ -289,7 +287,7 @@ def simulate(system, x0, horizon: int, seed) -> Trajectory:
             end = k + 1 + int(t[0])
         return t < len(S)
 
-    _run(system, x0.reshape(1, -1), [seed.rng()], horizon, record)
+    _run(system, x0.reshape(1, -1), trajectory_rngs(base_seed, [index]), horizon, record)
     if end <= horizon:
         return Trajectory(states=states[:end].copy(), overflowed=True)
     return Trajectory(states=states, overflowed=False)
@@ -334,7 +332,6 @@ def hitting_stats(
     horizon: int,
     base_seed: int,
     divergence_threshold: float | None = None,
-    batch_size: int | None = None,
 ) -> EnsembleStats:
     """First-hit and divergence statistics over a seeded ensemble.
 
@@ -344,6 +341,7 @@ def hitting_stats(
     divergent if it overflowed or its final state norm exceeds the
     threshold (default 1e6 * (1 + ||x0||)) without hitting.
     """
+    n_traj, horizon, base_seed = map(operator.index, (n_traj, horizon, base_seed))
     if n_traj < 1:
         raise ValueError(f"n_traj must be at least 1, got {n_traj}")
     if horizon < 0:
@@ -355,7 +353,7 @@ def hitting_stats(
     def run(indices):
         return _hitting_batch(system, target, x0, indices, horizon, base_seed, divergence_threshold)
 
-    results = _map_batches(run, system, n_traj, batch_size)
+    results = _map_batches(run, system, n_traj)
     hit_times = np.concatenate([r[0] for r in results])
     divergent = np.concatenate([r[1] for r in results])
     overflowed = np.concatenate([r[2] for r in results])
@@ -397,8 +395,9 @@ def _snapshot_batch(system, x0, indices, ks, base_seed, reduce):
     return out
 
 
-def ensemble_states(system, x0, ks, n_traj: int, base_seed: int, batch_size: int | None = None):
+def ensemble_states(system, x0, ks, n_traj: int, base_seed: int):
     """Snapshot ensemble states at the requested steps: {k: (n_traj, n) array}."""
+    n_traj, base_seed = operator.index(n_traj), operator.index(base_seed)
     ks = sorted(set(int(k) for k in ks))
     if any(k < 0 for k in ks):
         raise ValueError("snapshot steps must be non-negative")
@@ -408,7 +407,7 @@ def ensemble_states(system, x0, ks, n_traj: int, base_seed: int, batch_size: int
     def run(indices):
         return _snapshot_batch(system, x0, indices, ks, base_seed, np.copy)
 
-    results = _map_batches(run, system, n_traj, batch_size)
+    results = _map_batches(run, system, n_traj)
     return {k: np.concatenate([r[k] for r in results], axis=0) for k in ks}
 
 
@@ -427,6 +426,7 @@ def decay_exponent(
     dropped; at least 4 usable points are required for the fit.  Only ball
     counts are kept, so memory does not grow with n_traj or the grid.
     """
+    n_traj, base_seed = operator.index(n_traj), operator.index(base_seed)
     n = system.dimension
     if x0 is None:
         x0 = np.zeros(n)
@@ -447,7 +447,7 @@ def decay_exponent(
     # Each batch keeps one ball count per grid step.  The summed count is
     # exact, and one correctly rounded division by n_traj gives the bits of
     # the mean of the whole ensemble's membership mask.
-    counts = _map_batches(run, system, n_traj, None)
+    counts = _map_batches(run, system, n_traj)
     p_hat = np.array([sum(c[k] for c in counts) / n_traj for k in ks])
 
     usable = p_hat > 0.0

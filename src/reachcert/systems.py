@@ -13,11 +13,11 @@ or weighted by a PD matrix) or a callable row mask.  The noise law lives
 in `NoiseModel`, which alone draws noise and builds its Gauss rules (from
 unit rules built once); all noise sampling is driven by explicit
 per-trajectory seeds so ensembles are reproducible regardless of
-execution order.  Trajectory i of base seed b draws from Philox keyed by
-``SeedSequence(b)`` at counter block i, numpy's
-``Philox(SeedSequence(b)).jumped(i)``; `trajectory_rngs` is the one
-derivation of those streams, deriving the key once per call, and
-``TrajectorySeed(b, i).rng()`` is its one-index form.
+execution order.  Seeds become generators here only: trajectory i of
+base seed b draws from Philox keyed by ``SeedSequence(b)`` at counter
+block i, numpy's ``Philox(SeedSequence(b)).jumped(i)``, built by
+`trajectory_rngs` (one key derivation per call), and every other seeded
+sampler draws from `tagged_rng(seed, tag)`, its tag naming the call site.
 """
 
 from __future__ import annotations
@@ -38,8 +38,8 @@ __all__ = [
     "LinearSystem",
     "PolynomialSystem",
     "TargetBall",
-    "TrajectorySeed",
     "trajectory_rngs",
+    "tagged_rng",
     "sample_noise",
     "step_batch",
     "contains",
@@ -474,25 +474,6 @@ class TargetBall:
         )
 
 
-@dataclass(frozen=True)
-class TrajectorySeed:
-    """Derives an independent RNG stream from (base seed, trajectory index),
-    both integers of any type that ``operator.index`` takes."""
-
-    base: int
-    index: int = 0
-
-    def __post_init__(self):
-        object.__setattr__(self, "base", operator.index(self.base))
-        object.__setattr__(self, "index", operator.index(self.index))
-
-    def rng(self) -> np.random.Generator:
-        """Philox keyed by ``SeedSequence(base)`` at counter block
-        ``index``, numpy's ``Philox(SeedSequence(base)).jumped(index)``,
-        built by `trajectory_rngs`."""
-        return trajectory_rngs(self.base, [self.index])[0]
-
-
 class _PhiloxKey(ISeedSequence):
     """Seed sequence that hands Philox a key derived beforehand (Philox
     asks it for two 64-bit words), so no SeedSequence is built per stream,
@@ -527,14 +508,22 @@ def trajectory_rngs(base: int, indices) -> list:
     return [np.random.Generator(np.random.Philox(key, counter=c)) for c in counters]
 
 
-def sample_noise(noise: NoiseModel, seed: TrajectorySeed, count: int) -> np.ndarray:
-    """Draw ``count`` i.i.d. noise vectors; shape (count, m).
+def tagged_rng(seed: int, tag: int) -> np.random.Generator:
+    """The stream of one sampled computation, ``tag`` naming its call site:
+    numpy's default generator on child ``tag`` of ``SeedSequence(seed)``,
+    as ``SeedSequence.spawn`` numbers its children."""
+    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(tag,)))
 
-    Identical (noise, seed, count) triples reproduce bit-identical output.
+
+def sample_noise(noise: NoiseModel, base_seed: int, index: int, count: int) -> np.ndarray:
+    """Draw ``count`` i.i.d. noise vectors from trajectory ``index`` of
+    ``base_seed``; shape (count, m).
+
+    Identical arguments reproduce bit-identical output.
     """
     if count < 0:
         raise ValueError("count must be non-negative")
-    return noise.draw([seed.rng()], count)[:, 0]
+    return noise.draw(trajectory_rngs(base_seed, [index]), count)[:, 0]
 
 
 def step_batch(system, X, W) -> np.ndarray:

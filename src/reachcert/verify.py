@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import is_symmetric_positive_definite, quadratic_form
-from .systems import LinearSystem, contains, step_batch, trajectory_rngs
+from .systems import LinearSystem, contains, step_batch, tagged_rng, trajectory_rngs
 
 __all__ = [
     "LevelOverflowError",
@@ -67,8 +67,9 @@ class LevelOverflowError(ValueError):
 class ShellPlan:
     """Deterministic sampling plan for the drift check.
 
-    Shells are Euclidean radii outside the certificate's compact set;
-    each shell gets ``points_per_shell`` directions and each point
+    Shells are Euclidean radii outside the certificate's compact set, at
+    least one, each positive and finite; each shell gets
+    ``points_per_shell`` (at least 1) directions and each point
     ``noise_samples`` Monte Carlo draws (used only by the Monte Carlo
     path, for noise of more than three dimensions).
     """
@@ -77,6 +78,13 @@ class ShellPlan:
     points_per_shell: int = 64
     noise_samples: int = 10_000
     seed: int = 0
+
+    def __post_init__(self):
+        radii = np.asarray(self.radii, dtype=float)
+        if radii.size == 0 or not np.all((radii > 0.0) & np.isfinite(radii)):
+            raise ValueError(f"radii must be one or more positive finite numbers, got {self.radii!r}")
+        if self.points_per_shell < 1:
+            raise ValueError(f"points_per_shell must be at least 1, got {self.points_per_shell!r}")
 
 
 def default_shell_plan(certificate, dimension: int, seed: int = 0) -> ShellPlan:
@@ -262,10 +270,12 @@ def drift_expectation(system, V, X, samples: int, seed: int):
     return mc_drift(system, V, X, samples=samples, seed=seed)
 
 
-def verify_drift(system, certificate, plan: ShellPlan | None = None, seed: int = 0) -> DriftReport:
+def verify_drift(system, certificate, plan: ShellPlan | None = None) -> DriftReport:
     """Check the drift condition on shells outside the compact set.
 
-    A certificate's ``exact_drift`` (no error) is used where it has one.
+    The plan (default `default_shell_plan` with seed 0) carries the seed:
+    shell points come from ``tagged_rng(plan.seed, 0xD21F7)``.  A
+    certificate's ``exact_drift`` (no error) is used where it has one.
     Other drifts are estimated by `drift_expectation`, one call per shell
     with seed ``plan.seed + 7919 j`` for shell j.  A point fails only if
     its estimate minus its error (the rule-order gap, or the 3-sigma
@@ -273,14 +283,14 @@ def verify_drift(system, certificate, plan: ShellPlan | None = None, seed: int =
     """
     n = system.dimension
     if plan is None:
-        plan = default_shell_plan(certificate, n, seed=seed)
+        plan = default_shell_plan(certificate, n)
     compact = float(certificate.compact_radius)
     for r in plan.radii:
         if r < compact * (1.0 - 1e-12):
             raise ValueError(f"shell radius {r} lies inside the compact set (radius {compact})")
 
     orders = CUBATURE_ORDERS.get(system.noise_dimension, ())
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=plan.seed, spawn_key=(0xD21F7,)))
+    rng = tagged_rng(plan.seed, 0xD21F7)
     shell_worst = []
     violations = []
     exact = False
@@ -400,7 +410,7 @@ def verify_variant(
     if not levels:
         raise ValueError("need at least one level")
 
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(0x7A21,)))
+    rng = tagged_rng(seed, 0x7A21)
     level_rows = []
     for r in levels:
         try:

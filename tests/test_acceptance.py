@@ -230,7 +230,7 @@ def test_criterion_9_degenerate_noise():
     deg_noise = rc.LinearSystem(
         A=np.eye(3), B=np.diag([1.0, 1.0, 0.0]), noise=rc.NoiseModel.uniform([1.0] * 3)
     )
-    traj = rc.simulate(deg_noise, [1.0, 2.0, 3.0], 10_000, rc.TrajectorySeed(0, 0))
+    traj = rc.simulate(deg_noise, [1.0, 2.0, 3.0], 10_000, base_seed=0)
     constant_third = np.all(traj.states[:, 2] == 3.0)
 
     ok = st.hit_fraction == 0.0 and constant_third

@@ -481,6 +481,27 @@ def test_samples_must_be_positive(command, value, stable_file, tmp_path, capsys)
     assert f"argument --samples: expected a positive integer, got '{value}'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["-1", "2.5", "one"])
+@pytest.mark.parametrize("command", ["classify", "certify", "verify", "simulate", "repro"])
+def test_seed_must_be_a_nonnegative_integer(command, value, stable_file, tmp_path, capsys):
+    """Every subcommand rejects a --seed out of range as a usage error that
+    names the flag, before anything runs: `classify` and `repro` used to
+    record `seed: -1` and exit 0, the others to fail inside numpy."""
+    argv = {
+        "classify": ["classify", "--system", stable_file],
+        "certify": ["certify", "--system", stable_file],
+        "verify": ["verify", "--system", stable_file, "--certificate", str(tmp_path / "certificate.json")],
+        "simulate": ["simulate", "--system", stable_file],
+        "repro": ["repro", "example1-refute"],
+    }[command]
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        run([*argv, "--seed", value, "--out", str(out)])
+    assert exc.value.code == 2
+    assert f"argument --seed: expected a non-negative integer, got '{value}'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "flag, value, expected",
     [
@@ -753,9 +774,9 @@ def test_certify_and_verify_run_the_same_drift_check(tmp_path, monkeypatch):
 
     plans = []
 
-    def recording(system, cert, plan=None, seed=0):
+    def recording(system, cert, plan=None):
         plans.append(plan)
-        return verify_drift(system, cert, plan=plan, seed=seed)
+        return verify_drift(system, cert, plan=plan)
 
     verify_drift = cli.verify_drift
     monkeypatch.setattr(cli, "verify_drift", recording)

@@ -1,4 +1,5 @@
 import concurrent.futures
+import json
 import multiprocessing
 import os
 import sys
@@ -13,7 +14,6 @@ from reachcert import (
     LinearSystem,
     NoiseModel,
     TargetBall,
-    TrajectorySeed,
     decay_exponent,
     ensemble_states,
     hitting_stats,
@@ -34,6 +34,11 @@ def _use_executor(monkeypatch, executor):
     on two workers whatever the host's CPU count."""
     monkeypatch.setattr(ensembles, "_FORK", executor == "process")
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
+
+
+def _use_batches(monkeypatch, rows):
+    """Run every ensemble from now on in batches of ``rows`` trajectories."""
+    monkeypatch.setattr(ensembles, "_batch_rows", lambda m: rows)
 
 
 def _reference_hitting_batch(system, target, x0, indices, horizon, base_seed, threshold):
@@ -157,16 +162,16 @@ def _recorded_draws(monkeypatch):
 
 class TestSimulate:
     def test_reproducible(self, random_walk):
-        a = simulate(random_walk, [0.0], 500, TrajectorySeed(1, 0))
-        b = simulate(random_walk, [0.0], 500, TrajectorySeed(1, 0))
+        a = simulate(random_walk, [0.0], 500, 1, 0)
+        b = simulate(random_walk, [0.0], 500, 1, 0)
         assert np.array_equal(a.states, b.states)
 
     def test_chunking_matches_single_stream(self, random_walk):
         # A horizon crossing the chunk boundary must replay exactly the
         # same noise stream as drawing it in one shot.
         horizon = NOISE_CHUNK + 100
-        traj = simulate(random_walk, [0.0], horizon, TrajectorySeed(3, 7))
-        W = sample_noise(random_walk.noise, TrajectorySeed(3, 7), horizon)
+        traj = simulate(random_walk, [0.0], horizon, 3, 7)
+        W = sample_noise(random_walk.noise, 3, 7, horizon)
         x = np.zeros((1, 1))
         manual = [0.0]
         for k in range(horizon):
@@ -186,21 +191,25 @@ class TestSimulate:
         ks = [1, 37, NOISE_CHUNK, NOISE_CHUNK + 100]
         states = ensemble_states(system, x0, ks, 40, base_seed=12)
         for i in range(40):
-            traj = simulate(system, x0, max(ks), TrajectorySeed(12, i))
+            traj = simulate(system, x0, max(ks), 12, i)
             for k in ks:
                 assert np.array_equal(traj.states[k], states[k][i]), (i, k)
 
     def test_integer_seeds_of_any_type(self, random_walk):
-        # An integer base seed draws its trajectory 0, whatever its type.
-        want = simulate(random_walk, [0.0], 200, TrajectorySeed(3, 0)).states
+        # Seeds, indices and horizons of any integer type draw the same
+        # trajectory, by default trajectory 0.
+        want = simulate(random_walk, [0.0], 200, 3, 0).states
         for seed in (3, np.int64(3), np.uint8(3)):
             assert np.array_equal(simulate(random_walk, [0.0], 200, seed).states, want)
+            assert np.array_equal(simulate(random_walk, [0.0], np.int32(200), seed, np.uint16(0)).states, want)
         with pytest.raises(TypeError):
             simulate(random_walk, [0.0], 200, 3.0)
+        with pytest.raises(TypeError):
+            simulate(random_walk, [0.0], 200.0, 3)
 
     def test_overflow_truncates(self):
         system = LinearSystem(A=[[10.0]], B=[[1.0]], noise=NoiseModel.uniform([1.0]))
-        traj = simulate(system, [1.0], 1000, TrajectorySeed(0, 0))
+        traj = simulate(system, [1.0], 1000, 0)
         assert traj.overflowed
         assert len(traj.states) < 1001
 
@@ -228,20 +237,29 @@ class TestHittingStats:
         b = hitting_stats(random_walk, unit_ball_1d, [5.0], 200, 2000, base_seed=11)
         assert a.to_dict() == b.to_dict()
 
-    def test_batch_size_invariant(self, random_walk, unit_ball_1d):
-        a = hitting_stats(random_walk, unit_ball_1d, [5.0], 300, 1500, base_seed=2, batch_size=7)
-        b = hitting_stats(random_walk, unit_ball_1d, [5.0], 300, 1500, base_seed=2, batch_size=300)
+    def test_batch_size_invariant(self, random_walk, unit_ball_1d, monkeypatch):
+        _use_batches(monkeypatch, 7)
+        a = hitting_stats(random_walk, unit_ball_1d, [5.0], 300, 1500, base_seed=2)
+        _use_batches(monkeypatch, 300)
+        b = hitting_stats(random_walk, unit_ball_1d, [5.0], 300, 1500, base_seed=2)
         assert a.to_dict() == b.to_dict()
 
     def test_threads_invariant(self, random_walk, unit_ball_1d, monkeypatch):
-        base = hitting_stats(random_walk, unit_ball_1d, [5.0], 300, 1500, base_seed=2, batch_size=50)
+        _use_batches(monkeypatch, 50)
+        base = hitting_stats(random_walk, unit_ball_1d, [5.0], 300, 1500, base_seed=2)
         monkeypatch.setenv("REACHCERT_THREADS", "4")
         for executor in EXECUTORS:
             _use_executor(monkeypatch, executor)
-            threaded = hitting_stats(
-                random_walk, unit_ball_1d, [5.0], 300, 1500, base_seed=2, batch_size=50
-            )
+            threaded = hitting_stats(random_walk, unit_ball_1d, [5.0], 300, 1500, base_seed=2)
             assert base.to_dict() == threaded.to_dict(), executor
+
+    def test_numpy_integer_arguments_give_a_json_report(self, random_walk, unit_ball_1d):
+        # The report holds Python ints whatever integer types it was given.
+        want = hitting_stats(random_walk, unit_ball_1d, [5.0], 50, 300, base_seed=4).to_dict()
+        got = hitting_stats(random_walk, unit_ball_1d, [5.0], np.int64(50), np.int32(300), base_seed=np.int64(4))
+        assert json.loads(json.dumps(got.to_dict())) == want
+        with pytest.raises(TypeError):
+            hitting_stats(random_walk, unit_ball_1d, [5.0], 50.0, 300, base_seed=4)
 
     def test_rejects_negative_horizon(self, random_walk, unit_ball_1d):
         with pytest.raises(ValueError, match="horizon"):
@@ -394,7 +412,7 @@ class TestEnsembleStates:
             monkeypatch.setattr(ensembles, "SUBBLOCK_BYTES", subblock_bytes)
             states = ensemble_states(random_walk, [0.0], ks, 300, base_seed=9)
             for tid in (0, 1, 150, 299):
-                traj = simulate(random_walk, [0.0], max(ks), TrajectorySeed(9, tid))
+                traj = simulate(random_walk, [0.0], max(ks), 9, tid)
                 for k in ks:
                     assert states[k][tid, 0] == traj.states[k, 0]
 
@@ -418,12 +436,13 @@ class TestEnsembleStates:
             monkeypatch.setenv("REACHCERT_THREADS", threads)
             if executor:
                 _use_executor(monkeypatch, executor)
-            for batch_size in (7, None, 20_000):
-                got = ensemble_states(system, x0, ks, n_traj, base_seed=21, batch_size=batch_size)
+            for rows in (7, default, 20_000):
+                _use_batches(monkeypatch, rows)
+                got = ensemble_states(system, x0, ks, n_traj, base_seed=21)
                 if want is None:
                     want = got
                 for k in ks:
-                    assert np.array_equal(got[k], want[k]), (threads, executor, batch_size, k)
+                    assert np.array_equal(got[k], want[k]), (threads, executor, rows, k)
 
     def test_noise_memory_is_bounded_by_the_batch(self, monkeypatch):
         # A default batch draws its noise into one (NOISE_CHUNK, batch, m)
@@ -444,13 +463,6 @@ class TestEnsembleStates:
         with pytest.raises(ValueError, match="n_traj"):
             ensemble_states(random_walk, [0.0], [1], 0, base_seed=0)
 
-    def test_rejects_empty_batches(self, random_walk, unit_ball_1d):
-        # _map_batches checks the size for every ensemble kind.
-        with pytest.raises(ValueError, match="batch_size"):
-            ensemble_states(random_walk, [0.0], [1], 10, base_seed=0, batch_size=0)
-        with pytest.raises(ValueError, match="batch_size"):
-            hitting_stats(random_walk, unit_ball_1d, [5.0], 10, 10, base_seed=0, batch_size=-1)
-
     def test_step_zero(self, random_walk):
         states = ensemble_states(random_walk, [3.0], [0], 4, base_seed=0)
         assert np.all(states[0] == 3.0)
@@ -467,6 +479,14 @@ class TestDecayExponent:
             base_seed=13,
         )
         assert fit.slope == pytest.approx(-0.5, abs=0.15)
+
+    def test_numpy_integer_arguments_give_a_json_report(self, random_walk, unit_ball_1d):
+        ks = [4, 8, 16, 32]
+        want = decay_exponent(random_walk, unit_ball_1d, k_grid=ks, n_traj=2000, base_seed=6).to_dict()
+        got = decay_exponent(random_walk, unit_ball_1d, k_grid=ks, n_traj=np.int64(2000), base_seed=np.uint8(6))
+        assert json.loads(json.dumps(got.to_dict())) == want
+        states = ensemble_states(random_walk, [0.0], [3], np.int64(20), base_seed=np.int64(6))
+        assert np.array_equal(states[3], ensemble_states(random_walk, [0.0], [3], 20, base_seed=6)[3])
 
     def test_insufficient_data(self, unit_ball_1d):
         system = LinearSystem(A=[[2.0]], B=[[1.0]], noise=NoiseModel.uniform([1.0]))
@@ -573,9 +593,11 @@ class TestWorkers:
         monkeypatch.setattr(ensembles, "_FORK", executor == "process")
         monkeypatch.setattr(os, "cpu_count", lambda: 4)
         monkeypatch.setenv("REACHCERT_THREADS", "1000")
-        want = ensemble_states(random_walk, [0.0], [5], 30, base_seed=1, batch_size=30)
-        for batch_size in (10, 3):
-            got = ensemble_states(random_walk, [0.0], [5], 30, base_seed=1, batch_size=batch_size)
+        _use_batches(monkeypatch, 30)
+        want = ensemble_states(random_walk, [0.0], [5], 30, base_seed=1)
+        for rows in (10, 3):
+            _use_batches(monkeypatch, rows)
+            got = ensemble_states(random_walk, [0.0], [5], 30, base_seed=1)
             assert np.array_equal(got[5], want[5])
         assert sizes == [3, 4]
         assert multiprocessing.active_children() == []
@@ -587,10 +609,11 @@ class TestWorkers:
 
         monkeypatch.setenv("REACHCERT_THREADS", "2")
         _use_executor(monkeypatch, executor)
-        hitting_stats(random_walk, unit_ball_1d, [5.0], 40, 100, base_seed=3, batch_size=10)
+        _use_batches(monkeypatch, 10)
+        hitting_stats(random_walk, unit_ball_1d, [5.0], 40, 100, base_seed=3)
         assert multiprocessing.active_children() == []
         with pytest.raises(ValueError, match="target mask is broken"):
-            hitting_stats(random_walk, broken, [5.0], 40, 100, base_seed=3, batch_size=10)
+            hitting_stats(random_walk, broken, [5.0], 40, 100, base_seed=3)
         assert multiprocessing.active_children() == []
 
 

@@ -21,12 +21,12 @@ from reachcert.systems import (
     NoiseModel,
     PolynomialSystem,
     TargetBall,
-    TrajectorySeed,
     contains,
     load_system,
     sample_noise,
     step_batch,
     system_to_dict,
+    tagged_rng,
     trajectory_rngs,
 )
 from reachcert.verify import CUBATURE_ORDERS
@@ -45,19 +45,19 @@ class TestNoiseModel:
 
     def test_bit_identical_reproduction(self):
         noise = NoiseModel.uniform([1.0, 1.0])
-        a = sample_noise(noise, TrajectorySeed(42, 3), 1000)
-        b = sample_noise(noise, TrajectorySeed(42, 3), 1000)
+        a = sample_noise(noise, 42, 3, 1000)
+        b = sample_noise(noise, 42, 3, 1000)
         assert np.array_equal(a, b)
 
     def test_distinct_indices_distinct_streams(self):
         noise = NoiseModel.uniform([1.0])
-        a = sample_noise(noise, TrajectorySeed(42, 0), 100)
-        b = sample_noise(noise, TrajectorySeed(42, 1), 100)
+        a = sample_noise(noise, 42, 0, 100)
+        b = sample_noise(noise, 42, 1, 100)
         assert not np.array_equal(a, b)
 
     def test_empirical_mean_near_zero(self):
         noise = NoiseModel.uniform([1.0, 1.0])
-        draws = sample_noise(noise, TrajectorySeed(7, 0), 1_000_000)
+        draws = sample_noise(noise, 7, 0, 1_000_000)
         sigma = 1.0 / np.sqrt(3.0)
         bound = 5.0 * sigma / np.sqrt(1_000_000)
         assert np.all(np.abs(draws.mean(axis=0)) < bound)
@@ -84,25 +84,25 @@ class TestNoiseStreams:
     @pytest.mark.parametrize("count", [1, 2, 1024 + 17])
     def test_single_stream_matches_law(self, law, count):
         noise = LAWS[law]
-        want = reference_noise_draw(noise, TrajectorySeed(5, 2).rng(), count)
-        block = noise.draw([TrajectorySeed(5, 2).rng()], count)
+        want = reference_noise_draw(noise, trajectory_rngs(5, [2])[0], count)
+        block = noise.draw(trajectory_rngs(5, [2]), count)
         assert block.shape == (count, 1, noise.dimension)
         assert np.array_equal(block[:, 0], want)
-        assert np.array_equal(sample_noise(noise, TrajectorySeed(5, 2), count), want)
+        assert np.array_equal(sample_noise(noise, 5, 2, count), want)
 
     def test_block_rows_are_the_streams_drawn_alone(self, law):
         noise = LAWS[law]
         count = 1024 + 17
-        seeds = [TrajectorySeed(11, i) for i in (0, 1, 2, 7, 40)]
-        block = noise.draw([s.rng() for s in seeds], count)
-        assert block.shape == (count, len(seeds), noise.dimension)
-        for j, s in enumerate(seeds):
-            assert np.array_equal(block[:, j], reference_noise_draw(noise, s.rng(), count))
+        indices = [0, 1, 2, 7, 40]
+        block = noise.draw(trajectory_rngs(11, indices), count)
+        assert block.shape == (count, len(indices), noise.dimension)
+        for j, rng in enumerate(trajectory_rngs(11, indices)):
+            assert np.array_equal(block[:, j], reference_noise_draw(noise, rng, count))
 
     def test_shared_generator_continues_where_the_law_leaves_it(self, law):
         # verify_variant draws its points and its noise from one generator.
         noise = LAWS[law]
-        a, b = TrajectorySeed(3).rng(), TrajectorySeed(3).rng()
+        a, b = trajectory_rngs(3, [0, 0])
         assert np.array_equal(noise.draw([a], 17)[:, 0], reference_noise_draw(noise, b, 17))
         assert np.array_equal(a.standard_normal(4), b.standard_normal(4))
 
@@ -163,11 +163,11 @@ class TestStagedDraw:
     copies it into the time-major block; no stage edge may show in the bits."""
 
     @staticmethod
-    def _check(noise, seeds, length, out=None):
-        block = noise.draw([s.rng() for s in seeds], length, out=out)
-        assert block.shape == (length, len(seeds), noise.dimension)
-        for j, s in enumerate(seeds):
-            assert np.array_equal(block[:, j], reference_noise_draw(noise, s.rng(), length))
+    def _check(noise, base, indices, length, out=None):
+        block = noise.draw(trajectory_rngs(base, indices), length, out=out)
+        assert block.shape == (length, len(indices), noise.dimension)
+        for j, rng in enumerate(trajectory_rngs(base, indices)):
+            assert np.array_equal(block[:, j], reference_noise_draw(noise, rng, length))
         return block
 
     def test_row_counts_around_one_stage(self, law):
@@ -175,23 +175,22 @@ class TestStagedDraw:
         length = 1024
         rows = systems.STAGE_BYTES // (length * noise.dimension * 8)
         for count in (1, rows - 1, rows, rows + 1):
-            self._check(noise, [TrajectorySeed(8, i) for i in range(count)], length)
+            self._check(noise, 8, range(count), length)
 
     @pytest.mark.parametrize("stage_rows", [1, 7])
     def test_many_stage_boundaries(self, law, stage_rows, monkeypatch):
         noise = LAWS[law]
         length = 3
         monkeypatch.setattr(systems, "STAGE_BYTES", stage_rows * length * noise.dimension * 8)
-        self._check(noise, [TrajectorySeed(9, i) for i in range(1041)], length)
+        self._check(noise, 9, range(1041), length)
 
     def test_strided_out_gets_the_bits_of_a_fresh_block(self, law):
         noise = LAWS[law]
         length, count = 1024 + 17, 45
-        seeds = [TrajectorySeed(10, i) for i in range(count)]
-        fresh = noise.draw([s.rng() for s in seeds], length)
+        fresh = noise.draw(trajectory_rngs(10, range(count)), length)
         buf = np.full((length + 5, count + 9, noise.dimension), np.nan)
         view = buf[:length, :count]
-        assert self._check(noise, seeds, length, out=view) is view
+        assert self._check(noise, 10, range(count), length, out=view) is view
         assert np.array_equal(view, fresh)
         # Nothing outside the view is written.
         assert np.isnan(buf[length:]).all() and np.isnan(buf[:, count:]).all()
@@ -200,10 +199,9 @@ class TestStagedDraw:
         # Vectors that are not contiguous in out cannot move as whole items.
         noise = LAWS[law]
         length, count = 1024 + 17, 45
-        seeds = [TrajectorySeed(10, i) for i in range(count)]
         buf = np.full((length, count, 2 * noise.dimension), np.nan)
         view = buf[..., ::2]
-        assert self._check(noise, seeds, length, out=view) is view
+        assert self._check(noise, 10, range(count), length, out=view) is view
         assert np.isnan(buf[..., 1::2]).all()
 
     @pytest.mark.parametrize("split", [(1, 4), (1, 1, 3), (2, 1, 2)])
@@ -213,20 +211,18 @@ class TestStagedDraw:
         # many-row product, not a one-row product (gemv) per stream, so the
         # pieces join into the bits of one draw.
         noise = LAWS[law]
-        seeds = [TrajectorySeed(14, i) for i in range(40)]
-        rngs = [s.rng() for s in seeds]
+        rngs = trajectory_rngs(14, range(40))
         block = np.concatenate([noise.draw(rngs, length) for length in split])
-        for j, s in enumerate(seeds):
-            assert np.array_equal(block[:, j], reference_noise_draw(noise, s.rng(), sum(split)))
+        for j, rng in enumerate(trajectory_rngs(14, range(40))):
+            assert np.array_equal(block[:, j], reference_noise_draw(noise, rng, sum(split)))
 
     @pytest.mark.parametrize("length", [0, 1, 1041, 200_000])
     def test_lone_stream_into_contiguous_and_strided_out(self, law, length):
         # 200,000 steps is longer than one stage at every m.
         noise = LAWS[law]
-        seed = TrajectorySeed(12, 3)
-        fresh = self._check(noise, [seed], length)
+        fresh = self._check(noise, 12, [3], length)
         buf = np.full((length, 3, noise.dimension), np.nan)
-        self._check(noise, [seed], length, out=buf[:, 1:2])
+        self._check(noise, 12, [3], length, out=buf[:, 1:2])
         assert np.array_equal(buf[:, 1], fresh[:, 0])
         assert np.isnan(buf[:, [0, 2]]).all()
 
@@ -239,7 +235,7 @@ class TestStagedDraw:
         noise = LAWS[law]
         monkeypatch.setattr(systems, "STAGE_BYTES", stage_rows * noise.dimension * 8)
         for streams in (1, 3):
-            self._check(noise, [TrajectorySeed(13, length + i) for i in range(streams)], length)
+            self._check(noise, 13, range(length, length + streams), length)
 
 
 def test_lone_stream_needs_no_second_block():
@@ -250,7 +246,7 @@ def test_lone_stream_needs_no_second_block():
     for noise in (NoiseModel.uniform([1.0, 2.0]), NoiseModel.gaussian([[1.0, 0.3], [0.3, 0.5]])):
         tracemalloc.start()
         try:
-            out = sample_noise(noise, TrajectorySeed(4), count)
+            out = sample_noise(noise, 4, 0, count)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -269,7 +265,7 @@ def test_seeded_streams_are_pinned():
     they hold on every machine; a change here is a change of every seeded
     output and must be deliberate."""
     noise = NoiseModel.uniform([0.7, 2.5, 4.0])
-    block = noise.draw([TrajectorySeed(11, i).rng() for i in range(50)], 1041)
+    block = noise.draw(trajectory_rngs(11, range(50)), 1041)
     assert _sha256(block) == "4348bed79a89baa02cbdd55156c6eedccb099b64b848bce4346f9d93c0fba3b6"
     walk = LinearSystem(A=[[1.0]], B=[[1.0]], noise=NoiseModel.uniform([1.0]))
     states = ensemble_states(walk, [0.0], [0, 1, 1023, 1024, 1025, 2500], 600, base_seed=5)
@@ -311,15 +307,6 @@ class TestTrajectoryRngs:
         # one to seven 32-bit words.
         _assert_numpys_streams(base, [0, 1, 2**32, 2**64 - 1])
 
-    def test_streams_are_trajectory_seeds(self):
-        # TrajectorySeed.rng is the one-index form of trajectory_rngs, and
-        # numpy's jumped Philox stays the oracle for both.
-        indices = range(5, 5 + 300)
-        for i, rng in zip(indices, trajectory_rngs(11, indices)):
-            one = TrajectorySeed(11, i).rng()
-            assert _same_state(rng.bit_generator.state, one.bit_generator.state)
-            assert _same_state(one.bit_generator.state, reference_rng(11, i).bit_generator.state)
-
     def test_empty_index_list(self):
         assert trajectory_rngs(3, []) == []
         assert trajectory_rngs(3, np.arange(0)) == []
@@ -345,6 +332,20 @@ class TestTrajectoryRngs:
     )
     def test_random_bases_and_index_sets(self, base, indices):
         _assert_numpys_streams(base, indices)
+
+
+# The tags of verify_drift, verify_variant, the log-drift scan, the delta
+# estimate and Example 1's scan.
+SAMPLING_TAGS = [0xD21F7, 0x7A21, 0x10C5, 0xDE17A, 0xE1]
+
+
+@pytest.mark.parametrize("tag", SAMPLING_TAGS, ids=hex)
+@pytest.mark.parametrize("seed", [0, 7, 2**40 + 3])
+def test_tagged_rng_is_the_spawned_default_rng(seed, tag):
+    want = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(tag,)))
+    got = tagged_rng(seed, tag)
+    assert _same_state(got.bit_generator.state, want.bit_generator.state)
+    assert np.array_equal(got.standard_normal(9), want.standard_normal(9))
 
 
 class _FixedUniforms:

@@ -26,7 +26,7 @@ from reachcert import counterexamples as cx
 from reachcert.certificates import CustomCertificate
 from reachcert.cli import run
 from reachcert.linalg import quadratic_form
-from reachcert.systems import TrajectorySeed, step_batch
+from reachcert.systems import step_batch, trajectory_rngs
 from reachcert.verify import (
     CUBATURE_ORDERS,
     _check_inclusion,
@@ -172,7 +172,7 @@ class TestMcDriftRows:
         X = _sphere_points(4, 5, 2.0, np.random.default_rng(3))
         est, hw = mc_drift(system, cert.drift_values, X, samples=1000, seed=9)
         for i, x in enumerate(X):
-            W = reference_noise_draw(system.noise, TrajectorySeed(9, i).rng(), 500)
+            W = reference_noise_draw(system.noise, trajectory_rngs(9, [i])[0], 500)
             ax = system.A @ x
             pair = 0.5 * (cert.drift_values(ax + W) + cert.drift_values(ax - W))
             diffs = pair - cert.drift_values(x)[0]
@@ -240,6 +240,24 @@ class TestVerifyDrift:
         cert = synthesize_quadratic(stable_2d, unit_ball_2d)
         with pytest.raises(ValueError):
             verify_drift(stable_2d, cert, plan=ShellPlan(radii=(cert.compact_radius / 2,)))
+
+    @pytest.mark.parametrize(
+        "fields, name",
+        [
+            ({"radii": ()}, "radii"),
+            ({"radii": (2.0, 0.0)}, "radii"),
+            ({"radii": (-1.0,)}, "radii"),
+            ({"radii": (2.0, np.inf)}, "radii"),
+            ({"radii": (np.nan,)}, "radii"),
+            ({"radii": (2.0,), "points_per_shell": 0}, "points_per_shell"),
+            ({"radii": (2.0,), "points_per_shell": -3}, "points_per_shell"),
+        ],
+    )
+    def test_plan_that_checks_nothing_rejected(self, fields, name):
+        # No shell (which passed with nothing checked) and no point per
+        # shell (argmax of an empty array) are errors that name the field.
+        with pytest.raises(ValueError, match=name):
+            ShellPlan(**fields)
 
     def test_report_deterministic(self, rotation_system, unit_ball_2d):
         cert = synthesize_logarithmic(rotation_system, unit_ball_2d, seed=0)
