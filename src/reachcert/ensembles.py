@@ -10,9 +10,11 @@ are reproducible and independent of batching and of the workers (up to
 the last bit where a batch steps a single row through an A that is not
 the identity: numpy sends a one-row product to gemv).
 Batches share no state, so `_map_batches` runs them on REACHCERT_THREADS
-workers: processes forked for the call on Linux, each with its own noise
-buffer (a 3-D decay fit's worker peaks near 81 MB), and threads where
-fork is unavailable or unsafe.
+workers, at most one per CPU that the process may use: processes forked
+for the call on Linux, each with its own noise buffer (a 3-D decay fit's
+worker peaks near 81 MB), and threads where fork is unavailable or
+unsafe.  On Linux a long hitting call that fits in one batch is cut into
+one batch per worker, so that it too runs on every worker.
 `simulate`, `hitting_stats`, `ensemble_states` and `decay_exponent`
 observe one block kernel, `_run`: noise is drawn a chunk of steps at a
 time for the live trajectories only, into a contiguous block at the
@@ -35,8 +37,11 @@ random walk x + Bw pays for its additions only.
 
 from __future__ import annotations
 
+import contextlib
 import operator
 import os
+import pickle
+import signal
 import sys
 from dataclasses import dataclass
 
@@ -53,6 +58,7 @@ __all__ = [
     "decay_exponent",
     "ensemble_states",
     "OVERFLOW_GUARD",
+    "WorkerDied",
 ]
 
 OVERFLOW_GUARD = 1e300
@@ -70,6 +76,24 @@ NOISE_BYTES = 48 << 20
 # pickling it; where it is unavailable or unsafe (Windows, macOS), batches
 # run on threads.
 _FORK = sys.platform.startswith("linux")
+# Nominal trajectory-steps (n_traj * horizon) from which a one-batch hitting
+# call is cut into one batch per worker.  On a 2-vCPU VM a call whose rows
+# never stop broke even on two workers at 2-3e6 steps; rows that hit early
+# do less work than their nominal steps, so the constant is twice that (a
+# 1000 x 2000 walk from 5 to the unit ball took 18 ms inline, 22 ms split).
+SPLIT_STEPS = 5_000_000
+
+
+class WorkerDied(RuntimeError):
+    """A forked ensemble worker ended without sending its batches' results."""
+
+
+def _cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity masks (macOS, Windows)
+        return os.cpu_count() or 1
 
 
 def _max_workers() -> int:
@@ -90,55 +114,101 @@ def _batch_rows(m: int) -> int:
     return max(1, NOISE_BYTES // (NOISE_CHUNK * m * 8))
 
 
-# The batch closure of the pool that forked this worker process.
-_worker_run = None
-
-
-def _init_worker(run) -> None:
-    global _worker_run
-    _worker_run = run
-
-
-def _run_in_worker(batch):
-    return _worker_run(batch)
-
-
-def _map_batches(run, system, n_traj: int) -> list:
+def _map_batches(run, system, n_traj: int, horizon: int = 0) -> list:
     """``run`` on consecutive trajectory-index ranges of
     ``_batch_rows(m)`` trajectories each, results in order.
 
     REACHCERT_THREADS counts the workers; more than one, and more than one
-    batch, run the batches on min(workers, batches, CPUs) of them.  On
-    Linux they are processes forked for the call, which inherit ``run``
-    through the pool's initializer, so only the index ranges and each
-    batch's results cross the pipe, and the pool is shut down before the
-    call returns.  Elsewhere they are threads, which pass the GIL between
-    a batch's short numpy calls.  Each worker holds its own NOISE_BYTES
-    noise buffer (a 3-D decay fit's worker process peaks near 81 MB).  A
-    pool costs about 20-25 ms to start and stop; Python >= 3.12 warns with
-    a DeprecationWarning when it forks while BLAS threads are alive.
+    batch, run the batches on min(workers, batches, CPUs this process may
+    use) of them.  On Linux they are processes forked for the call
+    (`_fork_map`); elsewhere they are threads, which pass the GIL between
+    a batch's short numpy calls.  On Linux a hitting call (one that passes
+    its ``horizon``) that fits in one batch but has at least SPLIT_STEPS
+    nominal trajectory-steps is cut into one range of
+    ceil(n_traj / workers) trajectories per worker; finer cuts only queue
+    their tails behind one another.  Streams are keyed by trajectory
+    index, so no cut moves a stream.  Each worker holds its own
+    NOISE_BYTES noise buffer (a 3-D decay fit's worker process peaks near
+    81 MB).
     """
     batch_size = _batch_rows(system.noise.dimension)
+    workers = min(_max_workers(), _cpus())
+    if _FORK and workers > 1 and n_traj <= batch_size and n_traj * horizon >= SPLIT_STEPS:
+        batch_size = -(-n_traj // workers)
     batches = [range(s, min(s + batch_size, n_traj)) for s in range(0, n_traj, batch_size)]
-    workers = min(_max_workers(), len(batches), os.cpu_count() or 1)
+    workers = min(workers, len(batches))
     if workers < 2:
         return [run(b) for b in batches]
+    if _FORK:
+        return _fork_map(run, batches, workers)
     import concurrent.futures
 
-    if _FORK:
-        import multiprocessing
-
-        pool = concurrent.futures.ProcessPoolExecutor(
-            max_workers=workers,
-            mp_context=multiprocessing.get_context("fork"),
-            initializer=_init_worker,
-            initargs=(run,),
-        )
-        run = _run_in_worker
-    else:
-        pool = concurrent.futures.ThreadPoolExecutor(max_workers=workers)
-    with pool:
+    with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(run, batches))
+
+
+def _fork_map(run, batches, workers: int) -> list:
+    """``[run(b) for b in batches]`` on ``workers`` children forked for the call.
+
+    Child j inherits ``run`` and runs ``batches[j::workers]``, then pickles
+    their results, or the exception that stopped it, to its own pipe, and
+    ends with ``os._exit`` whatever happens.  The parent reads the pipes in
+    order and reaps every child on every path: after the first failure,
+    and on KeyboardInterrupt, it kills the children it has not reaped.  A
+    worker's exception is raised again here; a child that ends without a
+    result (killed by a signal, say) raises WorkerDied.  Python >= 3.12
+    warns with a DeprecationWarning when it forks while BLAS threads are
+    alive.
+    """
+    pipes, pids = [], []  # pids: the children not yet reaped, in order
+    results = [None] * len(batches)
+    try:
+        for j in range(workers):
+            read, write = os.pipe()
+            pipes.append(open(read, "rb"))
+            with open(write, "wb") as out:  # the parent's copy closes after the fork
+                pid = os.fork()
+                if pid == 0:
+                    pipes[-1].close()
+                    _child(run, batches[j::workers], out)
+                pids.append(pid)
+        for j, pipe in enumerate(pipes):
+            data = pipe.read()
+            _, status = os.waitpid(pids[0], 0)
+            pid = pids.pop(0)
+            code = os.waitstatus_to_exitcode(status)
+            if code or not data:
+                how = f"killed by signal {-code}" if code < 0 else f"exit status {code}"
+                raise WorkerDied(f"ensemble worker {pid} ended without a result ({how})")
+            ok, value = pickle.loads(data)
+            if not ok:
+                raise value
+            results[j::workers] = value
+        return results
+    finally:
+        for pipe in pipes:
+            pipe.close()
+        for pid in pids:
+            with contextlib.suppress(ProcessLookupError):
+                os.kill(pid, signal.SIGKILL)
+        for pid in pids:
+            os.waitpid(pid, 0)
+
+
+def _child(run, batches, out):
+    """Body of a `_fork_map` child, which writes to the pipe ``out``; never
+    returns."""
+    code = 1
+    try:
+        try:
+            result = (True, [run(b) for b in batches])
+        except BaseException as exc:  # sent to the parent, which raises it
+            result = (False, exc)
+        out.write(pickle.dumps(result, pickle.HIGHEST_PROTOCOL))
+        out.close()
+        code = 0
+    finally:
+        os._exit(code)
 
 
 @dataclass(frozen=True)
@@ -349,11 +419,12 @@ def hitting_stats(
     x0 = np.asarray(x0, dtype=float).reshape(-1)
     if divergence_threshold is None:
         divergence_threshold = 1e6 * (1.0 + float(np.linalg.norm(x0)))
+    divergence_threshold = float(divergence_threshold)
 
     def run(indices):
         return _hitting_batch(system, target, x0, indices, horizon, base_seed, divergence_threshold)
 
-    results = _map_batches(run, system, n_traj)
+    results = _map_batches(run, system, n_traj, horizon)
     hit_times = np.concatenate([r[0] for r in results])
     divergent = np.concatenate([r[1] for r in results])
     overflowed = np.concatenate([r[2] for r in results])
@@ -398,7 +469,7 @@ def _snapshot_batch(system, x0, indices, ks, base_seed, reduce):
 def ensemble_states(system, x0, ks, n_traj: int, base_seed: int):
     """Snapshot ensemble states at the requested steps: {k: (n_traj, n) array}."""
     n_traj, base_seed = operator.index(n_traj), operator.index(base_seed)
-    ks = sorted(set(int(k) for k in ks))
+    ks = sorted(set(map(operator.index, ks)))
     if any(k < 0 for k in ks):
         raise ValueError("snapshot steps must be non-negative")
     if n_traj < 1:
@@ -432,7 +503,7 @@ def decay_exponent(
         x0 = np.zeros(n)
     if k_grid is None:
         k_grid = [2**j for j in range(4, 15)]
-    ks = sorted(set(int(k) for k in k_grid))
+    ks = sorted(set(map(operator.index, k_grid)))
     if any(k < 1 for k in ks):
         raise ValueError("k_grid entries must be >= 1")
     if n_traj < 1:

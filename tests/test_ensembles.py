@@ -1,7 +1,8 @@
 import concurrent.futures
 import json
-import multiprocessing
 import os
+import signal
+import subprocess
 import sys
 import tracemalloc
 
@@ -18,6 +19,7 @@ from reachcert import (
     ensemble_states,
     hitting_stats,
     simulate,
+    synthesize_logarithmic,
 )
 from reachcert.counterexamples import example1_system
 from reachcert.ensembles import NOISE_CHUNK, OVERFLOW_GUARD, _batch_rows, _hitting_batch
@@ -33,7 +35,28 @@ def _use_executor(monkeypatch, executor):
     """Run multi-batch calls on forked processes or on the thread fallback,
     on two workers whatever the host's CPU count."""
     monkeypatch.setattr(ensembles, "_FORK", executor == "process")
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(ensembles, "_cpus", lambda: 2)
+
+
+def _record_forks(monkeypatch):
+    """The pids of the children that os.fork starts from now on in this process."""
+    pids = []
+    fork = os.fork
+
+    def recording():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording)
+    return pids
+
+
+def _assert_no_children():
+    """No child of this process is left, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def _use_batches(monkeypatch, rows):
@@ -261,6 +284,13 @@ class TestHittingStats:
         with pytest.raises(TypeError):
             hitting_stats(random_walk, unit_ball_1d, [5.0], 50.0, 300, base_seed=4)
 
+    def test_numpy_float_threshold_gives_a_json_report(self, random_walk, unit_ball_1d):
+        args = (random_walk, unit_ball_1d, [5.0], 50, 300)
+        want = hitting_stats(*args, base_seed=4, divergence_threshold=100.0)
+        got = hitting_stats(*args, base_seed=4, divergence_threshold=np.float32(100))
+        assert json.loads(json.dumps(got.to_dict())) == want.to_dict()
+        assert type(got.divergence_threshold) is float
+
     def test_rejects_negative_horizon(self, random_walk, unit_ball_1d):
         with pytest.raises(ValueError, match="horizon"):
             hitting_stats(random_walk, unit_ball_1d, [5.0], 3, -3, base_seed=0)
@@ -467,6 +497,14 @@ class TestEnsembleStates:
         states = ensemble_states(random_walk, [3.0], [0], 4, base_seed=0)
         assert np.all(states[0] == 3.0)
 
+    def test_rejects_steps_that_are_not_integers(self, random_walk):
+        with pytest.raises(TypeError):
+            ensemble_states(random_walk, [0.0], [2.5], 10, base_seed=0)
+        got = ensemble_states(random_walk, [0.0], np.array([1, 3]), 10, base_seed=0)
+        want = ensemble_states(random_walk, [0.0], [1, 3], 10, base_seed=0)
+        assert sorted(got) == [1, 3] and all(type(k) is int for k in got)
+        assert all(np.array_equal(got[k], want[k]) for k in want)
+
 
 class TestDecayExponent:
     def test_1d_random_walk_slope(self, random_walk, unit_ball_1d):
@@ -483,10 +521,16 @@ class TestDecayExponent:
     def test_numpy_integer_arguments_give_a_json_report(self, random_walk, unit_ball_1d):
         ks = [4, 8, 16, 32]
         want = decay_exponent(random_walk, unit_ball_1d, k_grid=ks, n_traj=2000, base_seed=6).to_dict()
-        got = decay_exponent(random_walk, unit_ball_1d, k_grid=ks, n_traj=np.int64(2000), base_seed=np.uint8(6))
+        got = decay_exponent(
+            random_walk, unit_ball_1d, k_grid=np.array(ks), n_traj=np.int64(2000), base_seed=np.uint8(6)
+        )
         assert json.loads(json.dumps(got.to_dict())) == want
         states = ensemble_states(random_walk, [0.0], [3], np.int64(20), base_seed=np.int64(6))
         assert np.array_equal(states[3], ensemble_states(random_walk, [0.0], [3], 20, base_seed=6)[3])
+
+    def test_rejects_grid_steps_that_are_not_integers(self, random_walk, unit_ball_1d):
+        with pytest.raises(TypeError):
+            decay_exponent(random_walk, unit_ball_1d, k_grid=[4.9, 8.5, 16.2, 32.7], n_traj=100)
 
     def test_insufficient_data(self, unit_ball_1d):
         system = LinearSystem(A=[[2.0]], B=[[1.0]], noise=NoiseModel.uniform([1.0]))
@@ -577,30 +621,51 @@ class TestWorkers:
 
     @pytest.mark.parametrize("executor", EXECUTORS)
     def test_workers_are_capped_by_batches_and_cpus(self, executor, random_walk, monkeypatch):
-        # The pool class is replaced by a thread pool that records its size,
-        # so no process starts.
+        # Forked workers are counted as they start; the thread pool class is
+        # replaced by one that records its size.
         sizes = []
+        forks = _record_forks(monkeypatch)
 
         class Recorder(concurrent.futures.ThreadPoolExecutor):
-            def __init__(self, max_workers, mp_context=None, initializer=None, initargs=()):
+            def __init__(self, max_workers):
                 sizes.append(max_workers)
-                super().__init__(max_workers, initializer=initializer, initargs=initargs)
+                super().__init__(max_workers)
 
-        pool_class = "ProcessPoolExecutor" if executor == "process" else "ThreadPoolExecutor"
-        monkeypatch.setattr(concurrent.futures, pool_class, Recorder)
-        # The initializer that a forked worker runs now sets this process's global.
-        monkeypatch.setattr(ensembles, "_worker_run", None)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recorder)
         monkeypatch.setattr(ensembles, "_FORK", executor == "process")
-        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(ensembles, "_cpus", lambda: 4)
         monkeypatch.setenv("REACHCERT_THREADS", "1000")
         _use_batches(monkeypatch, 30)
         want = ensemble_states(random_walk, [0.0], [5], 30, base_seed=1)
         for rows in (10, 3):
             _use_batches(monkeypatch, rows)
+            started = len(forks)
             got = ensemble_states(random_walk, [0.0], [5], 30, base_seed=1)
             assert np.array_equal(got[5], want[5])
+            if executor == "process":
+                sizes.append(len(forks) - started)
         assert sizes == [3, 4]
-        assert multiprocessing.active_children() == []
+        _assert_no_children()
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity masks")
+    def test_a_process_pinned_to_one_cpu_forks_nothing(self):
+        # A fresh interpreter pins itself to one CPU and asks for two
+        # workers; a call that would otherwise split runs inline.
+        code = (
+            "import os\n"
+            "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+            "from reachcert import LinearSystem, NoiseModel, TargetBall, ensembles, hitting_stats\n"
+            "ensembles.SPLIT_STEPS = 1\n"
+            "forks = []\n"
+            "os.fork = lambda: forks.append(1)\n"
+            "walk = LinearSystem(A=[[1.0]], B=[[1.0]], noise=NoiseModel.uniform([1.0]))\n"
+            "hitting_stats(walk, TargetBall(center=[0.0], radius=1.0), [5.0], 301, 1000, base_seed=3)\n"
+            "assert ensembles._cpus() == 1 and forks == [], forks\n"
+        )
+        src = os.path.dirname(os.path.dirname(ensembles.__file__))
+        env = dict(os.environ, PYTHONPATH=src, REACHCERT_THREADS="2")
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
 
     @pytest.mark.parametrize("executor", EXECUTORS)
     def test_worker_error_reaches_the_caller(self, executor, random_walk, unit_ball_1d, monkeypatch):
@@ -611,10 +676,106 @@ class TestWorkers:
         _use_executor(monkeypatch, executor)
         _use_batches(monkeypatch, 10)
         hitting_stats(random_walk, unit_ball_1d, [5.0], 40, 100, base_seed=3)
-        assert multiprocessing.active_children() == []
+        _assert_no_children()
         with pytest.raises(ValueError, match="target mask is broken"):
             hitting_stats(random_walk, broken, [5.0], 40, 100, base_seed=3)
-        assert multiprocessing.active_children() == []
+        _assert_no_children()
+
+
+def _hitting_long_case(name):
+    """(system, target, x0, horizon) of the hitting-long benchmark call
+    ``name``, on a horizon short enough for a test."""
+    origin_ball = TargetBall(center=[0.0, 0.0], radius=1.0)
+    if name == "degenerate-b":  # x2 - x1 = 10 forever: no row ever hits
+        return ORACLE_CASES["degenerate-b-walk"][0], origin_ball, [0.0, 10.0], 2000
+    if name == "walk-1d":
+        return WALK, TargetBall(center=[0.0], radius=2.0), [10.0], 3000
+    rotation = LinearSystem(A=rotation_matrix(np.pi / 4), B=np.eye(2), noise=NoiseModel.uniform([1.0, 1.0]))
+    radius = synthesize_logarithmic(rotation, origin_ball, seed=1).compact_radius
+    x0 = [1.25 * radius / np.sqrt(2.0)] * 2
+    if name == "rotation-gaussian":
+        rotation = ORACLE_CASES["gaussian-rotation"][0]
+    return rotation, TargetBall(center=[0.0, 0.0], radius=radius), x0, 3000
+
+
+class TestSplitHitting:
+    """A hitting call that fits in one batch but has SPLIT_STEPS nominal
+    trajectory-steps or more runs as one batch per worker, on forked
+    workers only.  SPLIT_STEPS is lowered so that each test stays quick."""
+
+    N_TRAJ = 301  # cut into 151 + 150 rows: no batch of one row
+
+    @pytest.mark.parametrize("executor", EXECUTORS)
+    @pytest.mark.parametrize("case", ["degenerate-b", "rotation-log-target", "walk-1d", "rotation-gaussian"])
+    def test_split_call_equals_the_one_batch_call(self, case, executor, monkeypatch):
+        system, target, x0, horizon = _hitting_long_case(case)
+        monkeypatch.setenv("REACHCERT_THREADS", "1")
+        want = hitting_stats(system, target, x0, self.N_TRAJ, horizon, base_seed=12).to_dict()
+        assert (want["hit_fraction"] == 0.0) == (case == "degenerate-b")
+        monkeypatch.setenv("REACHCERT_THREADS", "2")
+        _use_executor(monkeypatch, executor)
+        monkeypatch.setattr(ensembles, "SPLIT_STEPS", self.N_TRAJ * horizon)
+        forks = _record_forks(monkeypatch)
+        assert hitting_stats(system, target, x0, self.N_TRAJ, horizon, base_seed=12).to_dict() == want
+        assert len(forks) == (2 if executor == "process" else 0)
+        _assert_no_children()
+
+    @pytest.mark.parametrize("executor", EXECUTORS)
+    @pytest.mark.parametrize("cpus, split_steps", [(2, 301 * 1000 + 1), (1, 1)], ids=["below-constant", "one-cpu"])
+    def test_starts_no_worker_below_the_constant_or_on_one_cpu(self, cpus, split_steps, executor, monkeypatch):
+        class NoPool(concurrent.futures.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                raise AssertionError("a thread pool started")
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", NoPool)
+        monkeypatch.setenv("REACHCERT_THREADS", "2")
+        monkeypatch.setattr(ensembles, "_FORK", executor == "process")
+        monkeypatch.setattr(ensembles, "_cpus", lambda: cpus)
+        monkeypatch.setattr(ensembles, "SPLIT_STEPS", split_steps)
+        forks = _record_forks(monkeypatch)
+        hitting_stats(WALK, TargetBall(center=[0.0], radius=1.0), [5.0], self.N_TRAJ, 1000, base_seed=3)
+        assert forks == []
+        _assert_no_children()
+
+    @pytest.mark.parametrize("executor", EXECUTORS)
+    @pytest.mark.parametrize(
+        "error",
+        [ValueError("target mask is broken"), KeyboardInterrupt("interrupted in a worker")],
+        ids=["ValueError", "KeyboardInterrupt"],
+    )
+    def test_target_error_reaches_the_caller(self, error, executor, monkeypatch):
+        def broken(X):
+            raise error
+
+        monkeypatch.setenv("REACHCERT_THREADS", "2")
+        _use_executor(monkeypatch, executor)
+        monkeypatch.setattr(ensembles, "SPLIT_STEPS", 1)
+        forks = _record_forks(monkeypatch)
+        with pytest.raises(type(error), match=str(error)):
+            hitting_stats(WALK, broken, [5.0], 40, 100, base_seed=3)
+        assert len(forks) == (2 if executor == "process" else 0)
+        _assert_no_children()
+
+    @pytest.mark.skipif("process" not in EXECUTORS, reason="workers are threads, not forked, off Linux")
+    @pytest.mark.parametrize(
+        "end, status",
+        [(lambda: os.kill(os.getpid(), signal.SIGKILL), "killed by signal 9"), (lambda: os._exit(3), "exit status 3")],
+        ids=["signal", "exit"],
+    )
+    def test_a_worker_that_ends_without_a_result_raises(self, end, status, monkeypatch):
+        parent = os.getpid()
+
+        def ends_in_worker(X):
+            if os.getpid() != parent:
+                end()
+            return np.zeros(len(X), dtype=bool)
+
+        monkeypatch.setenv("REACHCERT_THREADS", "2")
+        _use_executor(monkeypatch, "process")
+        monkeypatch.setattr(ensembles, "SPLIT_STEPS", 1)
+        with pytest.raises(ensembles.WorkerDied, match=status):
+            hitting_stats(WALK, ends_in_worker, [5.0], 40, 100, base_seed=3)
+        _assert_no_children()
 
 
 class TestCallableTarget:

@@ -419,8 +419,9 @@ def test_sympy_is_never_imported():
 
 
 def test_worker_pools_are_imported_only_when_used():
-    """Ensembles import multiprocessing and concurrent.futures inside the
-    call that starts a pool, so loading the CLI imports neither."""
+    """Ensembles fork their workers with os.fork and import
+    concurrent.futures only inside the call that starts a thread pool, so
+    loading the CLI imports neither it nor multiprocessing."""
     src = os.path.dirname(os.path.dirname(reachcert.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     code = (
