@@ -88,6 +88,11 @@ class WorkerDied(RuntimeError):
     """A forked ensemble worker ended without sending its batches' results."""
 
 
+class _WorkerTraceback(Exception):
+    """The traceback of an error raised in a forked worker, chained as the
+    cause of the error that the parent raises again."""
+
+
 def _cpus() -> int:
     """CPUs this process may run on."""
     try:
@@ -155,10 +160,11 @@ def _fork_map(run, batches, workers: int) -> list:
     ends with ``os._exit`` whatever happens.  The parent reads the pipes in
     order and reaps every child on every path: after the first failure,
     and on KeyboardInterrupt, it kills the children it has not reaped.  A
-    worker's exception is raised again here; a child that ends without a
-    result (killed by a signal, say) raises WorkerDied.  Python >= 3.12
-    warns with a DeprecationWarning when it forks while BLAS threads are
-    alive.
+    worker's exception is raised again here, with the worker's traceback as
+    its cause; one that does not survive pickling becomes a WorkerDied, and
+    so does a child that ends without a result (killed by a signal, say).
+    Python >= 3.12 warns with a DeprecationWarning when it forks while BLAS
+    threads are alive.
     """
     pipes, pids = [], []  # pids: the children not yet reaped, in order
     results = [None] * len(batches)
@@ -182,7 +188,8 @@ def _fork_map(run, batches, workers: int) -> list:
                 raise WorkerDied(f"ensemble worker {pid} ended without a result ({how})")
             ok, value = pickle.loads(data)
             if not ok:
-                raise value
+                exc, text = value
+                raise exc from _WorkerTraceback(text)
             results[j::workers] = value
         return results
     finally:
@@ -192,7 +199,8 @@ def _fork_map(run, batches, workers: int) -> list:
             with contextlib.suppress(ProcessLookupError):
                 os.kill(pid, signal.SIGKILL)
         for pid in pids:
-            os.waitpid(pid, 0)
+            with contextlib.suppress(ChildProcessError):  # reaped just before an interrupt
+                os.waitpid(pid, 0)
 
 
 def _child(run, batches, out):
@@ -203,7 +211,14 @@ def _child(run, batches, out):
         try:
             result = (True, [run(b) for b in batches])
         except BaseException as exc:  # sent to the parent, which raises it
-            result = (False, exc)
+            import traceback
+
+            text = "".join(traceback.format_exception(exc))
+            try:
+                pickle.loads(pickle.dumps(exc, pickle.HIGHEST_PROTOCOL))
+            except Exception:  # its type or arguments do not survive pickling
+                exc = WorkerDied("ensemble worker raised an error that does not pickle; see its traceback")
+            result = (False, (exc, text))
         out.write(pickle.dumps(result, pickle.HIGHEST_PROTOCOL))
         out.close()
         code = 0

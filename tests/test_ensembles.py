@@ -751,9 +751,30 @@ class TestSplitHitting:
         _use_executor(monkeypatch, executor)
         monkeypatch.setattr(ensembles, "SPLIT_STEPS", 1)
         forks = _record_forks(monkeypatch)
-        with pytest.raises(type(error), match=str(error)):
+        with pytest.raises(type(error), match=str(error)) as raised:
             hitting_stats(WALK, broken, [5.0], 40, 100, base_seed=3)
         assert len(forks) == (2 if executor == "process" else 0)
+        if executor == "process":  # the worker's traceback comes along as the cause
+            assert "in broken" in str(raised.value.__cause__)
+        _assert_no_children()
+
+    @pytest.mark.parametrize("executor", EXECUTORS)
+    def test_target_error_that_does_not_pickle_reaches_the_caller(self, executor, monkeypatch):
+        class Unpicklable(ValueError):  # a local class: pickle cannot find it by name
+            pass
+
+        def broken(X):
+            raise Unpicklable("a local error")
+
+        monkeypatch.setenv("REACHCERT_THREADS", "2")
+        _use_executor(monkeypatch, executor)
+        monkeypatch.setattr(ensembles, "SPLIT_STEPS", 1)
+        # A forked worker sends its traceback in its place.
+        expected = ensembles.WorkerDied if executor == "process" else Unpicklable
+        with pytest.raises(expected) as raised:
+            hitting_stats(WALK, broken, [5.0], 40, 100, base_seed=3)
+        if executor == "process":
+            assert "Unpicklable: a local error" in str(raised.value.__cause__)
         _assert_no_children()
 
     @pytest.mark.skipif("process" not in EXECUTORS, reason="workers are threads, not forked, off Linux")
