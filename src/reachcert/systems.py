@@ -310,7 +310,13 @@ class LinearSystem:
         ``matmul`` with less dispatch.  A factor that is exactly the
         identity is not multiplied: x*1 = x and x*0 = +-0, so finite states
         keep the bits of X A' + W B' up to the sign of a zero (an infinite
-        coordinate would have made its row NaN)."""
+        coordinate would have made its row NaN).
+
+        Scratch beyond the output, one (rows, n) array for X A', is
+        allocated only when neither factor is the identity, since W B' then
+        fills the output ahead of the steps.  With B = I each step writes
+        X A' into its own output and adds w there in place: the same BLAS
+        call and the same rounded sum."""
         out = np.empty((W.shape[0],) + X.shape)
         AT, BT = self.factors
         if BT is None:
@@ -318,11 +324,16 @@ class LinearSystem:
         else:
             WB = out
             np.dot(W.reshape(-1, W.shape[-1]), BT, out=out.reshape(-1, X.shape[1]))
-        AX = None if AT is None else np.empty(X.shape)
-        for t in range(W.shape[0]):
-            if AT is not None:
-                X = np.dot(X, AT, out=AX)
-            X = np.add(WB[t], X, out=out[t])
+        if AT is None:
+            for w, x in zip(WB, out):
+                X = np.add(w, X, out=x)
+        elif BT is None:
+            for w, x in zip(WB, out):
+                X = np.add(w, np.dot(X, AT, out=x), out=x)
+        else:
+            AX = np.empty(X.shape)
+            for x in out:
+                X = np.add(x, np.dot(X, AT, out=AX), out=x)
         return out
 
     def to_dict(self) -> dict:

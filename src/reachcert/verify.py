@@ -398,7 +398,10 @@ def verify_variant(
     {U = 0} belong to the target.  Passes iff every level's probability
     estimate is separated from 0 by 3 sigma, delta is positive, and the
     exact checks have no violations.  A level that raises
-    LevelOverflowError fails with no samples and epsilon_hat 0.
+    LevelOverflowError fails with no samples and epsilon_hat 0.  Levels
+    are checked one at a time (`_variant_level`), so the check holds at
+    most three (samples, n) arrays: a level's points, their noise and
+    their successors.
     """
     if samples < 1:
         raise ValueError(f"samples must be positive, got {samples}")
@@ -411,30 +414,7 @@ def verify_variant(
         raise ValueError("need at least one level")
 
     rng = tagged_rng(seed, 0x7A21)
-    level_rows = []
-    for r in levels:
-        try:
-            pts, u_pts = _sample_level_region(certificate, n, r, samples, rng)
-        except LevelOverflowError:
-            level_rows.append(VariantLevel(r, delta, 0.0, 0.0, samples=0, h_violations=0))
-            continue
-        W = system.noise.draw([rng], len(pts))[:, 0]
-        succ = step_batch(system, pts, W)
-        dU = np.asarray(certificate.variant_values(succ)) - u_pts
-        eps_hat = float(np.mean(dU <= -delta))
-        eps_hw = float(3.0 * np.sqrt(max(eps_hat * (1.0 - eps_hat), 1.0 / len(pts)) / len(pts)))
-        h_bad = int(np.sum(u_pts > certificate.h_bound(r) + 1e-12))
-        level_rows.append(
-            VariantLevel(
-                level=r,
-                delta=delta,
-                epsilon_hat=eps_hat,
-                epsilon_half_width=eps_hw,
-                samples=len(pts),
-                h_violations=h_bad,
-            )
-        )
-
+    level_rows = [_variant_level(system, certificate, r, delta, samples, rng) for r in levels]
     inclusion_bad = _check_inclusion(certificate, target, n, INCLUSION_POINTS, rng, certificate.positive_quadrant)
     passed = (
         delta > 0.0
@@ -443,6 +423,30 @@ def verify_variant(
         and inclusion_bad == 0
     )
     return VariantReport(levels=tuple(level_rows), inclusion_violations=inclusion_bad, passed=passed)
+
+
+def _variant_level(system, certificate, level, delta, samples, rng) -> VariantLevel:
+    """One level's row of `verify_variant`, drawn from ``rng``.  Its (N, n)
+    arrays, the points, their noise and their successors, die on return,
+    before the next level is sampled; the noise, left unnamed, dies as
+    soon as the step returns."""
+    try:
+        pts, u_pts = _sample_level_region(certificate, system.dimension, level, samples, rng)
+    except LevelOverflowError:
+        return VariantLevel(level, delta, 0.0, 0.0, samples=0, h_violations=0)
+    succ = step_batch(system, pts, system.noise.draw([rng], len(pts))[:, 0])
+    dU = np.asarray(certificate.variant_values(succ)) - u_pts
+    eps_hat = float(np.mean(dU <= -delta))
+    eps_hw = float(3.0 * np.sqrt(max(eps_hat * (1.0 - eps_hat), 1.0 / len(pts)) / len(pts)))
+    h_bad = int(np.sum(u_pts > certificate.h_bound(level) + 1e-12))
+    return VariantLevel(
+        level=level,
+        delta=delta,
+        epsilon_hat=eps_hat,
+        epsilon_half_width=eps_hw,
+        samples=len(pts),
+        h_violations=h_bad,
+    )
 
 
 def _check_inclusion(certificate, target, n, count, rng, positive_quadrant):

@@ -279,6 +279,45 @@ def test_seeded_streams_are_pinned():
     assert _sha256(snapshots) == "add3ea4b6e2ddffa9d3f1d672e7c9b7c50cb6ec704200b3d6ba8d1e2cf499c93"
 
 
+# sha256 of step_batch's successors of 20,000 seeded rows at n = 20,
+# recorded with numpy 2.4 and OpenBLAS 0.3.31 on x86-64.  At n >= 17
+# OpenBLAS picks its gemm kernel by row count, so these pin the product
+# shapes of `advance` as well as its arithmetic; another BLAS build may
+# round differently.
+PINNED_STEP_DIGESTS = {
+    "identity-B": "b792944d95288b9e487267af09c7cc1ef9660b4faa969264a0a9081bb337ae8a",
+    "gaussian-B": "1528d19c99c76000a27573ee9102f645ecf310180122a000d294c0ceadfa76be",
+}
+
+
+@pytest.mark.parametrize("case", PINNED_STEP_DIGESTS)
+def test_step_batch_keeps_its_bits_at_n_20(case):
+    n = 20
+    rng = np.random.default_rng(20)
+    A = rng.standard_normal((n, n)) / n
+    B = np.eye(n) if case == "identity-B" else rng.standard_normal((n, n))
+    system = LinearSystem(A=A, B=B, noise=NoiseModel.uniform([1.0] * n))
+    X, W = rng.standard_normal((2, 20_000, n))
+    assert _sha256(step_batch(system, X, W)) == PINNED_STEP_DIGESTS[case]
+
+
+def test_step_with_identity_b_needs_no_scratch():
+    """With B = I each step's X A' is written into the output and the noise
+    added there, so a step holds the output alone, not a second (N, n)
+    array for X A'."""
+    n = 40
+    rng = np.random.default_rng(40)
+    system = LinearSystem(A=rng.standard_normal((n, n)) / n, B=np.eye(n), noise=NoiseModel.uniform([1.0] * n))
+    X, W = rng.standard_normal((2, 20_000, n))
+    tracemalloc.start()
+    try:
+        out = step_batch(system, X, W)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < out.nbytes + 2**20
+
+
 def _same_state(a, b):
     """Equal bit generator states: nested dicts of ints, names and arrays."""
     if isinstance(a, dict):

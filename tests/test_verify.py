@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from reachcert import counterexamples as cx
 from reachcert.certificates import CustomCertificate
 from reachcert.cli import run
 from reachcert.linalg import quadratic_form
-from reachcert.systems import step_batch, trajectory_rngs
+from reachcert.systems import STAGE_BYTES, step_batch, trajectory_rngs
 from reachcert.verify import (
     CUBATURE_ORDERS,
     _check_inclusion,
@@ -738,24 +739,56 @@ class TestRejectionAbort:
             _sample_level_region(cert, 1, 2.5, 10, np.random.default_rng(0))
 
 
-# sha256 of verify_variant(...).to_dict() (sorted-key JSON), samples=2000,
-# seed=5: the seeded level-set draws of the quadratic shell and of the
-# custom box are part of every report's bits and must not move.
+# sha256 of verify_variant(...).to_dict() (sorted-key JSON), seed=5, with
+# samples=2000 on the 2-D and 1-D cases and verify's default of 20,000 on
+# stable-40: the seeded level-set draws of the quadratic shell and of the
+# custom box are part of every report's bits and must not move.  Stable-40
+# fails its check, no level's estimate being positive, so its digest pins
+# the 20,000-row draws and counts; the step digests of test_systems pin
+# the bits of the n >= 17 products.
 PINNED_VARIANT_DIGESTS = {
     "quadratic": "34facdddec569a3c94cf797b07a6d55adbadfc6735dc8b34d2370c5fe8d15d43",
     "example1": "3d4f83e839676e63b4e0be6f5fcfd59e4262d0c980b175b9838a38a627db2356",
     "walk-abs": "ebcd2ee00f6617f50a5f75486932472efd35fd1d0e3258afed814d1851511cd0",
+    "stable-40": "45268a1c28912cac130b2bf3871822ae6c750ddde2d026c66dde376e9c2e1d44",
 }
+
+
+def _stable_40():
+    """(system, quadratic certificate, unit ball) of a stable n = 40 system with B = I."""
+    n = 40
+    A = random_stable_matrix(n, np.random.default_rng(40), rho=0.7)
+    system = LinearSystem(A=A, B=np.eye(n), noise=NoiseModel.uniform([1.0] * n))
+    target = TargetBall(center=np.zeros(n), radius=1.0)
+    return system, synthesize_quadratic(system, target), target
 
 
 @pytest.mark.parametrize("case", PINNED_VARIANT_DIGESTS)
 def test_level_draws_keep_their_bits(case, stable_2d, unit_ball_2d):
+    samples = 2000
     if case == "quadratic":
         args = (stable_2d, synthesize_quadratic(stable_2d, unit_ball_2d), unit_ball_2d)
     elif case == "example1":
         args = (cx.example1_system(), cx.example1_log_certificate(), _unit_box)
-    else:
+    elif case == "walk-abs":
         args = (cx.random_walk_system(), cx.abs_certificate(), TargetBall(center=[0.0], radius=2.0))
-    report = verify_variant(*args, samples=2000, seed=5).to_dict()
+    else:
+        args, samples = _stable_40(), 20_000
+    report = verify_variant(*args, samples=samples, seed=5).to_dict()
     digest = hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
     assert digest == PINNED_VARIANT_DIGESTS[case]
+
+
+def test_variant_check_holds_one_level_at_a_time():
+    """The check of 20,000 points at n = 40 holds at most three (N, n)
+    arrays (a level's points, their noise and their successors) beside the
+    noise stage, never a finished level's arrays under the next one's."""
+    samples, n = 20_000, 40
+    args = _stable_40()
+    tracemalloc.start()
+    try:
+        verify_variant(*args, samples=samples, seed=5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * samples * n * 8 + 4 * STAGE_BYTES
