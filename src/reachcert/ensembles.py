@@ -32,7 +32,10 @@ depends on neither its trajectory count nor its grid.  No chunk or
 sub-block length changes any trajectory: a chunked ensemble replays
 exactly the stream of a single-trajectory simulation.  Every sub-block
 is one ``system.advance`` call, the stepping engine of `systems`, so the
-random walk x + Bw pays for its additions only.
+random walk x + Bw pays for its additions only.  A hitting call that
+`_escape_witness` proves can never hit, diverge or overflow (an
+uncontrollable mode on or outside the unit circle keeps every state away
+from the target) is not stepped at all.
 """
 
 from __future__ import annotations
@@ -47,7 +50,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .systems import contains, trajectory_rngs
+from .systems import LinearSystem, TargetBall, contains, trajectory_rngs
 
 __all__ = [
     "Trajectory",
@@ -242,9 +245,10 @@ class EnsembleStats:
     divergence_fraction: float
     divergence_threshold: float
     overflow_fraction: float
+    witness: dict | None = None  # set when `_escape_witness` decided the call unstepped
 
     def to_dict(self) -> dict:
-        return {
+        d = {
             "trajectories": self.trajectories,
             "horizon": self.horizon,
             "base_seed": self.base_seed,
@@ -254,6 +258,9 @@ class EnsembleStats:
             "divergence_threshold": self.divergence_threshold,
             "overflow_fraction": self.overflow_fraction,
         }
+        if self.witness is not None:
+            d["witness"] = dict(self.witness)
+        return d
 
 
 @dataclass(frozen=True)
@@ -349,6 +356,15 @@ def _first_overflow(S):
     return _first(~(np.abs(S) <= OVERFLOW_GUARD).all(axis=2))
 
 
+def _start(system, x0) -> np.ndarray:
+    """x0 as a float vector, or a ValueError naming x0 when its length is
+    not the system's dimension (checked before any worker starts)."""
+    x0 = np.asarray(x0, dtype=float).reshape(-1)
+    if x0.size != system.dimension:
+        raise ValueError(f"x0 has {x0.size} coordinates, but the system has dimension {system.dimension}")
+    return x0
+
+
 def simulate(system, x0, horizon: int, base_seed: int, index: int = 0) -> Trajectory:
     """Single trajectory of length horizon+1 from x0, or shorter on overflow.
 
@@ -359,7 +375,7 @@ def simulate(system, x0, horizon: int, base_seed: int, index: int = 0) -> Trajec
     horizon, base_seed = operator.index(horizon), operator.index(base_seed)
     if horizon < 0:
         raise ValueError("horizon must be non-negative")
-    x0 = np.asarray(x0, dtype=float).reshape(-1)
+    x0 = _start(system, x0)
     states = np.empty((horizon + 1, x0.size))
     states[0] = x0
     end = horizon + 1  # length of the path before its first overflow
@@ -409,6 +425,83 @@ def _hitting_batch(system, target, x0, indices, horizon, base_seed, threshold):
     return hit_time, divergent, overflowed
 
 
+def _escape_witness(system, target, x0, horizon, threshold):
+    """A proof that no trajectory of a hitting call hits ``target``,
+    diverges or overflows within ``horizon`` steps, as a JSON-ready dict,
+    or None.
+
+    It applies to a LinearSystem with uniform-box noise of half-widths h
+    and a TargetBall {||x - c||_W < R}.  Take an eigenvalue lam of A with
+    |lam| >= 1 - UNIT_TOL, and l the conjugated left singular vector of
+    M = [A - lam I, B] for its smallest singular value sigma: then
+    l x' = lam l x + (l M)(x, w) with ||l M|| = sigma.  With beta = ||h||
+    >= ||w||, s = max(1, ||A||_2) and X = s^H ||x0|| + ||B||_2 beta
+    sum_{j<H} s^j, every exact state up to step H has ||x_k|| <= X, so
+    |l x_k| >= min(1, |lam|)^H |l x0| - H delta with
+    delta = sigma (X + beta).  A state in the ball has
+    |l x| < |l c| + R sqrt(l^H W^-1 l) (Cauchy-Schwarz in the ball's
+    norm).  If the lower bound clears that band and X is at most the
+    divergence threshold and OVERFLOW_GUARD, no trajectory can hit,
+    diverge or overflow, whatever its noise.  The first eigenvalue whose
+    bound clears gives the witness.
+
+    Rounding margin: mu = (n + m + 2)^2 eps bounds, with room to spare,
+    the relative error of one computed step x A' + w B' (Higham,
+    *Accuracy and Stability of Numerical Algorithms*, 2002, ch. 3) and of
+    each computed norm and product below.  s and ||B||_2 are raised by
+    mu, so X bounds the computed states too, and the computed states
+    stray from the exact ones by at most E = mu (s X + ||B|| beta)
+    sum_{j<H} s^j.  The lower bound loses E and the rounding of l x0,
+    sigma gains mu ||M||_F, the band the rounding of l c and the relative
+    error mu cond(W) of the computed membership test, and X + E must
+    clear the limits.  So the simulation would report what the witness
+    does: no hit, no divergence, no overflow.
+    """
+    if not (
+        isinstance(system, LinearSystem)
+        and system.noise.kind == "uniform-box"
+        and isinstance(target, TargetBall)
+        and target.dimension == system.dimension
+    ):
+        return None
+    from .linalg import UNIT_TOL
+
+    A, B, H = system.A, system.B, horizon
+    n, m = B.shape
+    mu = (n + m + 2) ** 2 * np.finfo(float).eps
+    beta = np.linalg.norm(system.noise.half_widths)
+    s = np.float64(max(1.0, np.linalg.norm(A, 2))) * (1 + mu)
+    b = np.linalg.norm(B, 2) * (1 + mu)
+    with np.errstate(over="ignore", invalid="ignore"):
+        S = np.expm1(H * np.log1p(s - 1)) / (s - 1)  # sum_{j<H} s^j, as s > 1
+        X = (s**H * np.linalg.norm(x0) + b * beta * S) * (1 + mu)
+        E = mu * (s * X + b * beta) * S
+    if not X + E <= min(threshold, OVERFLOW_GUARD):
+        return None
+    W = np.eye(n) if target.weight is None else 0.5 * (target.weight + target.weight.T)
+    grow = 1 + mu * np.linalg.cond(W)
+    for lam in np.linalg.eigvals(A):
+        if abs(lam) < 1 - UNIT_TOL:
+            continue
+        lam = lam if lam.imag else lam.real
+        M = np.hstack([A - lam * np.eye(n), B])
+        l = np.linalg.svd(M)[0][:, -1].conj()
+        delta = (np.linalg.norm(l @ M) + mu * np.linalg.norm(M)) * (X + beta)
+        start = abs(l @ x0) - mu * np.linalg.norm(x0)
+        low = (min(1.0, abs(lam)) * (1 - mu)) ** H * start - H * delta - E * (1 + mu)
+        width = np.sqrt((l.conj() @ np.linalg.solve(W, l)).real)
+        band = (abs(l @ target.center) + mu * np.linalg.norm(target.center) + target.radius * width) * grow
+        if low >= band:
+            return {
+                "eigenvalue": [float(lam.real), float(lam.imag)],
+                "direction": [[float(z.real), float(z.imag)] for z in l],
+                "lower_bound": float(low),
+                "band": float(band),
+                "state_bound": float(X),
+            }
+    return None
+
+
 def hitting_stats(
     system,
     target,
@@ -424,17 +517,41 @@ def hitting_stats(
     mapping an (N, n) state array to a row mask (`systems.contains`).
     Trajectories freeze at their first target hit; a trajectory is
     divergent if it overflowed or its final state norm exceeds the
-    threshold (default 1e6 * (1 + ||x0||)) without hitting.
+    threshold (default 1e6 * (1 + ||x0||), else a non-negative number)
+    without hitting.
+
+    A linear system with uniform-box noise and a TargetBall is first
+    tried on `_escape_witness`, which bounds the exact process from x0:
+    when a mode of A on or outside the unit circle that the noise
+    (nearly) cannot move keeps every state out of the target, and the
+    states stay below the threshold, the call draws and steps nothing.
+    It returns what simulation would give (no hit, no divergence, no
+    overflow) with the bound as its ``witness``.
     """
     n_traj, horizon, base_seed = map(operator.index, (n_traj, horizon, base_seed))
     if n_traj < 1:
         raise ValueError(f"n_traj must be at least 1, got {n_traj}")
     if horizon < 0:
         raise ValueError("horizon must be non-negative")
-    x0 = np.asarray(x0, dtype=float).reshape(-1)
+    x0 = _start(system, x0)
     if divergence_threshold is None:
         divergence_threshold = 1e6 * (1.0 + float(np.linalg.norm(x0)))
     divergence_threshold = float(divergence_threshold)
+    if not divergence_threshold >= 0.0:
+        raise ValueError(f"divergence_threshold must be a non-negative number, got {divergence_threshold!r}")
+    witness = _escape_witness(system, target, x0, horizon, divergence_threshold)
+    if witness is not None:
+        return EnsembleStats(
+            trajectories=n_traj,
+            horizon=horizon,
+            base_seed=base_seed,
+            hit_fraction=0.0,
+            hitting_time_quantiles={},
+            divergence_fraction=0.0,
+            divergence_threshold=divergence_threshold,
+            overflow_fraction=0.0,
+            witness=witness,
+        )
 
     def run(indices):
         return _hitting_batch(system, target, x0, indices, horizon, base_seed, divergence_threshold)
@@ -489,6 +606,7 @@ def ensemble_states(system, x0, ks, n_traj: int, base_seed: int):
         raise ValueError("snapshot steps must be non-negative")
     if n_traj < 1:
         raise ValueError(f"n_traj must be at least 1, got {n_traj}")
+    x0 = _start(system, x0)
 
     def run(indices):
         return _snapshot_batch(system, x0, indices, ks, base_seed, np.copy)
@@ -513,9 +631,7 @@ def decay_exponent(
     counts are kept, so memory does not grow with n_traj or the grid.
     """
     n_traj, base_seed = operator.index(n_traj), operator.index(base_seed)
-    n = system.dimension
-    if x0 is None:
-        x0 = np.zeros(n)
+    x0 = _start(system, np.zeros(system.dimension) if x0 is None else x0)
     if k_grid is None:
         k_grid = [2**j for j in range(4, 15)]
     ks = sorted(set(map(operator.index, k_grid)))

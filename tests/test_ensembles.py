@@ -686,8 +686,10 @@ def _hitting_long_case(name):
     """(system, target, x0, horizon) of the hitting-long benchmark call
     ``name``, on a horizon short enough for a test."""
     origin_ball = TargetBall(center=[0.0, 0.0], radius=1.0)
-    if name == "degenerate-b":  # x2 - x1 = 10 forever: no row ever hits
-        return ORACLE_CASES["degenerate-b-walk"][0], origin_ball, [0.0, 10.0], 2000
+    if name == "degenerate-b":
+        # x2 - x1 = 10 forever: no row ever hits.  Gaussian noise, which
+        # `_escape_witness` does not bound, keeps the call stepping.
+        return DEGENERATE_B_GAUSSIAN, origin_ball, [0.0, 10.0], 2000
     if name == "walk-1d":
         return WALK, TargetBall(center=[0.0], radius=2.0), [10.0], 3000
     rotation = LinearSystem(A=rotation_matrix(np.pi / 4), B=np.eye(2), noise=NoiseModel.uniform([1.0, 1.0]))
@@ -797,6 +799,120 @@ class TestSplitHitting:
         with pytest.raises(ensembles.WorkerDied, match=status):
             hitting_stats(WALK, ends_in_worker, [5.0], 40, 100, base_seed=3)
         _assert_no_children()
+
+
+DEGENERATE_B = ORACLE_CASES["degenerate-b-walk"][0]
+DEGENERATE_B_GAUSSIAN = LinearSystem(A=np.eye(2), B=[[1.0], [1.0]], noise=NoiseModel.gaussian([[1.0]]))
+ORIGIN_BALL = TargetBall(center=[0.0, 0.0], radius=1.0)
+FLIP = LinearSystem(A=np.diag([-1.0, 1.0]), B=[[0.0], [1.0]], noise=NoiseModel.uniform([1.0]))
+# rotation(1) + 1 with B = e3: the rotation plane is an uncontrollable
+# complex pair, whose witness direction l has |l x| = ||(x1, x2)|| / sqrt(2).
+ROTATION_PLUS_ONE = LinearSystem(
+    A=np.block([[rotation_matrix(1.0), np.zeros((2, 1))], [np.zeros((1, 2)), np.ones((1, 1))]]),
+    B=[[0.0], [0.0], [1.0]],
+    noise=NoiseModel.uniform([1.0]),
+)
+# A = T diag(1, 0.5) T^-1 with B = T e2, T = [[1, 100], [0, 1]]: l x = z1 never
+# moves, but ||A||_2 is about 50, so no norm bound survives the horizon.
+CONJUGATED = LinearSystem(A=[[1.0, -50.0], [0.0, 0.5]], B=[[100.0], [1.0]], noise=NoiseModel.uniform([1.0]))
+WEIGHTED_BALL = TargetBall(center=[3.0, 2.0], radius=1.0, weight=[[2.0, 0.5], [0.5, 1.0]])
+WITNESS_CASES = {
+    # name: (system, target, x0, divergence threshold, whether the witness fires).
+    # Criterion 9's band is |x2 - x1| / sqrt(2) < 1: x0 = (0, 1.5) clears it
+    # and (0, 1.4) does not.
+    "criterion-9-clear": (DEGENERATE_B, ORIGIN_BALL, [0.0, 1.5], None, True),
+    "criterion-9-inside": (DEGENERATE_B, ORIGIN_BALL, [0.0, 1.4], None, False),
+    # The states may outgrow a small threshold, so the band alone proves nothing.
+    "criterion-9-threshold": (DEGENERATE_B, ORIGIN_BALL, [0.0, 10.0], 30.0, False),
+    # lam = -1: x1 flips sign every step, |x1| stays.
+    # x1 is excited through 0.01 w, so it drifts into the band: the
+    # H sigma (X + beta) term must keep the witness off (about 20 % of rows hit).
+    "nearly-uncontrollable": (
+        LinearSystem(A=np.diag([1.0, 0.5]), B=[[0.01], [1.0]], noise=NoiseModel.uniform([1.0])),
+        ORIGIN_BALL, [1.3, 0.0], None, False,
+    ),
+    "flip-clear": (FLIP, ORIGIN_BALL, [1.2, 0.0], None, True),
+    "flip-inside": (FLIP, ORIGIN_BALL, [0.8, 1.5], None, False),
+    # |lam| > 1: x1 grows, and the bound keeps its start.
+    "unstable-clear": (LinearSystem(A=np.diag([1.001, 1.0]), B=[[0.0], [1.0]], noise=NoiseModel.uniform([1.0])),
+                       ORIGIN_BALL, [1.5, 0.0], None, True),
+    "rotation-plus-one-clear": (ROTATION_PLUS_ONE, TargetBall(center=[0.0] * 3, radius=1.0), [1.6, 0.0, 0.0], None, True),
+    # ||(x1, x2)|| = 1.3 never enters the ball either, but the band needs sqrt(2).
+    "rotation-plus-one-inside": (ROTATION_PLUS_ONE, TargetBall(center=[0.0] * 3, radius=1.0), [1.3, 0.0, 0.0], None, False),
+    # Band |l c| + R sqrt(l W^-1 l) = 0.707 + 1.069 = 1.776 against |l x0| = x2 / sqrt(2).
+    "weighted-offset-clear": (DEGENERATE_B, WEIGHTED_BALL, [0.0, 2.6], None, True),
+    "weighted-offset-inside": (DEGENERATE_B, WEIGHTED_BALL, [0.0, 2.4], None, False),
+}
+
+
+class TestEscapeWitness:
+    """A hitting call that `_escape_witness` decides reports what its
+    simulation reports, and the witness fires only when its bound clears."""
+
+    @pytest.mark.parametrize("case", sorted(WITNESS_CASES))
+    def test_agrees_with_simulation(self, case, monkeypatch):
+        system, target, x0, threshold, fires = WITNESS_CASES[case]
+        draws = _recorded_draws(monkeypatch)
+        got = hitting_stats(system, target, x0, 200, 2000, base_seed=3, divergence_threshold=threshold).to_dict()
+        assert ("witness" in got) == fires
+        assert (draws == []) == fires  # a decided call draws no noise
+        monkeypatch.setattr(ensembles, "_escape_witness", lambda *args: None)
+        want = hitting_stats(system, target, x0, 200, 2000, base_seed=3, divergence_threshold=threshold).to_dict()
+        witness = got.pop("witness", None)
+        assert got == want
+        if fires:
+            assert witness["lower_bound"] >= witness["band"]
+            assert json.loads(json.dumps(witness)) == witness
+
+    def test_criterion_9_is_decided_at_its_full_horizon(self):
+        stats = hitting_stats(DEGENERATE_B, ORIGIN_BALL, [0.0, 10.0], 1000, 100_000, base_seed=5)
+        assert stats.hit_fraction == 0.0 and stats.witness["eigenvalue"] == [1.0, 0.0]
+        l = np.array(stats.witness["direction"])[:, 0]
+        assert np.allclose(l, [l[0], -l[0]]) and np.isclose(abs(l[0]), np.sqrt(0.5))
+        assert stats.witness["state_bound"] >= 10.0 + np.sqrt(2.0) * 100_000
+
+    @pytest.mark.parametrize(
+        "system, target, x0",
+        [
+            (DEGENERATE_B_GAUSSIAN, ORIGIN_BALL, [0.0, 10.0]),
+            (DEGENERATE_B, ball_mask(ORIGIN_BALL), [0.0, 10.0]),
+            (CONJUGATED, ORIGIN_BALL, [200.0, 0.0]),
+        ],
+        ids=["gaussian", "callable-target", "conjugated"],
+    )
+    def test_declines_what_it_cannot_bound(self, system, target, x0):
+        # None of these rows ever hits; only simulation says so.
+        assert ensembles._escape_witness(system, target, np.array(x0), 500, 1e9) is None
+        stats = hitting_stats(system, target, x0, 100, 500, base_seed=3)
+        assert stats.witness is None and "witness" not in stats.to_dict()
+        assert stats.hit_fraction == 0.0
+
+
+class TestEntryChecks:
+    """Arguments that no trajectory could use are refused before any worker starts."""
+
+    CALLS = {
+        "simulate": lambda x0: simulate(DEGENERATE_B, x0, 10, 1),
+        "hitting_stats": lambda x0: hitting_stats(DEGENERATE_B, ORIGIN_BALL, x0, 40, 10, base_seed=1),
+        "ensemble_states": lambda x0: ensemble_states(DEGENERATE_B, x0, [5], 40, base_seed=1),
+        "decay_exponent": lambda x0: decay_exponent(DEGENERATE_B, ORIGIN_BALL, [1, 2, 3, 4], 40, 1, x0=x0),
+    }
+
+    @pytest.mark.parametrize("call", sorted(CALLS))
+    def test_x0_of_the_wrong_length(self, call, monkeypatch):
+        monkeypatch.setenv("REACHCERT_THREADS", "2")
+        _use_executor(monkeypatch, "process" if "process" in EXECUTORS else "thread")
+        _use_batches(monkeypatch, 10)
+        forks = _record_forks(monkeypatch)
+        for x0 in ([0.0, 1.0, 2.0], [0.0], []):
+            with pytest.raises(ValueError, match="x0 has"):
+                self.CALLS[call](x0)
+        assert forks == []
+
+    @pytest.mark.parametrize("threshold", [float("nan"), -1.0, -np.inf])
+    def test_divergence_threshold_that_is_nan_or_negative(self, threshold):
+        with pytest.raises(ValueError, match="divergence_threshold"):
+            hitting_stats(DEGENERATE_B, ORIGIN_BALL, [0.0, 10.0], 40, 10, base_seed=1, divergence_threshold=threshold)
 
 
 class TestCallableTarget:
