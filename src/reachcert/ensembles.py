@@ -31,8 +31,9 @@ each batch's ball counts at the grid steps, so an ensemble's memory
 depends on neither its trajectory count nor its grid.  No chunk or
 sub-block length changes any trajectory: a chunked ensemble replays
 exactly the stream of a single-trajectory simulation.  Every sub-block
-is one ``system.advance`` call, the stepping engine of `systems`, so the
-random walk x + Bw pays for its additions only.  A hitting call that
+is one ``system.advance`` call, the stepping engine of `systems`, which
+multiplies by C-contiguous copies of A' and B' built with the system, so
+the random walk x + Bw pays for its additions only.  A hitting call that
 `_escape_witness` proves can never hit, diverge or overflow (an
 uncontrollable mode on or outside the unit circle keeps every state away
 from the target) is not stepped at all.

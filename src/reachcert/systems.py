@@ -6,10 +6,13 @@ The dynamics are ``x_{k+1} = f(x_k, w_k)`` with i.i.d. zero-mean noise
 system kind applies its transition in one method, ``advance(X, W)``,
 which steps the (rows, n) states X through an (s, rows, m) noise block W;
 `step_batch` is its one-step form and the ensembles step whole blocks.
-A linear step skips a factor that is exactly the identity
-(`LinearSystem.factors`).  States are the rows of an (N, n) array, both
-for stepping and for `contains`, whose target is an open ball (Euclidean
-or weighted by a PD matrix) or a callable row mask.  The noise law lives
+A linear step multiplies by C-contiguous copies of A' and B', built once
+(`LinearSystem.factors`), and skips a factor that is exactly the
+identity.  Each model copies the arrays it is built from and keeps them
+read-only, so a later write to the caller's array cannot change it.
+States are the rows of an (N, n) array, both for stepping and for
+`contains`, whose target is an open ball (Euclidean or weighted by a PD
+matrix) or a callable row mask.  The noise law lives
 in `NoiseModel`, which alone draws noise and builds its Gauss rules (from
 unit rules built once); all noise sampling is driven by explicit
 per-trajectory seeds so ensembles are reproducible regardless of
@@ -83,6 +86,12 @@ def _matrix(d: dict, key: str) -> np.ndarray:
         raise ValueError(f"{key} must be an array of numbers, got {d[key]!r}") from None
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """``a``, marked read-only: a model's arrays are fixed when it is built."""
+    a.flags.writeable = False
+    return a
+
+
 def _scale_uniform(u, h2):
     """Map raw doubles u in [0, 1) to uniform(-1, 1) * h in place, in two
     passes: (u - 0.5) * 2h.
@@ -119,7 +128,8 @@ class NoiseModel:
     ``half_widths``).  Both kinds are symmetric about the origin, have
     finite third absolute moments and full support near the origin.  The
     law is read only through `draw`, `gauss_rule` and the `covariance`
-    moment.
+    moment.  ``cov``, its Cholesky factor and ``half_widths`` are read-only
+    copies of the arrays given.
     """
 
     kind: str
@@ -131,20 +141,20 @@ class NoiseModel:
         if self.kind == "gaussian":
             if self.cov is None:
                 raise ValueError("gaussian noise requires a covariance matrix")
-            cov = np.atleast_2d(np.asarray(self.cov, dtype=float))
+            cov = np.atleast_2d(np.array(self.cov, dtype=float))
             if not is_symmetric_positive_definite(cov):
                 raise ValueError("noise covariance must be symmetric positive definite")
-            object.__setattr__(self, "cov", cov)
-            object.__setattr__(self, "_chol", np.linalg.cholesky(cov))
+            object.__setattr__(self, "cov", _read_only(cov))
+            object.__setattr__(self, "_chol", _read_only(np.linalg.cholesky(cov)))
             object.__setattr__(self, "half_widths", None)
         elif self.kind == "uniform-box":
             if self.half_widths is None:
                 raise ValueError(f"{self.kind} noise requires half_widths")
-            h = np.asarray(self.half_widths, dtype=float).reshape(-1)
+            h = np.array(self.half_widths, dtype=float).reshape(-1)
             # 2h must be finite for the two-pass uniform map (_scale_uniform).
             if h.size == 0 or not np.all((h > 0) & (h <= np.finfo(float).max / 2)):
                 raise ValueError("half_widths must be positive, finite and at most DBL_MAX / 2")
-            object.__setattr__(self, "half_widths", h)
+            object.__setattr__(self, "half_widths", _read_only(h))
             object.__setattr__(self, "cov", None)
         else:
             raise ValueError(f"unknown noise kind {self.kind!r}")
@@ -265,8 +275,12 @@ class NoiseModel:
 
 @dataclass(frozen=True)
 class LinearSystem:
-    """x_{k+1} = A x_k + B w_k with additive zero-mean noise; ``factors``
-    is (A', B'), each None where that factor is exactly the identity."""
+    """x_{k+1} = A x_k + B w_k with additive zero-mean noise.
+
+    ``A`` and ``B`` are read-only copies of the matrices given.  ``factors``
+    is (A', B') as read-only C-contiguous copies, built once, each None
+    where that factor is exactly the identity: OpenBLAS multiplies a
+    transposed view on a slower path than a contiguous matrix."""
 
     A: np.ndarray
     B: np.ndarray
@@ -274,8 +288,8 @@ class LinearSystem:
     factors: tuple = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        A = np.atleast_2d(np.asarray(self.A, dtype=float))
-        B = np.atleast_2d(np.asarray(self.B, dtype=float))
+        A = np.atleast_2d(np.array(self.A, dtype=float))
+        B = np.atleast_2d(np.array(self.B, dtype=float))
         if A.shape[0] != A.shape[1]:
             raise ValueError(f"A must be square, got {A.shape}")
         if B.shape[0] != A.shape[0]:
@@ -286,9 +300,10 @@ class LinearSystem:
             )
         if not (np.all(np.isfinite(A)) and np.all(np.isfinite(B))):
             raise ValueError("system matrices must be finite")
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "B", B)
-        object.__setattr__(self, "factors", tuple(None if np.array_equal(M, np.eye(len(M))) else M.T for M in (A, B)))
+        object.__setattr__(self, "A", _read_only(A))
+        object.__setattr__(self, "B", _read_only(B))
+        factors = (None if np.array_equal(M, np.eye(len(M))) else _read_only(np.ascontiguousarray(M.T)) for M in (A, B))
+        object.__setattr__(self, "factors", tuple(factors))
 
     @property
     def dimension(self) -> int:
@@ -302,15 +317,17 @@ class LinearSystem:
         """(s, rows, n) states after each step of the (s, rows, m) noise
         block W from the (rows, n) states X: x A' + w B' per step.
 
-        W B' is one 2-D product over all s * rows noise vectors (W is
-        copied only when it is not contiguous), so a row's noise term has
-        the bits of a many-row product even when the block holds one row
-        (s > 1): numpy multiplies a lone row by gemv, which rounds
-        differently.  X A' is one ``np.dot`` per step, the BLAS call of
-        ``matmul`` with less dispatch.  A factor that is exactly the
-        identity is not multiplied: x*1 = x and x*0 = +-0, so finite states
-        keep the bits of X A' + W B' up to the sign of a zero (an infinite
-        coordinate would have made its row NaN).
+        Both products take the C-contiguous copies in ``factors``.  W B' is
+        one 2-D product over all s * rows noise vectors (W is copied only
+        when it is not contiguous), so a row's noise term has the bits of a
+        many-row product even when the block holds one row (s > 1): numpy
+        multiplies a lone row by gemv, which rounds differently.  Each step
+        is one ``X.dot(A', out)``, the BLAS call of ``matmul`` without the
+        dispatch of ``np.dot``, and one locally bound ``np.add`` into its
+        output.  A factor that is exactly the identity is not multiplied:
+        x*1 = x and x*0 = +-0, so finite states keep the bits of
+        X A' + W B' up to the sign of a zero (an infinite coordinate would
+        have made its row NaN).
 
         Scratch beyond the output, one (rows, n) array for X A', is
         allocated only when neither factor is the identity, since W B' then
@@ -319,21 +336,22 @@ class LinearSystem:
         call and the same rounded sum."""
         out = np.empty((W.shape[0],) + X.shape)
         AT, BT = self.factors
+        add = np.add
         if BT is None:
             WB = W
         else:
             WB = out
-            np.dot(W.reshape(-1, W.shape[-1]), BT, out=out.reshape(-1, X.shape[1]))
+            W.reshape(-1, W.shape[-1]).dot(BT, out.reshape(-1, X.shape[1]))
         if AT is None:
             for w, x in zip(WB, out):
-                X = np.add(w, X, out=x)
+                X = add(w, X, x)
         elif BT is None:
             for w, x in zip(WB, out):
-                X = np.add(w, np.dot(X, AT, out=x), out=x)
+                X = add(w, X.dot(AT, x), x)
         else:
             AX = np.empty(X.shape)
             for x in out:
-                X = np.add(x, np.dot(X, AT, out=AX), out=x)
+                X = add(x, X.dot(AT, AX), x)
         return out
 
     def to_dict(self) -> dict:
@@ -440,7 +458,8 @@ class TargetBall:
     """Open ball target set {x : ||x - center|| < radius}.
 
     The norm is Euclidean or weighted by a symmetric PD matrix.
-    Membership uses strict inequality (open-set semantics).
+    Membership uses strict inequality (open-set semantics).  ``center`` and
+    ``weight`` are read-only copies of the arrays given.
     """
 
     center: np.ndarray
@@ -448,19 +467,19 @@ class TargetBall:
     weight: np.ndarray | None = None  # None means Euclidean
 
     def __post_init__(self):
-        c = np.asarray(self.center, dtype=float).reshape(-1)
+        c = np.array(self.center, dtype=float).reshape(-1)
         if not (np.isfinite(self.radius) and self.radius > 0):
             raise ValueError(f"target radius must be positive and finite, got {self.radius!r}")
         if not np.all(np.isfinite(c)):
             raise ValueError("target center must be finite")
-        object.__setattr__(self, "center", c)
+        object.__setattr__(self, "center", _read_only(c))
         if self.weight is not None:
-            W = np.atleast_2d(np.asarray(self.weight, dtype=float))
+            W = np.atleast_2d(np.array(self.weight, dtype=float))
             if not is_symmetric_positive_definite(W):
                 raise ValueError("target norm weight must be symmetric positive definite")
             if W.shape[0] != c.size:
                 raise ValueError("target weight dimension mismatch")
-            object.__setattr__(self, "weight", W)
+            object.__setattr__(self, "weight", _read_only(W))
 
     @property
     def dimension(self) -> int:

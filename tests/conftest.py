@@ -28,10 +28,11 @@ def reference_noise_draw(noise, rng, count):
 
 def explicit_step(system, X, W):
     """One step of the rows of X under the rows of W, written out apart from
-    ``advance``: X A' + W B' with every product taken for a linear system,
-    else the system's compiled transition."""
+    ``advance``: X A' + W B' with every product taken, on C-contiguous
+    copies of A' and B', for a linear system, else the system's compiled
+    transition."""
     if isinstance(system, LinearSystem):
-        return X @ system.A.T + W @ system.B.T
+        return X @ np.ascontiguousarray(system.A.T) + W @ np.ascontiguousarray(system.B.T)
     return np.column_stack([np.broadcast_to(c, len(X)) for c in system._transition(*X.T, *W.T)])
 
 

@@ -218,6 +218,22 @@ class TestSimulate:
             for k in ks:
                 assert np.array_equal(traj.states[k], states[k][i]), (i, k)
 
+    @pytest.mark.parametrize("B", [np.eye(2), [[1.0, 0.5], [0.0, 2.0]]])
+    def test_rotation_equals_ensemble_row(self, B):
+        # On C-contiguous copies of A' and B', OpenBLAS 0.3.31 gives a
+        # one-row product (gemv) of the 2-D rotation the bits of the
+        # many-row one (gemm), also for the lone step of a lone row at
+        # horizon 1 and NOISE_CHUNK + 1; on the transposed views they
+        # differed in nearly every entry at NOISE_CHUNK + 1.
+        system = LinearSystem(A=rotation_matrix(np.pi / 4), B=B, noise=NoiseModel.uniform([1.0, 1.0]))
+        ks = [1, 37, NOISE_CHUNK + 1]
+        states = ensemble_states(system, [1.0, 1.0], ks, 40, base_seed=12)
+        for i in range(40):
+            traj = simulate(system, [1.0, 1.0], max(ks), 12, i)
+            for k in ks:
+                assert np.array_equal(traj.states[k], states[k][i]), (i, k)
+        assert np.array_equal(simulate(system, [1.0, 1.0], 1, 12, 5).states[1], states[1][5])
+
     def test_integer_seeds_of_any_type(self, random_walk):
         # Seeds, indices and horizons of any integer type draw the same
         # trajectory, by default trajectory 0.
@@ -473,6 +489,20 @@ class TestEnsembleStates:
                     want = got
                 for k in ks:
                     assert np.array_equal(got[k], want[k]), (threads, executor, rows, k)
+
+    @pytest.mark.parametrize("n", [32, 40])
+    def test_batches_of_a_few_rows_keep_the_bits_at_n_32_and_40(self, n, monkeypatch):
+        # On C-contiguous copies of A', OpenBLAS 0.3.31 gives products of 2
+        # and of 7 rows the bits of the 300-row product at these n; on the
+        # transposed view they differed on every row.
+        rng = np.random.default_rng(n)
+        A = rng.standard_normal((n, n))
+        A *= 0.9 / max(abs(np.linalg.eigvals(A)))
+        system = LinearSystem(A=A, B=np.eye(n), noise=NoiseModel.uniform([1.0] * n))
+        want = ensemble_states(system, np.zeros(n), [50], 300, base_seed=4)[50]
+        for rows in (2, 7):
+            _use_batches(monkeypatch, rows)
+            assert np.array_equal(ensemble_states(system, np.zeros(n), [50], 300, base_seed=4)[50], want), rows
 
     def test_noise_memory_is_bounded_by_the_batch(self, monkeypatch):
         # A default batch draws its noise into one (NOISE_CHUNK, batch, m)

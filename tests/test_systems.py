@@ -301,6 +301,26 @@ def test_step_batch_keeps_its_bits_at_n_20(case):
     assert _sha256(step_batch(system, X, W)) == PINNED_STEP_DIGESTS[case]
 
 
+# sha256 of the ensemble_states snapshots, in step order, of a seeded 2-D
+# pi/4 rotation: 300 trajectories from (3, -2), base seed 11.  Recorded on
+# the transposed-view products that advance used before its factors became
+# C-contiguous copies; at n = 2 the change keeps every bit, and these pin it.
+PINNED_ROTATION_DIGESTS = {
+    "identity-B": "23cbf2ff899486d63cfca98d9afcc11f8197a4ecc82d346834a110b3c0f14c0f",
+    "full-B": "c2d052763f9d2177579888a35264655722fe840848c44472bcdc1bbf511a73ca",
+}
+
+
+@pytest.mark.parametrize("case", PINNED_ROTATION_DIGESTS)
+def test_rotation_ensemble_keeps_its_bits_at_n_2(case):
+    c, s = np.cos(np.pi / 4), np.sin(np.pi / 4)
+    B = np.eye(2) if case == "identity-B" else [[1.0, 0.5], [0.0, 2.0]]
+    system = LinearSystem(A=[[c, -s], [s, c]], B=B, noise=NoiseModel.uniform([1.0, 1.0]))
+    snaps = ensemble_states(system, [3.0, -2.0], [1, 65, 1024, 1025, 2000], 300, base_seed=11)
+    digest = hashlib.sha256(b"".join(snaps[k].tobytes() for k in sorted(snaps))).hexdigest()
+    assert digest == PINNED_ROTATION_DIGESTS[case]
+
+
 def test_step_with_identity_b_needs_no_scratch():
     """With B = I each step's X A' is written into the output and the noise
     added there, so a step holds the output alone, not a second (N, n)
@@ -598,9 +618,11 @@ class TestAdvance:
     transition written out step by step."""
 
     @pytest.mark.parametrize("steps", [1, 2, 65])
-    @pytest.mark.parametrize("n", [2, 3, 20])
+    @pytest.mark.parametrize("n", [2, 3, 8, 20, 40])
     @pytest.mark.parametrize("identity", ["neither", "A", "B", "both"])
     def test_linear_matches_explicit_steps(self, identity, n, steps):
+        # The products take C-contiguous copies of A' and B', as advance's
+        # factors do; OpenBLAS may round a transposed view differently.
         rng = np.random.default_rng(n * 100 + steps)
         A = np.eye(n) if identity in ("A", "both") else 0.9 * rng.standard_normal((n, n)) / np.sqrt(n)
         B = np.eye(n) if identity in ("B", "both") else rng.standard_normal((n, 2))
@@ -608,10 +630,24 @@ class TestAdvance:
         assert [f is None for f in system.factors] == [identity in ("A", "both"), identity in ("B", "both")]
         X = rng.standard_normal((40, n))
         W = rng.standard_normal((steps, 40, B.shape[1]))
+        AT, BT = np.ascontiguousarray(A.T), np.ascontiguousarray(B.T)
         want = [X]
         for w in W:
-            want.append(want[-1] @ A.T + w @ B.T)
+            want.append(want[-1] @ AT + w @ BT)
         assert system.advance(X, W).tobytes() == np.stack(want[1:]).tobytes()
+
+    @pytest.mark.parametrize("identity", ["neither", "A", "B", "both"])
+    def test_factors_are_contiguous_read_only_copies(self, identity):
+        rng = np.random.default_rng(3)
+        A = np.eye(3) if identity in ("A", "both") else rng.standard_normal((3, 3))
+        B = np.eye(3) if identity in ("B", "both") else rng.standard_normal((3, 3))
+        system = LinearSystem(A=A, B=B, noise=NoiseModel.uniform([1.0] * 3))
+        identities = (identity in ("A", "both"), identity in ("B", "both"))
+        for factor, M, is_identity in zip(system.factors, (A, B), identities):
+            assert (factor is None) == is_identity
+            if factor is not None:
+                assert factor.flags.c_contiguous and not factor.flags.writeable
+                assert np.array_equal(factor, M.T)
 
     def test_one_row_matches_explicit_steps(self, rotation_system):
         # One row goes to gemv on both sides.
@@ -641,6 +677,50 @@ class TestAdvance:
                 # Each row alone keeps the bits of the block.
                 (alone,) = step_batch(system, got[t - 1, i : i + 1] if t else X[i : i + 1], W[t, i : i + 1])
                 assert alone.tobytes() == got[t, i].tobytes()
+
+
+class TestModelsOwnTheirArrays:
+    """Each model copies the arrays it is built from and keeps them
+    read-only, so neither a later write to the caller's array nor a write
+    through the model changes it."""
+
+    def test_linear_system(self):
+        A, B = np.array([[0.5, 0.1], [0.0, 0.3]]), np.array([[1.0], [2.0]])
+        system = LinearSystem(A=A, B=B, noise=NoiseModel.uniform([1.0]))
+        A[0, 0], B[1, 0] = 7.0, 9.0
+        assert system.A.tolist() == [[0.5, 0.1], [0.0, 0.3]] and system.B.tolist() == [[1.0], [2.0]]
+        assert [f.tolist() for f in system.factors] == [[[0.5, 0.0], [0.1, 0.3]], [[1.0, 2.0]]]
+        for a in (system.A, system.B, *system.factors):
+            assert not a.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            system.A[0, 0] = 1.0
+
+    def test_uniform_noise(self):
+        h = np.array([1.0, 2.0])
+        noise = NoiseModel.uniform(h)
+        h[0] = -5.0
+        assert noise.half_widths.tolist() == [1.0, 2.0]
+        with pytest.raises(ValueError, match="read-only"):
+            noise.half_widths[0] = -5.0
+
+    def test_gaussian_noise(self):
+        cov = np.array([[2.0, 0.5], [0.5, 1.0]])
+        noise = NoiseModel.gaussian(cov)
+        cov[0, 0] = 50.0
+        assert noise.cov.tolist() == [[2.0, 0.5], [0.5, 1.0]]
+        assert np.array_equal(noise._chol, np.linalg.cholesky([[2.0, 0.5], [0.5, 1.0]]))
+        for a in (noise.cov, noise._chol):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0, 0] = 1.0
+
+    def test_target_ball(self):
+        center, weight = np.array([1.0, -1.0]), np.diag([4.0, 1.0])
+        ball = TargetBall(center=center, radius=1.0, weight=weight)
+        center[0], weight[0, 0] = 9.0, -1.0
+        assert ball.center.tolist() == [1.0, -1.0] and ball.weight.tolist() == [[4.0, 0.0], [0.0, 1.0]]
+        for a in (ball.center, ball.weight):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0.0
 
 
 def _assert_mask(target, X, expected):
