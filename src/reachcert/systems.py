@@ -9,7 +9,8 @@ which steps the (rows, n) states X through an (s, rows, m) noise block W;
 A linear step multiplies by C-contiguous copies of A' and B', built once
 (`LinearSystem.factors`), and skips a factor that is exactly the
 identity.  Each model copies the arrays it is built from and keeps them
-read-only, so a later write to the caller's array cannot change it.
+read-only, so a later write to the caller's array cannot change it; a
+pickle or deep copy rebuilds the model from its fields the same way.
 States are the rows of an (N, n) array, both for stepping and for
 `contains`, whose target is an open ball (Euclidean or weighted by a PD
 matrix) or a callable row mask.  The noise law lives
@@ -54,6 +55,12 @@ __all__ = [
 # row before copying it into the time-major block: small enough to stay in
 # cache, large enough that each step's copy writes a run of many streams.
 STAGE_BYTES = 1 << 20
+# Rows at whose multiples a product may be cut and keep the bits of the
+# uncut product.  An OpenBLAS dgemm kernel rounds the rows past the last
+# multiple of its row unroll (4 on the Haswell and 8 on the Nehalem cores;
+# the SkylakeX and Sandybridge cores round every row alike) on an edge path,
+# so a cut elsewhere moves that path onto rows inside the product.
+ROW_ALIGN = 64
 
 
 def _number(d: dict, key: str, default: float | None = None) -> float:
@@ -159,6 +166,9 @@ class NoiseModel:
         else:
             raise ValueError(f"unknown noise kind {self.kind!r}")
 
+    def __reduce__(self):
+        return NoiseModel, (self.kind, self.cov, self.half_widths)
+
     @property
     def dimension(self) -> int:
         if self.kind == "gaussian":
@@ -181,7 +191,8 @@ class NoiseModel:
 
         Streams are drawn in groups through a row-major stage of about
         STAGE_BYTES, one stream per row, a piece of steps at a time: the
-        whole stream when it fits, else pieces of the stage's length.  Each
+        whole stream when it fits, else pieces of the stage's length, a
+        multiple of ROW_ALIGN steps when the stage holds that many.  Each
         row is filled in one C call, the piece is mapped to the law (one
         Cholesky product, or the two in-place passes of `_scale_uniform`,
         whose inner loops are a row long, never m) and copied transposed
@@ -192,7 +203,10 @@ class NoiseModel:
         if out is None:
             out = np.empty((length, len(rngs), m))
         gaussian = self.kind == "gaussian"
-        steps = min(length, max(2, STAGE_BYTES // (8 * m)))
+        steps = STAGE_BYTES // (8 * m)
+        if steps >= ROW_ALIGN:
+            steps -= steps % ROW_ALIGN  # a lone stream's pieces start at aligned rows
+        steps = min(length, max(2, steps))
         rows = max(1, STAGE_BYTES // (8 * m * max(1, steps)))
         # One spare step: a piece of two or more steps takes gemm like the
         # whole product and keeps its bits, but a lone last step would take
@@ -304,6 +318,9 @@ class LinearSystem:
         object.__setattr__(self, "B", _read_only(B))
         factors = (None if np.array_equal(M, np.eye(len(M))) else _read_only(np.ascontiguousarray(M.T)) for M in (A, B))
         object.__setattr__(self, "factors", tuple(factors))
+
+    def __reduce__(self):
+        return LinearSystem, (self.A, self.B, self.noise)
 
     @property
     def dimension(self) -> int:
@@ -430,6 +447,9 @@ class PolynomialSystem:
         object.__setattr__(self, "transition_exprs", exprs)
         object.__setattr__(self, "_transition", _compile_transition(exprs, self.noise.dimension))
 
+    def __reduce__(self):
+        return PolynomialSystem, (self.transition_exprs, self.noise)
+
     @property
     def dimension(self) -> int:
         return len(self.transition_exprs)
@@ -480,6 +500,9 @@ class TargetBall:
             if W.shape[0] != c.size:
                 raise ValueError("target weight dimension mismatch")
             object.__setattr__(self, "weight", _read_only(W))
+
+    def __reduce__(self):
+        return TargetBall, (self.center, self.radius, self.weight)
 
     @property
     def dimension(self) -> int:

@@ -14,9 +14,10 @@ Gauss rules (each unit rule built once) when the noise has at most three
 dimensions (reporting the gap between two rule orders as the error),
 otherwise by seeded Monte Carlo (reporting a 3-sigma half-width).  Steps
 go through `step_batch`, the one-step form of the system's `advance`.
-Level-set sampling takes V and U of each proposal from one `level_values`
-call; quadratic and logarithmic levels propose exactly from an ellipsoid
-shell, mapped from the sphere by one product with L^-1 (Q = L L').  A
+Level-set sampling takes V and U of each proposal from `level_values`,
+one call per piece of rows (`_pieces`); quadratic and logarithmic levels
+propose exactly from an ellipsoid shell, mapped from the sphere by L^-1
+(Q = L L') in place, a piece at a time.  A
 level whose {V <= r} passes the float range fails unsampled, and
 `verify` exits with 1.  Either way the result is a numerical check with
 an error estimate, never a proof.
@@ -29,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import is_symmetric_positive_definite, quadratic_form
-from .systems import LinearSystem, contains, step_batch, tagged_rng, trajectory_rngs
+from .systems import ROW_ALIGN, LinearSystem, contains, step_batch, tagged_rng, trajectory_rngs
 
 __all__ = [
     "LevelOverflowError",
@@ -57,6 +58,13 @@ CUBATURE_ORDERS = {1: (32, 16), 2: (16, 8), 3: (8, 4)}
 CUBATURE_ROWS = 2**16
 # Rays along which the inclusion check finds a point of {U = 0}.
 INCLUSION_POINTS = 256
+# Least rows of a piece of a level (`_pieces`), a multiple of ROW_ALIGN.
+# OpenBLAS picks its gemm path by the size of a product: pieces of 1,024 or
+# 2,048 rows round some products at n = 17-20 unlike the whole level, while
+# pieces of at least 4,096 rows keep the whole product's bits at every n
+# from 2 to 40 (SkylakeX, Haswell and Sandybridge cores; on Haswell, on one
+# BLAS thread, as its thread split moves the uncut product's own bits).
+PIECE_ROWS = 4096
 
 
 class LevelOverflowError(ValueError):
@@ -218,13 +226,33 @@ def mc_drift(system, V, X, samples: int = 10_000, seed: int = 0):
     return stats[0], stats[1]
 
 
+def _pieces(rows: int) -> list:
+    """Slices that cut range(rows) into rows // PIECE_ROWS near-equal
+    pieces at multiples of ROW_ALIGN, each of at least PIECE_ROWS rows, or
+    one slice below 2 * PIECE_ROWS rows."""
+    k = max(1, rows // PIECE_ROWS)
+    cuts = [ROW_ALIGN * (rows * i // (ROW_ALIGN * k)) for i in range(k)] + [rows]
+    return [slice(a, b) for a, b in zip(cuts, cuts[1:])]
+
+
+def _map_rows(X, M) -> np.ndarray:
+    """X with its rows mapped by M in place (X @ M), a piece at a time."""
+    for piece in _pieces(len(X)):
+        X[piece] = X[piece] @ M
+    return X
+
+
 def _sphere_points(n: int, count: int, radius: float, rng) -> np.ndarray:
+    """count points uniform on the sphere of ``radius``, normalised in place
+    a piece at a time."""
     z = rng.standard_normal(size=(count, n))
-    norms = np.linalg.norm(z, axis=1, keepdims=True)
-    norms[norms == 0.0] = 1.0
-    if radius != 1.0:
-        z *= radius
-    z /= norms
+    for piece in _pieces(count):
+        part = z[piece]
+        norms = np.linalg.norm(part, axis=1, keepdims=True)
+        norms[norms == 0.0] = 1.0
+        if radius != 1.0:
+            part *= radius
+        part /= norms
     return z
 
 
@@ -332,7 +360,8 @@ def _ellipsoid_shell_proposal(Q, b, level, n, rng):
     of density proportional to rho^(n-1) on (sqrt(b), sqrt(level)]:
     rho^2 = level * (t + v (1 - t))^(2/n) with t = (b / level)^(n/2) and
     v uniform on (0, 1], which cannot overflow for large n.  The rows
-    are mapped by one product with L^-1, inverted once per proposal.
+    are scaled and mapped by L^-1 (inverted once per proposal) in place,
+    so a round holds one (missing, n) array.
     """
     if not level > max(b, 0.0):
         raise ValueError(f"level {level} is not above the variant offset {b}: {{V <= r, U > 0}} is empty")
@@ -343,7 +372,7 @@ def _ellipsoid_shell_proposal(Q, b, level, n, rng):
         u = _sphere_points(n, missing, 1.0, rng)
         v = 1.0 - rng.random(missing)
         u *= np.sqrt(level * (t + v * (1.0 - t)) ** (2.0 / n))[:, None]
-        return u @ L_inv
+        return _map_rows(u, L_inv)
 
     return propose
 
@@ -354,9 +383,10 @@ def _sample_level_region(certificate, n, level, count, rng):
     The certificate's ``level_proposal`` draws uniformly from a superset
     (the region itself for quadratic and logarithmic certificates), and
     every proposal is tested on the certificate's ``level_values``, one
-    drift evaluation per proposal.  Raises once (accepted + 3) / tried
-    falls below MIN_ACCEPT_RATE (3 / tried bounds the rate at 95 % when none of the
-    draws so far was accepted).
+    drift evaluation per proposal and one call per piece of a round.
+    Raises once (accepted + 3) / tried falls below MIN_ACCEPT_RATE
+    (3 / tried bounds the rate at 95 % when none of the draws so far was
+    accepted).
     """
     propose = certificate.level_proposal(n, level, rng)
     accepted = []
@@ -365,8 +395,12 @@ def _sample_level_region(certificate, n, level, count, rng):
     while got < count:
         pts = propose(count - got)
         tried += len(pts)
-        v, u = certificate.level_values(pts)
-        ok = (v <= level) & (u > 0.0)
+        u = np.empty(len(pts))
+        ok = np.empty(len(pts), dtype=bool)
+        for piece in _pieces(len(pts)):
+            v, u_piece = certificate.level_values(pts[piece])
+            u[piece] = u_piece
+            ok[piece] = (v <= level) & (u_piece > 0.0)
         if not ok.all():
             pts, u = pts[ok], u[ok]
         if len(pts):
@@ -399,9 +433,9 @@ def verify_variant(
     estimate is separated from 0 by 3 sigma, delta is positive, and the
     exact checks have no violations.  A level that raises
     LevelOverflowError fails with no samples and epsilon_hat 0.  Levels
-    are checked one at a time (`_variant_level`), so the check holds at
-    most three (samples, n) arrays: a level's points, their noise and
-    their successors.
+    are checked one at a time (`_variant_level`) and stepped in pieces of
+    at least PIECE_ROWS rows, so the check holds one (samples, n) array,
+    a level's points, beside a few pieces' noise and successors.
     """
     if samples < 1:
         raise ValueError(f"samples must be positive, got {samples}")
@@ -426,16 +460,22 @@ def verify_variant(
 
 
 def _variant_level(system, certificate, level, delta, samples, rng) -> VariantLevel:
-    """One level's row of `verify_variant`, drawn from ``rng``.  Its (N, n)
-    arrays, the points, their noise and their successors, die on return,
-    before the next level is sampled; the noise, left unnamed, dies as
-    soon as the step returns."""
+    """One level's row of `verify_variant`, drawn from ``rng``.  The level
+    keeps one (N, n) array, its points, which dies on return, before the
+    next level is sampled.  Each piece (`_pieces`) draws its noise from
+    ``rng`` in turn, in the order of one whole draw, and is stepped; its
+    noise and successors, left unnamed, die once U(successor) - U(x) is
+    written into one N-vector."""
     try:
         pts, u_pts = _sample_level_region(certificate, system.dimension, level, samples, rng)
     except LevelOverflowError:
         return VariantLevel(level, delta, 0.0, 0.0, samples=0, h_violations=0)
-    succ = step_batch(system, pts, system.noise.draw([rng], len(pts))[:, 0])
-    dU = np.asarray(certificate.variant_values(succ)) - u_pts
+    dU = np.empty(len(pts))
+    for piece in _pieces(len(pts)):
+        u_succ = certificate.variant_values(
+            step_batch(system, pts[piece], system.noise.draw([rng], piece.stop - piece.start)[:, 0])
+        )
+        dU[piece] = np.asarray(u_succ) - u_pts[piece]
     eps_hat = float(np.mean(dU <= -delta))
     eps_hw = float(3.0 * np.sqrt(max(eps_hat * (1.0 - eps_hat), 1.0 / len(pts)) / len(pts)))
     h_bad = int(np.sum(u_pts > certificate.h_bound(level) + 1e-12))

@@ -1,7 +1,9 @@
+import copy
 import hashlib
 import itertools
 import json
 import os
+import pickle
 import subprocess
 import sys
 import tracemalloc
@@ -721,6 +723,33 @@ class TestModelsOwnTheirArrays:
         for a in (ball.center, ball.weight):
             with pytest.raises(ValueError, match="read-only"):
                 a[0] = 0.0
+
+    @pytest.mark.parametrize("duplicate", [lambda m: pickle.loads(pickle.dumps(m)), copy.deepcopy], ids=["pickle", "deepcopy"])
+    def test_copies_are_rebuilt_from_their_fields(self, duplicate):
+        # A pickle round trip or a deep copy builds each model again: its
+        # arrays are read-only, its factors come from its own A and B, and
+        # it steps with the original's bits.  A polynomial system compiles
+        # its transition again, as the compiled one does not pickle.
+        gaussian = NoiseModel.gaussian([[2.0, 0.5], [0.5, 1.0]])
+        uniform = NoiseModel.uniform([1.0, 2.0])
+        linear = LinearSystem(A=[[0.5, 0.1], [0.0, 0.3]], B=[[1.0, 0.0], [2.0, 1.0]], noise=gaussian)
+        polynomial = PolynomialSystem(transition_exprs=("0.5*x1*(1 + x2 + w1)", "0.5*x2 - w2"), noise=uniform)
+        ball = TargetBall(center=[1.0, -1.0], radius=1.0, weight=np.diag([4.0, 1.0]))
+        rng = np.random.default_rng(8)
+        X, W = rng.standard_normal((6, 2)), rng.standard_normal((3, 6, 2))
+        copies = {name: duplicate(model) for name, model in
+                  (("linear", linear), ("polynomial", polynomial), ("ball", ball), ("uniform", uniform))}
+        twin = copies["linear"]
+        arrays = (twin.A, twin.B, *twin.factors, twin.noise.cov, twin.noise._chol, copies["uniform"].half_widths,
+                  copies["ball"].center, copies["ball"].weight)
+        assert not any(a.flags.writeable for a in arrays)
+        assert [f.tolist() for f in twin.factors] == [twin.A.T.tolist(), twin.B.T.tolist()]
+        for system, copied in ((linear, twin), (polynomial, copies["polynomial"])):
+            assert copied.to_dict() == system.to_dict()
+            assert copied.advance(X, W).tobytes() == system.advance(X, W).tobytes()
+        assert copies["ball"].to_dict() == ball.to_dict()
+        assert contains(copies["ball"], X).tolist() == contains(ball, X).tolist()
+        assert copies["uniform"].to_dict() == uniform.to_dict()
 
 
 def _assert_mask(target, X, expected):

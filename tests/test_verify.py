@@ -27,12 +27,16 @@ from reachcert import counterexamples as cx
 from reachcert.certificates import CustomCertificate
 from reachcert.cli import run
 from reachcert.linalg import quadratic_form
-from reachcert.systems import STAGE_BYTES, step_batch, trajectory_rngs
+from reachcert.systems import ROW_ALIGN, step_batch, trajectory_rngs
 from reachcert.verify import (
     CUBATURE_ORDERS,
+    PIECE_ROWS,
+    VariantLevel,
     _check_inclusion,
+    _pieces,
     _sample_level_region,
     _sphere_points,
+    _variant_level,
     _zero_crossings,
     cubature_drift,
 )
@@ -780,10 +784,12 @@ def test_level_draws_keep_their_bits(case, stable_2d, unit_ball_2d):
 
 
 def test_variant_check_holds_one_level_at_a_time():
-    """The check of 20,000 points at n = 40 holds at most three (N, n)
-    arrays (a level's points, their noise and their successors) beside the
-    noise stage, never a finished level's arrays under the next one's."""
+    """The check of 20,000 points at n = 40 holds one (N, n) array, a
+    level's points, beside at most three pieces' worth of noise,
+    successors, products and the noise draw's stage, never a finished
+    level's arrays under the next one's."""
     samples, n = 20_000, 40
+    piece_rows = max(piece.stop - piece.start for piece in _pieces(samples))
     args = _stable_40()
     tracemalloc.start()
     try:
@@ -791,4 +797,81 @@ def test_variant_check_holds_one_level_at_a_time():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 3 * samples * n * 8 + 4 * STAGE_BYTES
+    assert peak < (samples + 3 * piece_rows) * n * 8
+
+
+@pytest.mark.parametrize("rows", [1, 4095, 8191, 8192, 8255, 20_000, 20_001, 100_000])
+def test_pieces_cover_the_rows_in_order(rows):
+    pieces = _pieces(rows)
+    assert len(pieces) == max(1, rows // PIECE_ROWS)
+    assert [p.start for p in pieces] == [0] + [p.stop for p in pieces[:-1]] and pieces[-1].stop == rows
+    assert all(p.start % ROW_ALIGN == 0 for p in pieces)
+    assert len(pieces) == 1 or min(p.stop - p.start for p in pieces) >= PIECE_ROWS
+
+
+def _whole_level(system, cert, level, samples, rng):
+    """A quadratic level of `_variant_level` on whole arrays, as it was
+    computed before levels ran in pieces: (points, U at the points,
+    successors, VariantLevel)."""
+    n = system.dimension
+    L_inv = np.linalg.inv(np.linalg.cholesky(cert.Q))
+    t = (cert.variant_b / level) ** (0.5 * n)
+    parts, got = [], 0
+    while got < samples:
+        z = rng.standard_normal(size=(samples - got, n))
+        norms = np.linalg.norm(z, axis=1, keepdims=True)
+        norms[norms == 0.0] = 1.0
+        z /= norms
+        v = 1.0 - rng.random(samples - got)
+        z *= np.sqrt(level * (t + v * (1.0 - t)) ** (2.0 / n))[:, None]
+        pts = z @ L_inv
+        V, U = cert.level_values(pts)
+        ok = (V <= level) & (U > 0.0)
+        parts.append((pts[ok], U[ok]))
+        got += int(ok.sum())
+    pts, u = (np.concatenate(part) for part in zip(*parts))
+    succ = step_batch(system, pts, system.noise.draw([rng], samples)[:, 0])
+    dU = cert.variant_values(succ) - u
+    eps_hat = float(np.mean(dU <= -cert.delta))
+    eps_hw = float(3.0 * np.sqrt(max(eps_hat * (1.0 - eps_hat), 1.0 / samples) / samples))
+    h_bad = int(np.sum(u > cert.h_bound(level) + 1e-12))
+    return pts, u, succ, VariantLevel(level, cert.delta, eps_hat, eps_hw, samples, h_bad)
+
+
+@pytest.mark.parametrize("samples", [4095, 8192, 20_000, 20_001])
+@pytest.mark.parametrize("n", [2, 17, 20, 40])
+@pytest.mark.parametrize("noise", ["uniform, B = I", "gaussian, dense B"])
+def test_level_in_pieces_equals_whole_arrays(noise, n, samples, monkeypatch):
+    """A level sampled, stepped and evaluated in pieces (`_pieces`) has the
+    bits of the same level on whole arrays: OpenBLAS gives every piece of at
+    least PIECE_ROWS rows, cut at a multiple of ROW_ALIGN, the bits of the
+    whole product.  On Haswell kernels this holds on one BLAS thread, where
+    CI runs it again (OPENBLAS_CORETYPE=Haswell, OPENBLAS_NUM_THREADS=1)."""
+    rng = np.random.default_rng(n)
+    A = random_stable_matrix(n, rng, rho=0.7)
+    if noise.startswith("uniform"):
+        system = LinearSystem(A=A, B=np.eye(n), noise=NoiseModel.uniform([1.0] * n))
+    else:
+        system = LinearSystem(A=A, B=rng.standard_normal((n, n)), noise=NoiseModel.gaussian(np.eye(n) + 0.1))
+    cert = synthesize_quadratic(system, TargetBall(center=np.zeros(n), radius=1.0))
+    level = 4.0 * cert.variant_b
+    whole_rng = np.random.default_rng(5)
+    pts, u, succ, want = _whole_level(system, cert, level, samples, whole_rng)
+
+    got_pts, got_u = _sample_level_region(cert, n, level, samples, np.random.default_rng(5))
+    assert got_pts.tobytes() == pts.tobytes() and got_u.tobytes() == u.tobytes()
+
+    steps = []
+
+    def recording_step(*args):
+        steps.append(step_batch(*args))
+        return steps[-1]
+
+    monkeypatch.setattr("reachcert.verify.step_batch", recording_step)
+    rng = np.random.default_rng(5)
+    assert _variant_level(system, cert, level, cert.delta, samples, rng) == want
+    assert len(steps) == len(_pieces(samples))
+    assert np.concatenate(steps).tobytes() == succ.tobytes()
+    u_steps = np.concatenate([cert.variant_values(s) for s in steps])
+    assert u_steps.tobytes() == cert.variant_values(succ).tobytes()
+    assert rng.bit_generator.state == whole_rng.bit_generator.state
