@@ -34,7 +34,7 @@ from .linalg import (
 )
 from .spectral import invariant_basis, unit_plane_basis
 from .systems import LinearSystem, TargetBall, _matrix, _number, step_batch, tagged_rng
-from .verify import LevelOverflowError, _ellipsoid_shell_proposal, _map_rows, drift_expectation, exact_quadratic_drift
+from .verify import LevelOverflowError, _ellipsoid_shell_proposal, drift_expectation, exact_quadratic_drift
 
 __all__ = [
     "Certificate",
@@ -396,12 +396,11 @@ class CompositeCertificate(Certificate):
 
     def level_proposal(self, n: int, level: float, rng):
         """Uniform draws x = T y from a cylinder holding {V <= level}: V_log >= 1 and the
-        stable part is >= 0, so y_u'Q_star y_u <= exp(2 level^2) and y_s'Q y_s <= level - 1.
-        y is mapped by T in place, a piece at a time."""
+        stable part is >= 0, so y_u'Q_star y_u <= exp(2 level^2) and y_s'Q y_s <= level - 1."""
         nu = self.unit_dim
         unit = _ellipsoid_shell_proposal(self.unit_cert.Q_star, 0.0, _star_bound(level), nu, rng)
         stable = _ellipsoid_shell_proposal(self.stable_cert.Q, 0.0, level - 1.0, n - nu, rng)
-        return lambda missing: _map_rows(np.hstack([unit(missing), stable(missing)]), self.transform.T)
+        return lambda missing: np.hstack([unit(missing), stable(missing)]) @ self.transform.T
 
     @property
     def compact_radius(self) -> float:

@@ -21,7 +21,8 @@ execution order.  Seeds become generators here only: trajectory i of
 base seed b draws from Philox keyed by ``SeedSequence(b)`` at counter
 block i, numpy's ``Philox(SeedSequence(b)).jumped(i)``, built by
 `trajectory_rngs` (one key derivation per call), and every other seeded
-sampler draws from `tagged_rng(seed, tag)`, its tag naming the call site.
+sampler draws from `tagged_rng(seed, tag, ...)`, its tag naming the call
+site and any further indices the unit of work within it.
 """
 
 from __future__ import annotations
@@ -197,7 +198,9 @@ class NoiseModel:
         Cholesky product, or the two in-place passes of `_scale_uniform`,
         whose inner loops are a row long, never m) and copied transposed
         into ``out``, a whole noise vector at a time, while it is still in
-        cache.
+        cache.  A lone stream into a C-contiguous ``out`` (a variant-check
+        piece's noise, say) is drawn in the same pieces straight into
+        ``out``, which is its stage, with the same bits and no copy.
         """
         m = self.dimension
         if out is None:
@@ -208,12 +211,13 @@ class NoiseModel:
             steps -= steps % ROW_ALIGN  # a lone stream's pieces start at aligned rows
         steps = min(length, max(2, steps))
         rows = max(1, STAGE_BYTES // (8 * m * max(1, steps)))
+        direct = len(rngs) == 1 and out.flags.c_contiguous
         # One spare step: a piece of two or more steps takes gemm like the
         # whole product and keeps its bits, but a lone last step would take
         # gemv, so it joins the piece before it.
-        stage = np.empty(min(rows, len(rngs)) * (steps + 1) * m)
+        stage = None if direct else np.empty(min(rows, len(rngs)) * (steps + 1) * m)
         if gaussian:
-            z = np.empty_like(stage)
+            z = np.empty(min(rows, len(rngs)) * (steps + 1) * m)
         else:
             tile = np.tile(2.0 * self.half_widths, steps + 1)
         # Vectors contiguous in ``out`` move as single m-double items, which
@@ -227,7 +231,7 @@ class NoiseModel:
             while start < length:
                 end = length if start + steps + 1 >= length else start + steps
                 shape = (len(group), end - start, m)
-                block = stage[: len(group) * shape[1] * m].reshape(shape)
+                block = out[start:end].reshape(shape) if direct else stage[: len(group) * shape[1] * m].reshape(shape)
                 if gaussian:
                     # One gemm over every vector of the piece, also when it
                     # is one step of many streams, so each stream gets the
@@ -243,11 +247,12 @@ class NoiseModel:
                     for row, rng in zip(block, group):
                         rng.random(out=row)
                     _scale_uniform(block.reshape(len(group), -1), tile[: block[0].size])
-                dst = out[start:end, r0 : r0 + len(group)]
-                if whole_vectors:
-                    dst.view(vector)[..., 0] = block.view(vector)[..., 0].T
-                else:
-                    dst[...] = block.transpose(1, 0, 2)
+                if not direct:  # a direct block is a view of out already
+                    dst = out[start:end, r0 : r0 + len(group)]
+                    if whole_vectors:
+                        dst.view(vector)[..., 0] = block.view(vector)[..., 0].T
+                    else:
+                        dst[...] = block.transpose(1, 0, 2)
                 start = end
         return out
 
@@ -561,11 +566,14 @@ def trajectory_rngs(base: int, indices) -> list:
     return [np.random.Generator(np.random.Philox(key, counter=c)) for c in counters]
 
 
-def tagged_rng(seed: int, tag: int) -> np.random.Generator:
-    """The stream of one sampled computation, ``tag`` naming its call site:
-    numpy's default generator on child ``tag`` of ``SeedSequence(seed)``,
-    as ``SeedSequence.spawn`` numbers its children."""
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(tag,)))
+def tagged_rng(seed: int, *path: int) -> np.random.Generator:
+    """The stream of one sampled computation: numpy's default generator on
+    ``SeedSequence(seed)`` with the tag path ``path`` as its spawn key.
+    The first tag names the call site, and any further ones a unit of work
+    within it (the variant check's level and piece), so a one-tag path is
+    child ``tag`` of ``SeedSequence(seed)``, as ``SeedSequence.spawn``
+    numbers its children."""
+    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=path))
 
 
 def sample_noise(noise: NoiseModel, base_seed: int, index: int, count: int) -> np.ndarray:

@@ -14,12 +14,17 @@ Gauss rules (each unit rule built once) when the noise has at most three
 dimensions (reporting the gap between two rule orders as the error),
 otherwise by seeded Monte Carlo (reporting a 3-sigma half-width).  Steps
 go through `step_batch`, the one-step form of the system's `advance`.
-Level-set sampling takes V and U of each proposal from `level_values`,
-one call per piece of rows (`_pieces`); quadratic and logarithmic levels
-propose exactly from an ellipsoid shell, mapped from the sphere by L^-1
-(Q = L L') in place, a piece at a time.  A
-level whose {V <= r} passes the float range fails unsampled, and
-`verify` exits with 1.  Either way the result is a numerical check with
+The variant check cuts each level into pieces (`_pieces`): piece k of
+the j-th level draws from ``tagged_rng(seed, VARIANT_TAG, j, k)`` and the
+inclusion rays from ``tagged_rng(seed, INCLUSION_TAG)``, so the pieces run
+on REACHCERT_THREADS threads without changing a bit of the report.  A
+running piece holds about three arrays of its rows x n doubles, and a
+finished one only two counts, so a level's points are never held whole.
+Level-set sampling takes V and U of each proposal from
+`level_values`; quadratic and logarithmic levels propose exactly from an
+ellipsoid shell, mapped from the sphere by L^-1 (Q = L L').  A level
+whose {V <= r} passes the float range fails unsampled, and `verify`
+exits with 1.  Either way the result is a numerical check with
 an error estimate, never a proof.
 """
 
@@ -29,6 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .ensembles import _cpus, _max_workers
 from .linalg import is_symmetric_positive_definite, quadratic_form
 from .systems import ROW_ALIGN, LinearSystem, contains, step_batch, tagged_rng, trajectory_rngs
 
@@ -58,13 +64,27 @@ CUBATURE_ORDERS = {1: (32, 16), 2: (16, 8), 3: (8, 4)}
 CUBATURE_ROWS = 2**16
 # Rays along which the inclusion check finds a point of {U = 0}.
 INCLUSION_POINTS = 256
-# Least rows of a piece of a level (`_pieces`), a multiple of ROW_ALIGN.
-# OpenBLAS picks its gemm path by the size of a product: pieces of 1,024 or
-# 2,048 rows round some products at n = 17-20 unlike the whole level, while
-# pieces of at least 4,096 rows keep the whole product's bits at every n
-# from 2 to 40 (SkylakeX, Haswell and Sandybridge cores; on Haswell, on one
-# BLAS thread, as its thread split moves the uncut product's own bits).
-PIECE_ROWS = 4096
+# Stream tags of `verify_variant`: piece k of level j draws from
+# tagged_rng(seed, VARIANT_TAG, j, k) and the inclusion rays from
+# tagged_rng(seed, INCLUSION_TAG).
+VARIANT_TAG = 0x7A21
+INCLUSION_TAG = 0x1AC1
+# Pieces of a variant-check level (`_pieces`) have at least PIECE_ROWS
+# and at least PIECE_CELLS // n rows.  A piece is the unit of the variant
+# check's streams and threads, so the cuts are part of the seeded stream
+# layout, fixed by the samples and n alone.  A running piece holds a few
+# arrays of its rows x n doubles: at n = 20-40, pieces of 2,048 rows ran
+# faster than pieces of 4,096 on two threads and halve the working set,
+# while at n <= 4, pieces of PIECE_CELLS // n rows keep the fixed cost of
+# a piece (a stream, a proposal and a noise draw, about 0.1 ms) off the
+# check.
+PIECE_ROWS = 2048
+PIECE_CELLS = 2**15
+# A level of at least this many samples x n runs its pieces on threads.
+# On two CPUs, the 1-D check of 20,000 samples and the 2-D check of 2,000
+# ran faster inline, and the 2-D check of 20,000 and the 4-D check of
+# 5,000 on two threads.
+THREADED_CELLS = 2**15
 
 
 class LevelOverflowError(ValueError):
@@ -226,33 +246,23 @@ def mc_drift(system, V, X, samples: int = 10_000, seed: int = 0):
     return stats[0], stats[1]
 
 
-def _pieces(rows: int) -> list:
-    """Slices that cut range(rows) into rows // PIECE_ROWS near-equal
-    pieces at multiples of ROW_ALIGN, each of at least PIECE_ROWS rows, or
-    one slice below 2 * PIECE_ROWS rows."""
-    k = max(1, rows // PIECE_ROWS)
+def _pieces(rows: int, least: int) -> list:
+    """Slices that cut range(rows) into rows // least near-equal pieces
+    at multiples of ROW_ALIGN, each of at least ``least`` rows, or one
+    slice below 2 * least rows."""
+    k = max(1, rows // least)
     cuts = [ROW_ALIGN * (rows * i // (ROW_ALIGN * k)) for i in range(k)] + [rows]
     return [slice(a, b) for a, b in zip(cuts, cuts[1:])]
 
 
-def _map_rows(X, M) -> np.ndarray:
-    """X with its rows mapped by M in place (X @ M), a piece at a time."""
-    for piece in _pieces(len(X)):
-        X[piece] = X[piece] @ M
-    return X
-
-
 def _sphere_points(n: int, count: int, radius: float, rng) -> np.ndarray:
-    """count points uniform on the sphere of ``radius``, normalised in place
-    a piece at a time."""
+    """count points uniform on the sphere of ``radius``, normalised in place."""
     z = rng.standard_normal(size=(count, n))
-    for piece in _pieces(count):
-        part = z[piece]
-        norms = np.linalg.norm(part, axis=1, keepdims=True)
-        norms[norms == 0.0] = 1.0
-        if radius != 1.0:
-            part *= radius
-        part /= norms
+    norms = np.linalg.norm(z, axis=1, keepdims=True)
+    norms[norms == 0.0] = 1.0
+    if radius != 1.0:
+        z *= radius
+    z /= norms
     return z
 
 
@@ -360,8 +370,7 @@ def _ellipsoid_shell_proposal(Q, b, level, n, rng):
     of density proportional to rho^(n-1) on (sqrt(b), sqrt(level)]:
     rho^2 = level * (t + v (1 - t))^(2/n) with t = (b / level)^(n/2) and
     v uniform on (0, 1], which cannot overflow for large n.  The rows
-    are scaled and mapped by L^-1 (inverted once per proposal) in place,
-    so a round holds one (missing, n) array.
+    are scaled in place and mapped by L^-1, inverted once per proposal.
     """
     if not level > max(b, 0.0):
         raise ValueError(f"level {level} is not above the variant offset {b}: {{V <= r, U > 0}} is empty")
@@ -372,7 +381,7 @@ def _ellipsoid_shell_proposal(Q, b, level, n, rng):
         u = _sphere_points(n, missing, 1.0, rng)
         v = 1.0 - rng.random(missing)
         u *= np.sqrt(level * (t + v * (1.0 - t)) ** (2.0 / n))[:, None]
-        return _map_rows(u, L_inv)
+        return u @ L_inv
 
     return propose
 
@@ -383,7 +392,7 @@ def _sample_level_region(certificate, n, level, count, rng):
     The certificate's ``level_proposal`` draws uniformly from a superset
     (the region itself for quadratic and logarithmic certificates), and
     every proposal is tested on the certificate's ``level_values``, one
-    drift evaluation per proposal and one call per piece of a round.
+    drift evaluation per proposal and one call per round.
     Raises once (accepted + 3) / tried falls below MIN_ACCEPT_RATE
     (3 / tried bounds the rate at 95 % when none of the draws so far was
     accepted).
@@ -395,12 +404,8 @@ def _sample_level_region(certificate, n, level, count, rng):
     while got < count:
         pts = propose(count - got)
         tried += len(pts)
-        u = np.empty(len(pts))
-        ok = np.empty(len(pts), dtype=bool)
-        for piece in _pieces(len(pts)):
-            v, u_piece = certificate.level_values(pts[piece])
-            u[piece] = u_piece
-            ok[piece] = (v <= level) & (u_piece > 0.0)
+        v, u = certificate.level_values(pts)
+        ok = (v <= level) & (u > 0.0)
         if not ok.all():
             pts, u = pts[ok], u[ok]
         if len(pts):
@@ -432,10 +437,19 @@ def verify_variant(
     {U = 0} belong to the target.  Passes iff every level's probability
     estimate is separated from 0 by 3 sigma, delta is positive, and the
     exact checks have no violations.  A level that raises
-    LevelOverflowError fails with no samples and epsilon_hat 0.  Levels
-    are checked one at a time (`_variant_level`) and stepped in pieces of
-    at least PIECE_ROWS rows, so the check holds one (samples, n) array,
-    a level's points, beside a few pieces' noise and successors.
+    LevelOverflowError fails with no samples and epsilon_hat 0.
+
+    Streams: each level's samples are cut into pieces (`_pieces`), and
+    piece k of the j-th level draws its points and then its noise from
+    ``tagged_rng(seed, VARIANT_TAG, j, k)`` alone (`_variant_piece`); the
+    inclusion rays draw from ``tagged_rng(seed, INCLUSION_TAG)``.  A piece
+    returns integer counts, summed in piece order, so a report does not
+    depend on which thread ran which piece.  The pieces run on
+    min(REACHCERT_THREADS, CPUs) threads when a level has at least
+    THREADED_CELLS samples x n, else inline.  Memory: each running piece
+    holds its points, its noise and then its successors, about three
+    arrays of (piece rows) x n doubles, and nothing of a finished piece
+    outlives it but its counts.
     """
     if samples < 1:
         raise ValueError(f"samples must be positive, got {samples}")
@@ -447,9 +461,23 @@ def verify_variant(
     if not levels:
         raise ValueError("need at least one level")
 
-    rng = tagged_rng(seed, 0x7A21)
-    level_rows = [_variant_level(system, certificate, r, delta, samples, rng) for r in levels]
-    inclusion_bad = _check_inclusion(certificate, target, n, INCLUSION_POINTS, rng, certificate.positive_quadrant)
+    rows = [piece.stop - piece.start for piece in _pieces(samples, max(PIECE_ROWS, PIECE_CELLS // n))]
+
+    def run(job):
+        j, k = job
+        rng = tagged_rng(seed, VARIANT_TAG, j, k)
+        try:
+            return _variant_piece(system, certificate, levels[j], delta, rows[k], rng)
+        except LevelOverflowError:
+            return None
+
+    counts = _map_pieces(run, [(j, k) for j in range(len(levels)) for k in range(len(rows))], samples * n)
+    level_rows = [
+        _level_row(r, delta, samples, counts[j * len(rows) : (j + 1) * len(rows)]) for j, r in enumerate(levels)
+    ]
+    inclusion_bad = _check_inclusion(
+        certificate, target, n, INCLUSION_POINTS, tagged_rng(seed, INCLUSION_TAG), certificate.positive_quadrant
+    )
     passed = (
         delta > 0.0
         and all(lv.epsilon_hat - lv.epsilon_half_width > 0.0 for lv in level_rows)
@@ -459,33 +487,68 @@ def verify_variant(
     return VariantReport(levels=tuple(level_rows), inclusion_violations=inclusion_bad, passed=passed)
 
 
-def _variant_level(system, certificate, level, delta, samples, rng) -> VariantLevel:
-    """One level's row of `verify_variant`, drawn from ``rng``.  The level
-    keeps one (N, n) array, its points, which dies on return, before the
-    next level is sampled.  Each piece (`_pieces`) draws its noise from
-    ``rng`` in turn, in the order of one whole draw, and is stepped; its
-    noise and successors, left unnamed, die once U(successor) - U(x) is
-    written into one N-vector."""
-    try:
-        pts, u_pts = _sample_level_region(certificate, system.dimension, level, samples, rng)
-    except LevelOverflowError:
+def _map_pieces(run, jobs, cells: int) -> list:
+    """``[run(job) for job in jobs]``, on min(REACHCERT_THREADS, CPUs, jobs)
+    threads when ``cells`` (a level's samples x n) reaches THREADED_CELLS.
+
+    The calling thread is one of the workers: each takes the next job in
+    order until none is left.  After a job raises, no later job starts,
+    and once the running ones end the error of the first failed job is
+    raised, the one that an inline run raises."""
+    workers = min(_max_workers(), _cpus(), len(jobs))
+    if workers < 2 or cells < THREADED_CELLS:
+        return [run(job) for job in jobs]
+    import concurrent.futures
+
+    results = [None] * len(jobs)
+    todo = iter(range(len(jobs)))
+
+    def drain():
+        for i in todo:
+            try:
+                results[i] = run(jobs[i])
+            except BaseException as exc:  # raised again below, once the running jobs end
+                results[i] = exc
+                for _ in todo:  # start no later job
+                    pass
+
+    with concurrent.futures.ThreadPoolExecutor(max_workers=workers - 1) as pool:
+        helpers = [pool.submit(drain) for _ in range(workers - 1)]
+        drain()
+        for helper in helpers:
+            helper.result()
+    for result in results:
+        if isinstance(result, BaseException):
+            raise result
+    return results
+
+
+def _variant_piece(system, certificate, level, delta, rows, rng):
+    """(decreases of U by at least delta, H violations) among ``rows``
+    points of {V <= level, U > 0}, each stepped once: the points, then
+    their noise, drawn from ``rng``."""
+    pts, u_pts = _sample_level_region(certificate, system.dimension, level, rows, rng)
+    h_bad = int(np.count_nonzero(u_pts > certificate.h_bound(level) + 1e-12))
+    succ = step_batch(system, pts, system.noise.draw([rng], rows)[:, 0])
+    del pts  # U of the successors need not sit beside the points
+    hits = int(np.count_nonzero(np.asarray(certificate.variant_values(succ)) - u_pts <= -delta))
+    return hits, h_bad
+
+
+def _level_row(level, delta, samples, counts) -> VariantLevel:
+    """One level's row of `verify_variant` from its pieces' counts (None
+    where the level overflowed)."""
+    if None in counts:
         return VariantLevel(level, delta, 0.0, 0.0, samples=0, h_violations=0)
-    dU = np.empty(len(pts))
-    for piece in _pieces(len(pts)):
-        u_succ = certificate.variant_values(
-            step_batch(system, pts[piece], system.noise.draw([rng], piece.stop - piece.start)[:, 0])
-        )
-        dU[piece] = np.asarray(u_succ) - u_pts[piece]
-    eps_hat = float(np.mean(dU <= -delta))
-    eps_hw = float(3.0 * np.sqrt(max(eps_hat * (1.0 - eps_hat), 1.0 / len(pts)) / len(pts)))
-    h_bad = int(np.sum(u_pts > certificate.h_bound(level) + 1e-12))
+    eps_hat = sum(hits for hits, _ in counts) / samples
+    eps_hw = float(3.0 * np.sqrt(max(eps_hat * (1.0 - eps_hat), 1.0 / samples) / samples))
     return VariantLevel(
         level=level,
         delta=delta,
         epsilon_hat=eps_hat,
         epsilon_half_width=eps_hw,
-        samples=len(pts),
-        h_violations=h_bad,
+        samples=samples,
+        h_violations=sum(h_bad for _, h_bad in counts),
     )
 
 
@@ -503,8 +566,11 @@ def _zero_crossings(certificate, dirs, t_max=1e9):
 
     All rays advance together, each with the arithmetic of a scalar
     bisection: hi doubles from 1 until U(hi d) > 0 or hi reaches t_max,
-    then 80 halvings of [lo, hi].  Returns, in ray order, the point just
-    inside the zero level set of each ray that crossed; none if U(0) >= 0.
+    then up to 80 halvings of [lo, hi], which stop once a halving moves
+    no ray's lo or hi (every later one would repeat the same midpoints,
+    so the result is that of all 80).  Returns, in ray order, the point
+    just inside the zero level set of each ray that crossed; none if
+    U(0) >= 0.
     """
     u0 = float(np.asarray(certificate.variant_values(np.zeros((1, dirs.shape[1]))))[0])
     if u0 >= 0.0:
@@ -525,7 +591,9 @@ def _zero_crossings(certificate, dirs, t_max=1e9):
         for _ in range(80):
             mid = 0.5 * (lo + hi)
             up = np.asarray(certificate.variant_values(mid[:, None] * dirs)) > 0.0
-            hi = np.where(up, mid, hi)
-            lo = np.where(up, lo, mid)
+            new_lo, new_hi = np.where(up, lo, mid), np.where(up, mid, hi)
+            if np.array_equal(new_lo, lo) and np.array_equal(new_hi, hi):
+                break
+            lo, hi = new_lo, new_hi
     # Just inside the zero level set; membership in G must hold there.
     return lo[:, None] * dirs

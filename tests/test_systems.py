@@ -102,7 +102,8 @@ class TestNoiseStreams:
             assert np.array_equal(block[:, j], reference_noise_draw(noise, rng, count))
 
     def test_shared_generator_continues_where_the_law_leaves_it(self, law):
-        # verify_variant draws its points and its noise from one generator.
+        # Each piece of verify_variant draws its points and then its noise
+        # from one generator.
         noise = LAWS[law]
         a, b = trajectory_rngs(3, [0, 0])
         assert np.array_equal(noise.draw([a], 17)[:, 0], reference_noise_draw(noise, b, 17))
@@ -395,9 +396,9 @@ class TestTrajectoryRngs:
         _assert_numpys_streams(base, indices)
 
 
-# The tags of verify_drift, verify_variant, the log-drift scan, the delta
-# estimate and Example 1's scan.
-SAMPLING_TAGS = [0xD21F7, 0x7A21, 0x10C5, 0xDE17A, 0xE1]
+# The tags of verify_drift, verify_variant's pieces and inclusion rays, the
+# log-drift scan, the delta estimate and Example 1's scan.
+SAMPLING_TAGS = [0xD21F7, 0x7A21, 0x1AC1, 0x10C5, 0xDE17A, 0xE1]
 
 
 @pytest.mark.parametrize("tag", SAMPLING_TAGS, ids=hex)
@@ -407,6 +408,25 @@ def test_tagged_rng_is_the_spawned_default_rng(seed, tag):
     got = tagged_rng(seed, tag)
     assert _same_state(got.bit_generator.state, want.bit_generator.state)
     assert np.array_equal(got.standard_normal(9), want.standard_normal(9))
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**40 + 3])
+def test_tagged_rng_paths_are_spawn_keys(seed):
+    """A one-tag path is the spawned default_rng of that tag, so no one-tag
+    sampler's stream moved when tag paths came in; the variant check's
+    (level, piece) paths are spawn keys of their own, and give streams
+    that differ from each other and from the one-tag stream."""
+    for tag in SAMPLING_TAGS:
+        want = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(tag,)))
+        assert _same_state(tagged_rng(seed, tag).bit_generator.state, want.bit_generator.state)
+    paths = [(0x7A21,)] + [(0x7A21, level, piece) for level in range(3) for piece in range(12)]
+    draws = set()
+    for path in paths:
+        want = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=path))
+        got = tagged_rng(seed, *path)
+        assert _same_state(got.bit_generator.state, want.bit_generator.state)
+        draws.add(got.random(4).tobytes())
+    assert len(draws) == len(paths)
 
 
 class _FixedUniforms:

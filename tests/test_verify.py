@@ -1,6 +1,8 @@
+import concurrent.futures
 import hashlib
 import json
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -24,23 +26,25 @@ from reachcert import (
     verify_variant,
 )
 from reachcert import counterexamples as cx
+from reachcert import verify as verify_module
 from reachcert.certificates import CustomCertificate
 from reachcert.cli import run
 from reachcert.linalg import quadratic_form
-from reachcert.systems import ROW_ALIGN, step_batch, trajectory_rngs
+from reachcert.systems import ROW_ALIGN, step_batch, tagged_rng, trajectory_rngs
 from reachcert.verify import (
     CUBATURE_ORDERS,
+    INCLUSION_POINTS,
+    PIECE_CELLS,
     PIECE_ROWS,
-    VariantLevel,
     _check_inclusion,
     _pieces,
     _sample_level_region,
     _sphere_points,
-    _variant_level,
+    _variant_piece,
     _zero_crossings,
     cubature_drift,
 )
-from conftest import ball_mask, random_stable_matrix, reference_noise_draw, rotation_matrix
+from conftest import ball_mask, explicit_step, random_stable_matrix, reference_noise_draw, rotation_matrix
 
 
 class TestExactDrift:
@@ -287,6 +291,14 @@ class TestVerifyVariant:
         cert = synthesize_quadratic(stable_2d, unit_ball_2d)
         with pytest.raises(ValueError, match="samples"):
             verify_variant(stable_2d, cert, unit_ball_2d, samples=samples)
+
+    @pytest.mark.parametrize("value", ["0", "many"])
+    def test_bad_thread_count_is_refused(self, stable_2d, unit_ball_2d, value, monkeypatch):
+        # Inline checks too read REACHCERT_THREADS, as every ensemble call does.
+        monkeypatch.setenv("REACHCERT_THREADS", value)
+        cert = synthesize_quadratic(stable_2d, unit_ball_2d)
+        with pytest.raises(ValueError, match="REACHCERT_THREADS must be a positive integer"):
+            verify_variant(stable_2d, cert, unit_ball_2d, samples=100)
 
     def test_inclusion_violation_detected(self, random_walk):
         # U = |x| - 3 has {U <= 0} = [-3, 3], not inside the unit ball.
@@ -746,14 +758,15 @@ class TestRejectionAbort:
 # sha256 of verify_variant(...).to_dict() (sorted-key JSON), seed=5, with
 # samples=2000 on the 2-D and 1-D cases and verify's default of 20,000 on
 # stable-40: the seeded level-set draws of the quadratic shell and of the
-# custom box are part of every report's bits and must not move.  Stable-40
-# fails its check, no level's estimate being positive, so its digest pins
-# the 20,000-row draws and counts; the step digests of test_systems pin
-# the bits of the n >= 17 products.
+# custom box, one stream per piece of a level, are part of every report's
+# bits and must not move.  Stable-40 fails its check, no level's estimate
+# being positive, so its report holds only zero counts and its digest pins
+# that verdict, not the draws; test_reports_do_not_depend_on_the_thread_count
+# checks n = 40 at levels with positive estimates.
 PINNED_VARIANT_DIGESTS = {
-    "quadratic": "34facdddec569a3c94cf797b07a6d55adbadfc6735dc8b34d2370c5fe8d15d43",
-    "example1": "3d4f83e839676e63b4e0be6f5fcfd59e4262d0c980b175b9838a38a627db2356",
-    "walk-abs": "ebcd2ee00f6617f50a5f75486932472efd35fd1d0e3258afed814d1851511cd0",
+    "quadratic": "2c47e9b1fc1e508c3848e153235bc16c5b6166b7815bce5e157502b071f97f65",
+    "example1": "9f7dc6a27befa93fa0b25aadce3b856f8d10c2b7a4444b761b0473a5a35eb3f4",
+    "walk-abs": "4fe76a9f71fb02f4275da520ab55cbc65c98cbca0c87f379878a5a0aeadf4ad6",
     "stable-40": "45268a1c28912cac130b2bf3871822ae6c750ddde2d026c66dde376e9c2e1d44",
 }
 
@@ -783,83 +796,159 @@ def test_level_draws_keep_their_bits(case, stable_2d, unit_ball_2d):
     assert digest == PINNED_VARIANT_DIGESTS[case]
 
 
-def test_variant_check_holds_one_level_at_a_time():
-    """The check of 20,000 points at n = 40 holds one (N, n) array, a
-    level's points, beside at most three pieces' worth of noise,
-    successors, products and the noise draw's stage, never a finished
-    level's arrays under the next one's."""
-    samples, n = 20_000, 40
-    piece_rows = max(piece.stop - piece.start for piece in _pieces(samples))
+def _use_threads(monkeypatch, threads):
+    """REACHCERT_THREADS = threads on a host of at least that many CPUs;
+    returns the list of the worker counts of the thread pools started."""
+    monkeypatch.setenv("REACHCERT_THREADS", str(threads))
+    monkeypatch.setattr(verify_module, "_cpus", lambda: threads)
+    pools = []
+
+    class Recorder(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recorder)
+    return pools
+
+
+@pytest.mark.parametrize("n", [2, 40])
+def test_reports_do_not_depend_on_the_thread_count(n, stable_2d, unit_ball_2d, monkeypatch):
+    """Reports are equal as sorted JSON on one and on two threads: inline at
+    n = 2 (2,000 samples, below THREADED_CELLS) and on a thread pool at
+    n = 40 (20,000 samples), at levels whose estimates lie strictly
+    between 0 and 1, and at the certificate's own levels."""
+    if n == 2:
+        system, cert, target = stable_2d, synthesize_quadratic(stable_2d, unit_ball_2d), unit_ball_2d
+        samples = 2000
+    else:
+        (system, cert, target), samples = _stable_40(), 20_000
+    level_sets = [None, [32.0 * cert.variant_b, 128.0 * cert.variant_b]]
+    reports = {}
+    for threads in (1, 2):
+        pools = _use_threads(monkeypatch, threads)
+        reports[threads] = [
+            json.dumps(verify_variant(system, cert, target, levels=levels, samples=samples, seed=3).to_dict(), sort_keys=True)
+            for levels in level_sets
+        ]
+        assert pools == ([1, 1] if threads == 2 and n == 40 else [])
+    assert reports[1] == reports[2]
+    if n == 40:
+        assert 0.0 < json.loads(reports[1][1])["levels"][0]["epsilon_hat"] < 1.0
+
+
+def test_first_failed_piece_is_raised_on_threads(monkeypatch):
+    """On threads as inline, the error of the first failed piece in piece
+    order is raised, and no piece after the failed ones starts."""
+    calls = []
+
+    def run(job):
+        calls.append(job)
+        if job in (3, 5):
+            raise ValueError(f"piece {job}")
+        return job
+
+    for threads in (1, 2):
+        _use_threads(monkeypatch, threads)
+        calls.clear()
+        with pytest.raises(ValueError, match="piece 3"):
+            verify_module._map_pieces(run, list(range(40)), verify_module.THREADED_CELLS)
+        assert set(range(4)) <= set(calls) and max(calls) <= (3 if threads == 1 else 5)
+        assert verify_module._map_pieces(lambda job: job, list(range(9)), verify_module.THREADED_CELLS) == list(range(9))
+
+
+def test_pieces_on_many_threads_run_once_each(monkeypatch):
+    """Eight workers on short switch intervals share one job iterator: every
+    job runs once, and its result lands at its own index."""
+    _use_threads(monkeypatch, 8)
+    calls = []
+
+    def run(job):
+        calls.append(job)
+        return -job
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            calls.clear()
+            assert verify_module._map_pieces(run, list(range(500)), verify_module.THREADED_CELLS) == [-j for j in range(500)]
+            assert sorted(calls) == list(range(500))
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_variant_check_holds_one_level_at_a_time(monkeypatch):
+    """The check of 20,000 points at n = 40 on two threads holds one piece's
+    arrays per worker: its points, then its noise and the noise draw's tiled
+    half-widths, then its successors and their products.  That is 3.0
+    arrays of the largest piece's rows x n doubles on one thread and 6.0 on
+    two, measured, against a bound of 3.5 per worker, which a level's
+    points alone (20,000 rows, 8.8 such arrays) would pass."""
+    samples, n, workers = 20_000, 40, 2
+    rows = max(piece.stop - piece.start for piece in _pieces(samples, max(PIECE_ROWS, PIECE_CELLS // n)))
     args = _stable_40()
+    assert _use_threads(monkeypatch, workers) == []
     tracemalloc.start()
     try:
         verify_variant(*args, samples=samples, seed=5)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < (samples + 3 * piece_rows) * n * 8
+    assert peak < workers * 3.5 * rows * n * 8
 
 
 @pytest.mark.parametrize("rows", [1, 4095, 8191, 8192, 8255, 20_000, 20_001, 100_000])
 def test_pieces_cover_the_rows_in_order(rows):
-    pieces = _pieces(rows)
+    pieces = _pieces(rows, PIECE_ROWS)
     assert len(pieces) == max(1, rows // PIECE_ROWS)
     assert [p.start for p in pieces] == [0] + [p.stop for p in pieces[:-1]] and pieces[-1].stop == rows
     assert all(p.start % ROW_ALIGN == 0 for p in pieces)
     assert len(pieces) == 1 or min(p.stop - p.start for p in pieces) >= PIECE_ROWS
 
 
-def _whole_level(system, cert, level, samples, rng):
-    """A quadratic level of `_variant_level` on whole arrays, as it was
-    computed before levels ran in pieces: (points, U at the points,
-    successors, VariantLevel)."""
+def _reference_piece(system, cert, level, rows, rng):
+    """One piece of a quadratic level written out on whole arrays, all drawn
+    from ``rng``: uniform points of the shell {b < V <= level} (Gaussian
+    directions scaled to a radius of density rho^(n-1), mapped by L^-1),
+    then one noise vector per point.  Returns (successors, decreases of U
+    by at least delta, H violations)."""
     n = system.dimension
     L_inv = np.linalg.inv(np.linalg.cholesky(cert.Q))
     t = (cert.variant_b / level) ** (0.5 * n)
-    parts, got = [], 0
-    while got < samples:
-        z = rng.standard_normal(size=(samples - got, n))
-        norms = np.linalg.norm(z, axis=1, keepdims=True)
-        norms[norms == 0.0] = 1.0
-        z /= norms
-        v = 1.0 - rng.random(samples - got)
-        z *= np.sqrt(level * (t + v * (1.0 - t)) ** (2.0 / n))[:, None]
-        pts = z @ L_inv
-        V, U = cert.level_values(pts)
-        ok = (V <= level) & (U > 0.0)
-        parts.append((pts[ok], U[ok]))
-        got += int(ok.sum())
-    pts, u = (np.concatenate(part) for part in zip(*parts))
-    succ = step_batch(system, pts, system.noise.draw([rng], samples)[:, 0])
-    dU = cert.variant_values(succ) - u
-    eps_hat = float(np.mean(dU <= -cert.delta))
-    eps_hw = float(3.0 * np.sqrt(max(eps_hat * (1.0 - eps_hat), 1.0 / samples) / samples))
-    h_bad = int(np.sum(u > cert.h_bound(level) + 1e-12))
-    return pts, u, succ, VariantLevel(level, cert.delta, eps_hat, eps_hw, samples, h_bad)
+    z = rng.standard_normal(size=(rows, n))
+    norms = np.linalg.norm(z, axis=1, keepdims=True)
+    z /= norms
+    v = 1.0 - rng.random(rows)
+    z *= np.sqrt(level * (t + v * (1.0 - t)) ** (2.0 / n))[:, None]
+    pts = z @ L_inv
+    V, U = cert.level_values(pts)
+    assert np.all((V <= level) & (U > 0.0))  # the shell proposal is exact: no rejection round
+    succ = explicit_step(system, pts, reference_noise_draw(system.noise, rng, rows))
+    hits = int(np.sum(cert.variant_values(succ) - U <= -cert.delta))
+    return succ, hits, int(np.sum(U > cert.h_bound(level) + 1e-12))
 
 
 @pytest.mark.parametrize("samples", [4095, 8192, 20_000, 20_001])
 @pytest.mark.parametrize("n", [2, 17, 20, 40])
 @pytest.mark.parametrize("noise", ["uniform, B = I", "gaussian, dense B"])
 def test_level_in_pieces_equals_whole_arrays(noise, n, samples, monkeypatch):
-    """A level sampled, stepped and evaluated in pieces (`_pieces`) has the
-    bits of the same level on whole arrays: OpenBLAS gives every piece of at
-    least PIECE_ROWS rows, cut at a multiple of ROW_ALIGN, the bits of the
-    whole product.  On Haswell kernels this holds on one BLAS thread, where
-    CI runs it again (OPENBLAS_CORETYPE=Haswell, OPENBLAS_NUM_THREADS=1)."""
+    """Every piece of a level equals a reference written here on whole
+    arrays for that piece's stream, tagged_rng(seed, 0x7A21, level, piece):
+    the last piece's successors bit for bit, and the level's counts.  CI
+    runs it again on the Haswell and Sandybridge kernels
+    (OPENBLAS_CORETYPE, on one BLAS thread)."""
     rng = np.random.default_rng(n)
     A = random_stable_matrix(n, rng, rho=0.7)
     if noise.startswith("uniform"):
         system = LinearSystem(A=A, B=np.eye(n), noise=NoiseModel.uniform([1.0] * n))
     else:
         system = LinearSystem(A=A, B=rng.standard_normal((n, n)), noise=NoiseModel.gaussian(np.eye(n) + 0.1))
-    cert = synthesize_quadratic(system, TargetBall(center=np.zeros(n), radius=1.0))
-    level = 4.0 * cert.variant_b
-    whole_rng = np.random.default_rng(5)
-    pts, u, succ, want = _whole_level(system, cert, level, samples, whole_rng)
-
-    got_pts, got_u = _sample_level_region(cert, n, level, samples, np.random.default_rng(5))
-    assert got_pts.tobytes() == pts.tobytes() and got_u.tobytes() == u.tobytes()
+    target = TargetBall(center=np.zeros(n), radius=1.0)
+    cert = synthesize_quadratic(system, target)
+    levels = [2.0 * cert.variant_b, 4.0 * cert.variant_b]
+    pieces = _pieces(samples, max(PIECE_ROWS, PIECE_CELLS // n))
+    assert sum(p.stop - p.start for p in pieces) == samples
 
     steps = []
 
@@ -868,10 +957,93 @@ def test_level_in_pieces_equals_whole_arrays(noise, n, samples, monkeypatch):
         return steps[-1]
 
     monkeypatch.setattr("reachcert.verify.step_batch", recording_step)
-    rng = np.random.default_rng(5)
-    assert _variant_level(system, cert, level, cert.delta, samples, rng) == want
-    assert len(steps) == len(_pieces(samples))
-    assert np.concatenate(steps).tobytes() == succ.tobytes()
-    u_steps = np.concatenate([cert.variant_values(s) for s in steps])
-    assert u_steps.tobytes() == cert.variant_values(succ).tobytes()
-    assert rng.bit_generator.state == whole_rng.bit_generator.state
+    _use_threads(monkeypatch, 1)  # inline, so the steps are recorded in piece order
+    report = verify_variant(system, cert, target, levels=levels, samples=samples, seed=5)
+    assert len(steps) == len(levels) * len(pieces)
+
+    hits = h_bad = 0
+    for k, piece in enumerate(pieces):
+        piece_rng = np.random.default_rng(np.random.SeedSequence(5, spawn_key=(0x7A21, 1, k)))
+        succ, piece_hits, piece_h_bad = _reference_piece(system, cert, levels[1], piece.stop - piece.start, piece_rng)
+        hits, h_bad = hits + piece_hits, h_bad + piece_h_bad
+    assert steps[-1].tobytes() == succ.tobytes()
+    assert _variant_piece(system, cert, levels[1], cert.delta, piece.stop - piece.start, tagged_rng(5, 0x7A21, 1, k)) == (
+        piece_hits,
+        piece_h_bad,
+    )
+    assert report.levels[1].epsilon_hat == hits / samples and report.levels[1].h_violations == h_bad
+    assert report.levels[1].samples == samples
+
+
+# ---------------------------------------------------------------------------
+# Early stop of the zero-crossing bisection
+# ---------------------------------------------------------------------------
+
+def _zero_crossings_80(certificate, dirs, t_max=1e9):
+    """Reference: the batched bisection with a fixed 80 halvings."""
+    u0 = float(np.asarray(certificate.variant_values(np.zeros((1, dirs.shape[1]))))[0])
+    if u0 >= 0.0:
+        return dirs[:0]
+    lo, hi = np.zeros(len(dirs)), np.ones(len(dirs))
+    crossed = np.zeros(len(dirs), dtype=bool)
+    doubling = np.arange(len(dirs))
+    while doubling.size:
+        up = np.asarray(certificate.variant_values(hi[doubling, None] * dirs[doubling])) > 0.0
+        crossed[doubling[up]] = True
+        doubling = doubling[~up]
+        lo[doubling] = hi[doubling]
+        hi[doubling] *= 2.0
+        doubling = doubling[hi[doubling] < t_max]
+    lo, hi, dirs = lo[crossed], hi[crossed], dirs[crossed]
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        up = np.asarray(certificate.variant_values(mid[:, None] * dirs)) > 0.0
+        hi = np.where(up, mid, hi)
+        lo = np.where(up, lo, mid)
+    return lo[:, None] * dirs
+
+
+class _CountingCertificate:
+    """A certificate's variant_values, counting the calls."""
+
+    def __init__(self, certificate):
+        self.certificate, self.calls = certificate, 0
+
+    def variant_values(self, X):
+        self.calls += 1
+        return self.certificate.variant_values(X)
+
+
+def _bisection_cases():
+    rotation = LinearSystem(A=rotation_matrix(np.pi / 3), B=np.eye(2), noise=NoiseModel.uniform([1.0, 1.0]))
+    walk = LinearSystem(A=[[1.0]], B=[[1.0]], noise=NoiseModel.uniform([1.0]))
+    stable_2 = LinearSystem(A=[[0.5, 0.1], [0.0, 0.3]], B=np.eye(2), noise=NoiseModel.uniform([1.0, 1.0]))
+    ball = lambda n: TargetBall(center=np.zeros(n), radius=1.0)  # noqa: E731
+    return {
+        "quadratic-2": (synthesize_quadratic(stable_2, ball(2)), 2, False),
+        "quadratic-40": (_stable_40()[1], 40, False),
+        "log-rotation": (synthesize_logarithmic(rotation, ball(2), seed=0), 2, False),
+        "log-walk": (synthesize_logarithmic(walk, ball(1), seed=0), 1, False),
+        "composite": (_mixed_composite(), 3, False),
+        "custom-example1": (cx.example1_log_certificate(), 2, True),
+        "custom-abs": (cx.abs_certificate(), 1, False),
+    }
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize(
+    "case", ["quadratic-2", "quadratic-40", "log-rotation", "log-walk", "composite", "custom-example1", "custom-abs"]
+)
+def test_bisection_stops_early_with_the_80_halving_result(case, seed):
+    """_zero_crossings stops once a halving moves no ray's end, with the
+    bits of a fixed 80 halvings, and in fewer halvings."""
+    cert, n, positive_quadrant = _bisection_cases()[case]
+    dirs = _sphere_points(n, INCLUSION_POINTS, 1.0, np.random.default_rng(seed))
+    if positive_quadrant:
+        dirs = np.abs(dirs)
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    got, want = _CountingCertificate(cert), _CountingCertificate(cert)
+    points = _zero_crossings(got, dirs)
+    assert len(points) > 0
+    assert points.tobytes() == _zero_crossings_80(want, dirs).tobytes()
+    assert got.calls < want.calls
